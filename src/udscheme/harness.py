@@ -3,7 +3,8 @@
 For each treebank the UD-side models depend only on the seed, so they are
 trained once and shared across all transformation cells. Completed work is
 cached as JSON under <output_dir>/cache; a rerun over a completed directory
-trains nothing and reproduces the reports byte for byte. A failing cell is
+trains nothing and reproduces the reports byte for byte. Entries are written
+atomically, and one that does not decode is recomputed. A failing cell is
 recorded and skipped, the rest of the grid still runs.
 """
 
@@ -124,15 +125,27 @@ class _Cache:
         return os.path.join(self.dir, name + ".json")
 
     def get(self, name: str):
-        p = self.path(name)
-        if os.path.exists(p):
-            with open(p, encoding="utf-8") as f:
+        """The cached value, or None for a missing or undecodable entry
+        (a corrupt entry is recomputed and overwritten)."""
+        try:
+            with open(self.path(name), encoding="utf-8") as f:
                 return json.load(f)
-        return None
+        except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
+            return None
 
     def put(self, name: str, value) -> None:
-        with open(self.path(name), "w", encoding="utf-8") as f:
-            json.dump(value, f, sort_keys=True)
+        # write aside and rename, so an interrupted write never leaves a
+        # half-written entry under the final name
+        path = self.path(name)
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                json.dump(value, f, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

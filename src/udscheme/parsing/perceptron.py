@@ -1,6 +1,9 @@
 """Averaged perceptron for greedy arc-eager parsing.
 
 Feature strings are hashed to 64-bit keys (FNV-1a); collisions are accepted.
+Hashes are memoized in a plain dict that lives exactly as long as one call:
+`train()` shares one memo across all its steps and dev-set decodes, each
+`parse()` call starts a fresh one, and nothing is cached at module level.
 Training follows the dynamic-oracle recipe: predict with the current weights,
 update toward the best zero-cost action whenever the prediction has non-zero
 cost, and after the first `explore_k` epochs follow the model's own
@@ -13,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..conllu import Sentence, validate_tree
+from ..evaluate import corpus_uas
 from .features import extract_features
 from .transitions import (
     Action,
@@ -40,6 +44,17 @@ def fnv1a64(s: str) -> int:
     return h
 
 
+def _hash_features(strings: list[str], memo: dict[str, int]) -> list[int]:
+    """fnv1a64 of each string, in order, computing each distinct one once per memo."""
+    hashes = []
+    for x in strings:
+        h = memo.get(x)
+        if h is None:
+            h = memo[x] = fnv1a64(x)
+        hashes.append(h)
+    return hashes
+
+
 @dataclass
 class Hyperparameters:
     epochs: int = 10
@@ -50,7 +65,7 @@ class Hyperparameters:
 @dataclass
 class Model:
     labels: list[str]
-    # averaged weights: feature hash -> {action index -> weight}
+    # feature hash -> {action index -> weight}: averaged once trained, raw while training
     weights: dict[int, dict[int, float]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -80,30 +95,51 @@ def _action_inventory(labels: list[str]) -> list[Action]:
 
 
 class _AveragedWeights:
-    """Perceptron weights with lazy averaging over update steps."""
+    """Perceptron weights with lazy averaging over update steps.
+
+    Each map is feature hash -> {action index -> value}: `w` holds the raw
+    weights (the rows `Model.score` reads during training), `total` the
+    weight summed over the steps before `stamp`, the step of its last change.
+    """
 
     def __init__(self):
-        self.w: dict[tuple[int, int], float] = {}
-        self.total: dict[tuple[int, int], float] = {}
-        self.stamp: dict[tuple[int, int], int] = {}
+        self.w: dict[int, dict[int, float]] = {}
+        self.total: dict[int, dict[int, float]] = {}
+        self.stamp: dict[int, dict[int, int]] = {}
         self.updates = 0
 
-    def add(self, key: tuple[int, int], delta: float) -> None:
-        # called after self.updates has been advanced to the current step
-        u = self.updates
-        cur = self.w.get(key, 0.0)
-        self.total[key] = self.total.get(key, 0.0) + cur * (u - 1 - self.stamp.get(key, 0))
-        self.stamp[key] = u - 1
-        self.w[key] = cur + delta
+    def update(self, feats: list[int], good: int, bad: int) -> None:
+        """Add +1 to (f, good), then -1 to (f, bad), for each f in order.
+        Called after `updates` has been advanced to the current step."""
+        prev = self.updates - 1
+        deltas = ((good, 1.0), (bad, -1.0))
+        for f in feats:
+            w = self.w.get(f)
+            if w is None:
+                w = self.w[f] = {}
+                total = self.total[f] = {}
+                stamp = self.stamp[f] = {}
+            else:
+                total = self.total[f]
+                stamp = self.stamp[f]
+            for a, delta in deltas:
+                cur = w.get(a, 0.0)
+                total[a] = total.get(a, 0.0) + cur * (prev - stamp.get(a, 0))
+                stamp[a] = prev
+                w[a] = cur + delta
 
     def averaged(self) -> dict[int, dict[int, float]]:
         u = self.updates
         out: dict[int, dict[int, float]] = {}
-        for key, cur in self.w.items():
-            tot = self.total.get(key, 0.0) + cur * (u - self.stamp.get(key, 0))
-            avg = tot / u if u else cur
-            if avg != 0.0:
-                out.setdefault(key[0], {})[key[1]] = avg
+        for f, w in self.w.items():
+            total, stamp = self.total[f], self.stamp[f]
+            row = {}
+            for a, cur in w.items():
+                avg = (total[a] + cur * (u - stamp[a])) / u if u else cur
+                if avg != 0.0:
+                    row[a] = avg
+            if row:
+                out[f] = row
         return out
 
 
@@ -134,30 +170,13 @@ def train(
     labels = sorted({t.deprel for s in train_set for t in s.tokens})
     if not labels:
         raise ValueError("empty label inventory")
-    model = Model(labels=labels)
     acc = _AveragedWeights()
+    # training scores the raw weights; the averaged ones replace them at the end
+    model = Model(labels=labels, weights=acc.w)
+    memo: dict[str, int] = {}
     rng = random.Random(seed)
-    n_actions = len(model.actions)
-
-    # index raw weights per feature for speed
-    by_feat: dict[int, dict[int, float]] = {}
-
-    def scores_of(feats):
-        scores = [0.0] * n_actions
-        for f in feats:
-            row = by_feat.get(f)
-            if row:
-                for a, w in row.items():
-                    scores[a] += w
-        return scores
-
-    def update(feats, good: int, bad: int):
-        for f in feats:
-            acc.add((f, good), 1.0)
-            acc.add((f, bad), -1.0)
-            row = by_feat.setdefault(f, {})
-            row[good] = row.get(good, 0.0) + 1.0
-            row[bad] = row.get(bad, 0.0) - 1.0
+    # a dev set without scorable tokens scores 0 every epoch: epoch 1 is kept
+    dev_scorable = any(t.upos != "PUNCT" for s in dev_set or () for t in s.tokens)
 
     best_dev = -1.0
     best_weights: dict[int, dict[int, float]] | None = None
@@ -174,9 +193,9 @@ def train(
                 # so converged passes keep weighting the final weights in
                 acc.updates += 1
                 kinds = valid_actions(c)
-                feats = [fnv1a64(x) for x in extract_features(c, sent)]
+                feats = _hash_features(extract_features(c, sent), memo)
                 allowed = _allowed_indices(model, kinds)
-                scores = scores_of(feats)
+                scores = model.score(feats)
                 pred_i = _argmax(scores, allowed)
                 pred = model.actions[pred_i]
                 before = reachable_gold_count(c, gold_heads)
@@ -203,7 +222,7 @@ def train(
                     cands.append(model.action_index(a))
                 oracle_i = _argmax(scores, cands)
                 if kind_costs[pred.kind] > 0 and oracle_i != pred_i:
-                    update(feats, oracle_i, pred_i)
+                    acc.update(feats, oracle_i, pred_i)
                 if epoch > hp.explore_k and rng.random() < hp.explore_p:
                     follow = pred_i
                 else:
@@ -211,8 +230,11 @@ def train(
                 c = apply_action(c, model.actions[follow])
         if dev_set:
             snapshot = acc.averaged()
-            dev_model = Model(labels=labels, weights=snapshot)
-            dev_uas = _corpus_uas(dev_model, dev_set)
+            dev_uas = 0.0
+            if dev_scorable:
+                dev_model = Model(labels=labels, weights=snapshot)
+                predicted = [_decode(dev_model, s, memo) for s in dev_set]
+                dev_uas = corpus_uas(dev_set, predicted)
             if dev_uas > best_dev:
                 best_dev = dev_uas
                 best_weights = snapshot
@@ -220,22 +242,14 @@ def train(
     return model
 
 
-def _corpus_uas(model: Model, sentences: list[Sentence]) -> float:
-    correct = total = 0
-    for s in sentences:
-        pred = parse(model, s)
-        for g, p in zip(s.tokens, pred.tokens):
-            if g.upos != "PUNCT":
-                total += 1
-                if g.head == p.head:
-                    correct += 1
-    return correct / total if total else 0.0
-
-
 def parse(model: Model, s: Sentence) -> Sentence:
     """Greedy decoding. The output is always a valid single-rooted tree:
     at most one arc leaves the artificial root during decoding, and any
     token left headless is attached afterwards."""
+    return _decode(model, s, {})
+
+
+def _decode(model: Model, s: Sentence, memo: dict[str, int]) -> Sentence:
     c = initial_config(s)
     n = len(s.tokens)
     while c.buffer:
@@ -244,7 +258,7 @@ def parse(model: Model, s: Sentence) -> Sentence:
         # further right-arcs from the root (SHIFT is always available here)
         if c.stack[-1] == 0 and any(h == 0 for h, _, _ in c.arcs):
             kinds = kinds - {RIGHT_ARC} or kinds
-        feats = [fnv1a64(x) for x in extract_features(c, s)]
+        feats = _hash_features(extract_features(c, s), memo)
         allowed = _allowed_indices(model, kinds)
         scores = model.score(feats)
         c = apply_action(c, model.actions[_argmax(scores, allowed)])
@@ -266,12 +280,21 @@ def parse(model: Model, s: Sentence) -> Sentence:
             heads[d] = primary
             deprels[d] = "root"
     out = s.with_arcs(heads, deprels)
-    assert validate_tree(out).ok
+    report = validate_tree(out)
+    if not report.ok:
+        raise RuntimeError("decoding produced an invalid tree: %s" % (report.violations,))
     return out
 
 
+_MODEL_HEADER = "# udscheme-model v1"
+
+
 def save_model(model: Model, path: str) -> None:
-    lines = ["# udscheme-model v1", "labels\t" + ",".join(model.labels)]
+    for label in model.labels:
+        # the labels line is comma-separated and the file is read line by line
+        if "," in label or "\t" in label or label.splitlines() != [label]:
+            raise ValueError("label %r cannot be stored in a model file" % label)
+    lines = [_MODEL_HEADER, "labels\t" + ",".join(model.labels)]
     entries = []
     for f, row in model.weights.items():
         for a, w in row.items():
@@ -285,15 +308,28 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
+    """Read a model written by `save_model`; a malformed file raises
+    ValueError naming `path:line`."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "# udscheme-model v1":
-        raise ValueError("unrecognized model file: %s" % path)
-    labels = lines[1].split("\t", 1)[1].split(",")
-    model = Model(labels=labels)
-    for line in lines[2:]:
-        f, name, w = line.split("\t")
+    if not lines or lines[0] != _MODEL_HEADER:
+        raise ValueError("%s:1: not a udscheme model file" % path)
+    if len(lines) < 2 or not lines[1].startswith("labels\t"):
+        raise ValueError("%s:2: missing labels line" % path)
+    model = Model(labels=lines[1][len("labels\t"):].split(","))
+    for lineno, line in enumerate(lines[2:], start=3):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(
+                "%s:%d: expected 3 tab-separated fields, got %d" % (path, lineno, len(fields))
+            )
+        f, name, w = fields
         kind, _, label = name.partition(":")
-        a = model.action_index(Action(kind, label or None))
-        model.weights.setdefault(int(f), {})[a] = float(w)
+        a = model._index.get(Action(kind, label or None))
+        if a is None:
+            raise ValueError("%s:%d: unknown action %r" % (path, lineno, name))
+        try:
+            model.weights.setdefault(int(f), {})[a] = float(w)
+        except ValueError as e:
+            raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
     return model

@@ -182,3 +182,37 @@ def brute_force_substring_count(strings) -> int:
             for j in range(i + 1, len(t) + 1):
                 subs.add(t[i:j])
     return len(subs)
+
+
+class ReferenceAveragedWeights:
+    """The tuple-keyed lazy-averaging store the per-feature rows replaced,
+    kept as the reference the new store must match exactly."""
+
+    def __init__(self):
+        self.w: dict[tuple[int, int], float] = {}
+        self.total: dict[tuple[int, int], float] = {}
+        self.stamp: dict[tuple[int, int], int] = {}
+        self.updates = 0
+
+    def add(self, key: tuple[int, int], delta: float) -> None:
+        # called after self.updates has been advanced to the current step
+        u = self.updates
+        cur = self.w.get(key, 0.0)
+        self.total[key] = self.total.get(key, 0.0) + cur * (u - 1 - self.stamp.get(key, 0))
+        self.stamp[key] = u - 1
+        self.w[key] = cur + delta
+
+    def update(self, feats: list[int], good: int, bad: int) -> None:
+        for f in feats:
+            self.add((f, good), 1.0)
+            self.add((f, bad), -1.0)
+
+    def averaged(self) -> dict[int, dict[int, float]]:
+        u = self.updates
+        out: dict[int, dict[int, float]] = {}
+        for key, cur in self.w.items():
+            tot = self.total.get(key, 0.0) + cur * (u - self.stamp.get(key, 0))
+            avg = tot / u if u else cur
+            if avg != 0.0:
+                out.setdefault(key[0], {})[key[1]] = avg
+        return out

@@ -7,6 +7,7 @@ from udscheme.conllu import write_conllu_file
 from udscheme.harness import (
     ExperimentConfig,
     TreebankSpec,
+    _Cache,
     emit_reports,
     load_config,
     run_experiment,
@@ -185,3 +186,30 @@ def test_empty_rows_emit_without_failure(tmp_path):
     os.makedirs(out_dir)
     written = emit_reports(report, out_dir)
     assert any(p.endswith("hist.svg") for p in written)
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path):
+    paths = write_treebank(tmp_path, n_train=12, n_dev=4, n_test=6)
+    out_dir = str(tmp_path / "out")
+    cfg = load_config(
+        write_config(tmp_path, paths, out_dir, seeds="1", transformations="det")
+    )
+    emit_reports(run_experiment(cfg), out_dir)
+    before = read_all(out_dir)
+
+    entry = os.path.join(out_dir, "cache", "xx.det.json")
+    with open(entry, "r+b") as f:
+        f.truncate(os.path.getsize(entry) // 2)
+    report = run_experiment(cfg)
+    assert report.trainings_executed == 1  # only the corrupt cell retrains
+    emit_reports(report, out_dir)
+    assert read_all(out_dir) == before
+
+
+def test_failed_cache_write_keeps_previous_entry(tmp_path):
+    cache = _Cache(str(tmp_path))
+    cache.put("cell", {"uas": 90.0})
+    with pytest.raises(TypeError):
+        cache.put("cell", {"uas": object()})  # not JSON-serializable mid-write
+    assert cache.get("cell") == {"uas": 90.0}
+    assert os.listdir(cache.dir) == ["cell.json"]

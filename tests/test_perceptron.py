@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from udscheme.conllu import validate_tree
+from udscheme.conllu import ValidationReport, validate_tree
+from udscheme.parsing import perceptron
 from udscheme.parsing.perceptron import (
     Hyperparameters,
     Model,
     _AveragedWeights,
+    _hash_features,
     fnv1a64,
     load_model,
     parse,
@@ -14,7 +16,7 @@ from udscheme.parsing.perceptron import (
     train,
 )
 
-from helpers import make_sentence, random_projective_tree
+from helpers import ReferenceAveragedWeights, make_sentence, random_projective_tree
 from synth import synth_corpus
 
 
@@ -28,24 +30,89 @@ def test_fnv1a64_stable_values():
 
 def test_lazy_averaging_matches_naive_snapshots():
     rng = random.Random(42)
-    keys = [(f, a) for f in range(7) for a in range(3)]
     acc = _AveragedWeights()
     naive: dict = {}
     snap_sum: dict = {}
     for _ in range(100):
         acc.updates += 1
-        for key in rng.sample(keys, rng.randint(1, 5)):
-            delta = rng.choice([-1.0, 1.0])
-            acc.add(key, delta)
-            naive[key] = naive.get(key, 0.0) + delta
+        feats = rng.choices(range(7), k=rng.randint(1, 5))
+        good, bad = rng.sample(range(3), 2)
+        acc.update(feats, good, bad)
+        for f in feats:
+            naive[(f, good)] = naive.get((f, good), 0.0) + 1.0
+            naive[(f, bad)] = naive.get((f, bad), 0.0) - 1.0
         # naive averaging: accumulate a full snapshot after every update
         for key, w in naive.items():
             snap_sum[key] = snap_sum.get(key, 0.0) + w
     averaged = acc.averaged()
-    for key in keys:
-        expect = snap_sum.get(key, 0.0) / 100
-        got = averaged.get(key[0], {}).get(key[1], 0.0)
-        assert abs(got - expect) < 1e-9, key
+    for f in range(7):
+        for a in range(3):
+            expect = snap_sum.get((f, a), 0.0) / 100
+            got = averaged.get(f, {}).get(a, 0.0)
+            assert abs(got - expect) < 1e-9, (f, a)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_store_matches_tuple_keyed_reference(seed):
+    rng = random.Random(seed)
+    acc = _AveragedWeights()
+    ref = ReferenceAveragedWeights()
+    for step in range(400):
+        acc.updates += 1
+        ref.updates += 1
+        if rng.random() < 0.6:  # steps without an update still tick the clock
+            feats = [rng.randrange(12) for _ in range(rng.randint(1, 6))]
+            feats.insert(rng.randrange(len(feats) + 1), rng.choice(feats))
+            good, bad = rng.randrange(4), rng.randrange(4)
+            acc.update(feats, good, bad)
+            ref.update(feats, good, bad)
+        if step % 50 == 0:
+            assert acc.averaged() == ref.averaged()
+    assert acc.averaged() == ref.averaged()
+    raw: dict = {}
+    for (f, a), w in ref.w.items():
+        raw.setdefault(f, {})[a] = w
+    assert acc.w == raw
+
+
+def test_memoized_hashing_equals_direct_hashing(monkeypatch):
+    strings = ["S0w=book", "N0p=NOUN", "S0w=naïve", "N0w=日本語", "", "S0w=book",
+               "N1w=Ωmega", "N0w=日本語", "S0w=Book"]
+    expected = [fnv1a64(x) for x in strings]
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return fnv1a64(x)
+
+    monkeypatch.setattr(perceptron, "fnv1a64", counting)
+    memo: dict = {}
+    assert _hash_features(strings, memo) == expected
+    assert sorted(calls) == sorted(set(strings))
+    assert _hash_features(strings, memo) == expected
+    assert len(calls) == len(set(strings))
+
+
+def test_each_parse_call_hashes_afresh(monkeypatch):
+    corpus = synth_corpus(10)
+    model = train(corpus, None, Hyperparameters(epochs=1), seed=3)
+    calls = []
+    original = perceptron.fnv1a64
+    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
+    parse(model, corpus[0])
+    first = len(calls)
+    parse(model, corpus[0])
+    assert first > 0 and len(calls) == 2 * first
+
+
+def test_dev_set_without_scorable_tokens_keeps_first_epoch():
+    corpus = synth_corpus(12)
+    punct_only = [make_sentence([0], ["root"], ["."], ["PUNCT"])]
+    kept = train(corpus, punct_only, Hyperparameters(epochs=3), seed=4)
+    first_epoch = train(corpus, None, Hyperparameters(epochs=1), seed=4)
+    last_epoch = train(corpus, None, Hyperparameters(epochs=3), seed=4)
+    assert kept.weights == first_epoch.weights
+    assert kept.weights != last_epoch.weights
 
 
 def test_train_rejects_bad_input():
@@ -135,3 +202,43 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_text("not a model\n")
     with pytest.raises(ValueError):
         load_model(str(path))
+
+
+def test_parse_raises_on_invalid_tree(monkeypatch):
+    # an explicit check, so it also holds under python -O
+    broken = ValidationReport(False, ((1, "self-loop", "token 1 is its own head"),))
+    monkeypatch.setattr(perceptron, "validate_tree", lambda s: broken)
+    model = Model(labels=["root", "dep"])
+    with pytest.raises(RuntimeError, match="self-loop"):
+        parse(model, make_sentence([2, 0, 2], ["dep", "root", "dep"]))
+
+
+HEADER = "# udscheme-model v1\n"
+LABELS = "labels\tdep,root\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (HEADER, 2),  # truncated after the header
+        (HEADER + "17\tSHIFT\t1.0\n", 2),  # no labels line
+        (HEADER + LABELS + "17\tSHIFT\n", 3),
+        (HEADER + LABELS + "17\tSHIFT\t1.0\textra\n", 3),
+        (HEADER + LABELS + "17\tSHIFT\t1.0\n18\tJUMP\t1.0\n", 4),
+        (HEADER + LABELS + "17\tLEFT_ARC:nsubj\t1.0\n", 3),  # label not in the file
+        (HEADER + LABELS + "17\tSHIFT\tabc\n", 3),
+    ],
+)
+def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_model(str(path))
+    assert str(err.value).startswith("%s:%d:" % (path, line))
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\tb", "a\nb"])
+def test_save_rejects_unstorable_labels(tmp_path, label):
+    model = Model(labels=["dep", label])
+    with pytest.raises(ValueError):
+        save_model(model, str(tmp_path / "model.txt"))
