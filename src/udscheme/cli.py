@@ -1,5 +1,9 @@
 """Command-line entry points: transform, train, parse, metrics, evaluate,
-experiment — as subcommands of a single `udscheme` executable."""
+experiment — as subcommands of a single `udscheme` executable.
+
+Malformed input, unreadable files and invalid values are reported on one
+stderr line, `udscheme: <file>:<line>: <message>` where the error has a file
+and a line, with exit code 2."""
 
 from __future__ import annotations
 
@@ -8,9 +12,9 @@ import json
 import sys
 
 from .conllu import read_conllu_file, write_conllu_file
-from .evaluate import corpus_uas, uas
+from .evaluate import corpus_score
 from .harness import emit_reports, load_config, run_experiment
-from .metrics import compute_report
+from .metrics import compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, load_model, parse, save_model, train
 from .transform import COPULA_NOUN_LABELS, Transformation, apply_transformation
 
@@ -64,12 +68,7 @@ def _cmd_metrics(args) -> int:
         perplexity_unit=args.perplexity_unit,
         complexity_scope=args.complexity_scope,
     )
-    fields = {
-        "distance": report.distance,
-        "predictability_bits": report.predictability_bits,
-        "derivation_perplexity": report.derivation_perplexity,
-        "derivation_complexity": report.derivation_complexity,
-    }
+    fields = metric_dict(report)
     if args.out == "json":
         print(json.dumps(fields))
     else:
@@ -81,16 +80,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_evaluate(args) -> int:
     gold = read_conllu_file(args.gold)
     pred = read_conllu_file(args.pred)
-    correct = total = 0
-    for g, p in zip(gold, pred):
-        c, t = uas(g, p)
-        correct += c
-        total += t
-    print(
-        json.dumps(
-            {"uas": corpus_uas(gold, pred), "correct": correct, "total": total}
-        )
-    )
+    score, correct, total = corpus_score(gold, pred)
+    print(json.dumps({"uas": score, "correct": correct, "total": total}))
     return 0
 
 
@@ -158,7 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:  # ValueError includes ConlluError
+        filename = getattr(e, "filename", None)
+        message = str(e) if filename is None else "%s: %s" % (filename, e.strerror)
+        print("udscheme: %s" % message, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

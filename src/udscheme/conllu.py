@@ -11,11 +11,20 @@ from dataclasses import dataclass, replace
 
 
 class ConlluError(ValueError):
-    """Malformed CoNLL-U input. Reading is fail-fast: the first problem aborts."""
+    """Malformed CoNLL-U input. Reading is fail-fast: the first problem aborts.
+    `read_conllu_file` sets `path`, and the message then names the file."""
+
+    path: str | None = None
 
     def __init__(self, line_no: int, message: str):
-        super().__init__("line %d: %s" % (line_no, message))
+        super().__init__(line_no, message)
         self.line_no = line_no
+        self.message = message
+
+    def __str__(self) -> str:
+        if self.path is None:
+            return "line %d: %s" % (self.line_no, self.message)
+        return "%s:%d: %s" % (self.path, self.line_no, self.message)
 
 
 @dataclass(frozen=True)
@@ -193,7 +202,12 @@ def write_conllu(sentences: list[Sentence]) -> str:
 
 def read_conllu_file(path: str) -> list[Sentence]:
     with open(path, encoding="utf-8") as f:
-        return parse_conllu(f.read())
+        text = f.read()
+    try:
+        return parse_conllu(text)
+    except ConlluError as e:
+        e.path = path
+        raise
 
 
 def write_conllu_file(path: str, sentences: list[Sentence]) -> None:

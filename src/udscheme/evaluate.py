@@ -24,8 +24,11 @@ def uas(gold: Sentence, predicted: Sentence) -> tuple[int, int]:
     return correct, total
 
 
-def corpus_uas(gold: list[Sentence], predicted: list[Sentence]) -> float:
-    """Corpus-level UAS as a percentage."""
+def corpus_score(
+    gold: list[Sentence], predicted: list[Sentence]
+) -> tuple[float, int, int]:
+    """Corpus-level UAS as a percentage, with the (correct, total) counts
+    it is computed from."""
     if len(gold) != len(predicted):
         raise ValueError("corpora differ in sentence count")
     correct = total = 0
@@ -35,7 +38,12 @@ def corpus_uas(gold: list[Sentence], predicted: list[Sentence]) -> float:
         total += t
     if total == 0:
         raise ValueError("no scorable (non-punctuation) tokens")
-    return 100.0 * correct / total
+    return 100.0 * correct / total, correct, total
+
+
+def corpus_uas(gold: list[Sentence], predicted: list[Sentence]) -> float:
+    """Corpus-level UAS as a percentage."""
+    return corpus_score(gold, predicted)[0]
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 
 from .conllu import read_conllu_file
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
-from .metrics import MetricReport, compute_report
+from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
 from .transform import Transformation, apply_transformation
-
-METRIC_NAMES = (
-    "distance",
-    "predictability",
-    "derivation complexity",
-    "derivation perplexity",
-)
 
 COHERENCE_NOTE = (
     "# coherence = the metric's preferred scheme (lower value) is the scheme "
@@ -107,15 +100,6 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _metric_dict(r: MetricReport) -> dict:
-    return {
-        "distance": r.distance,
-        "predictability_bits": r.predictability_bits,
-        "derivation_perplexity": r.derivation_perplexity,
-        "derivation_complexity": r.derivation_complexity,
-    }
-
-
 class _Cache:
     def __init__(self, root: str):
         self.dir = os.path.join(root, "cache")
@@ -178,7 +162,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         key = "%s.ud.metrics" % tb.language
         cached = cache.get(key)
         if cached is None:
-            cached = _metric_dict(compute_report(train_c, tb.language + "/ud"))
+            cached = metric_dict(compute_report(train_c, tb.language + "/ud"))
             cache.put(key, cached)
         report.metrics[(tb.language, "ud")] = cached
 
@@ -229,23 +213,14 @@ def _run_cell(tb, transfo, train_c, dev_c, test_c, cfg, report) -> dict:
         # transformed models are scored against their own references
         scores[str(seed)] = corpus_uas(t_test.sentences, predicted)
         report.trainings_executed += 1
-    metrics = _metric_dict(
+    metrics = metric_dict(
         compute_report(t_train.sentences, "%s/%s" % (tb.language, transfo.value))
     )
     return {"excluded": False, "uas": scores, "metrics": metrics}
 
 
-_METRIC_KEYS = {
-    "distance": "distance",
-    "predictability": "predictability_bits",
-    "derivation complexity": "derivation_complexity",
-    "derivation perplexity": "derivation_perplexity",
-}
-
-
 def _compute_coherence(report: ExperimentReport) -> None:
-    for name in METRIC_NAMES:
-        key = _METRIC_KEYS[name]
+    for key, name in MEASURE_NAMES.items():
         coherent = comparable = ties = 0
         for row in report.rows:
             if row.excluded:
@@ -347,7 +322,7 @@ def emit_reports(report: ExperimentReport, output_dir: str) -> list[str]:
         emit(os.path.join("tables", name + ".tsv"), "\n".join(lines) + "\n")
 
     lines = ["metric\tcoherent_pct\tcoherent\tcomparable\tuas_ties"]
-    for name in METRIC_NAMES:
+    for name in MEASURE_NAMES.values():
         coherent, comparable, ties = report.coherence.get(name, (0, 0, 0))
         pct = 100.0 * coherent / comparable if comparable else None
         lines.append(

@@ -8,13 +8,15 @@ derivation complexity (distinct substrings over the gold action sequences).
 Derivation-based measures use the static-priority oracle; derivations are
 over the unlabeled four-symbol action alphabet {S, R, L, A}. Perplexity is
 self-perplexity: the model is trained and evaluated on the same corpus.
+`compute_report` derives each sentence once and feeds both derivation
+measures from that one derivation.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .conllu import Sentence
 from .ngram import WittenBellTrigram
@@ -23,8 +25,7 @@ from .parsing.transitions import (
     REDUCE,
     RIGHT_ARC,
     SHIFT,
-    apply_action,
-    initial_config,
+    Derivation,
     static_oracle_derivation,
 )
 from .suffixtree import count_distinct_substrings
@@ -41,6 +42,21 @@ class MetricReport:
     predictability_bits: float
     derivation_perplexity: float
     derivation_complexity: int
+
+
+# the coherence table's name for each measure, keyed by MetricReport field,
+# in the table's row order
+MEASURE_NAMES = {
+    "distance": "distance",
+    "predictability_bits": "predictability",
+    "derivation_complexity": "derivation complexity",
+    "derivation_perplexity": "derivation perplexity",
+}
+
+
+def metric_dict(r: MetricReport) -> dict:
+    """The four measures keyed by field name, in MetricReport order."""
+    return {f.name: getattr(r, f.name) for f in fields(r) if f.name != "corpus_id"}
 
 
 def avg_dependency_distance(corpus: list[Sentence]) -> float | None:
@@ -76,34 +92,40 @@ def pos_predictability(corpus: list[Sentence]) -> float:
     return entropy
 
 
-def derivation_actions(s: Sentence) -> str:
-    """The gold action sequence as a string over the alphabet {S, R, L, A}."""
-    d = static_oracle_derivation(s)
+def _action_string(d: Derivation) -> str:
     return "".join(ACTION_CHAR[a.kind] for a in d.actions)
 
 
-def _attachment_ids(s: Sentence) -> list[int]:
-    """Token ids in the order the oracle derivation attaches them (LEFT_ARC
-    attaches the stack top, RIGHT_ARC the buffer front). Tokens the
-    derivation leaves unattached (possible for non-projective trees) are
-    appended in surface order."""
-    d = static_oracle_derivation(s)
-    c = initial_config(s)
-    order: list[int] = []
-    for a in d.actions:
-        if a.kind == LEFT_ARC:
-            order.append(c.stack[-1])
-        elif a.kind == RIGHT_ARC:
-            order.append(c.buffer[0])
-        c = apply_action(c, a)
-    seen = set(order)
-    order.extend(t.id for t in s.tokens if t.id not in seen)
-    return order
+def _attachment_ids(s: Sentence, d: Derivation) -> list[int]:
+    """Token ids in the order `d` attaches them. Tokens it leaves unattached
+    (possible for non-projective trees) are appended in surface order."""
+    seen = set(d.attached)
+    return list(d.attached) + [t.id for t in s.tokens if t.id not in seen]
+
+
+def derivation_actions(s: Sentence) -> str:
+    """The gold action sequence as a string over the alphabet {S, R, L, A}."""
+    return _action_string(static_oracle_derivation(s))
 
 
 def derivation_order(s: Sentence) -> list[str]:
     """Word forms in attachment order."""
-    return [s.token(i).form for i in _attachment_ids(s)]
+    return [s.token(i).form for i in _attachment_ids(s, static_oracle_derivation(s))]
+
+
+class _Derived(list):
+    """A corpus with the static-oracle derivation of each sentence, derived
+    once so that both derivation measures of one report share it."""
+
+    def __init__(self, corpus: list[Sentence]):
+        super().__init__(corpus)
+        self.derivations = [static_oracle_derivation(s) for s in corpus]
+
+
+def _derivations(corpus: list[Sentence]) -> list[Derivation]:
+    if isinstance(corpus, _Derived):
+        return corpus.derivations
+    return [static_oracle_derivation(s) for s in corpus]
 
 
 def derivation_perplexity(corpus: list[Sentence], unit: str = "form") -> float:
@@ -114,15 +136,11 @@ def derivation_perplexity(corpus: list[Sentence], unit: str = "form") -> float:
     """
     if unit not in ("form", "upos"):
         raise ValueError("unit must be 'form' or 'upos'")
-    reordered = []
-    for s in corpus:
-        ids = _attachment_ids(s)
-        if unit == "form":
-            reordered.append([s.token(i).form for i in ids])
-        else:
-            reordered.append([s.token(i).upos for i in ids])
-    model = WittenBellTrigram(reordered)
-    return model.perplexity(reordered)
+    reordered = [
+        [getattr(s.token(i), unit) for i in _attachment_ids(s, d)]
+        for s, d in zip(corpus, _derivations(corpus))
+    ]
+    return WittenBellTrigram(reordered).perplexity(reordered)
 
 
 def derivation_complexity(corpus: list[Sentence], scope: str = "global") -> int:
@@ -131,7 +149,7 @@ def derivation_complexity(corpus: list[Sentence], scope: str = "global") -> int:
     scope='global' counts the distinct set across all derivations with one
     generalized suffix tree; scope='per-sentence' sums per-derivation counts.
     """
-    seqs = [derivation_actions(s) for s in corpus]
+    seqs = [_action_string(d) for d in _derivations(corpus)]
     if scope == "global":
         return count_distinct_substrings(seqs)
     if scope == "per-sentence":
@@ -147,10 +165,11 @@ def compute_report(
 ) -> MetricReport:
     if not corpus:
         raise ValueError("empty corpus")
+    derived = _Derived(corpus)
     return MetricReport(
         corpus_id=corpus_id,
         distance=avg_dependency_distance(corpus),
         predictability_bits=pos_predictability(corpus),
-        derivation_perplexity=derivation_perplexity(corpus, unit=perplexity_unit),
-        derivation_complexity=derivation_complexity(corpus, scope=complexity_scope),
+        derivation_perplexity=derivation_perplexity(derived, unit=perplexity_unit),
+        derivation_complexity=derivation_complexity(derived, scope=complexity_scope),
     )

@@ -19,7 +19,7 @@ ROOT_POS = "<ROOT>"
 FEATURE_TEMPLATE_COUNT = 70
 
 
-def _node(c: Configuration, s: Sentence, i: int | None):
+def _node(s: Sentence, i: int | None):
     """(word, pos) for a token id; the artificial root and absent positions
     get sentinel values."""
     if i is None:
@@ -36,10 +36,10 @@ def extract_features(c: Configuration, s: Sentence) -> list[str]:
     n1 = c.buffer[1] if len(c.buffer) > 1 else None
     n2 = c.buffer[2] if len(c.buffer) > 2 else None
 
-    s0w, s0p = _node(c, s, s0)
-    n0w, n0p = _node(c, s, n0)
-    n1w, n1p = _node(c, s, n1)
-    n2w, n2p = _node(c, s, n2)
+    s0w, s0p = _node(s, s0)
+    n0w, n0p = _node(s, n0)
+    n1w, n1p = _node(s, n1)
+    n2w, n2p = _node(s, n2)
 
     def head_of(i):
         if i is None or i == 0:
@@ -56,8 +56,8 @@ def extract_features(c: Configuration, s: Sentence) -> list[str]:
 
     s0h, s0hl = head_of(s0)
     s0h2, s0h2l = head_of(s0h)
-    s0hw, s0hp = _node(c, s, s0h)
-    s0h2w, s0h2p = _node(c, s, s0h2)
+    s0hw, s0hp = _node(s, s0h)
+    s0h2w, s0h2p = _node(s, s0h2)
 
     s0_left, s0_right = kids(s0)
     n0_left, _ = kids(n0)
@@ -75,12 +75,12 @@ def extract_features(c: Configuration, s: Sentence) -> list[str]:
     n0l, n0ll = pick(n0_left, 0)
     n0l2, n0l2l = pick(n0_left, 1)
 
-    s0lw, s0lp = _node(c, s, s0l)
-    s0l2w, s0l2p = _node(c, s, s0l2)
-    s0rw, s0rp = _node(c, s, s0r)
-    s0r2w, s0r2p = _node(c, s, s0r2)
-    n0lw, n0lp = _node(c, s, n0l)
-    n0l2w, n0l2p = _node(c, s, n0l2)
+    s0lw, s0lp = _node(s, s0l)
+    s0l2w, s0l2p = _node(s, s0l2)
+    s0rw, s0rp = _node(s, s0r)
+    s0r2w, s0r2p = _node(s, s0r2)
+    n0lw, n0lp = _node(s, n0l)
+    n0l2w, n0l2p = _node(s, n0l2)
 
     d = str(min(n0 - s0, 10)) if n0 is not None else NULL
     s0vl, s0vr = str(len(s0_left)), str(len(s0_right))

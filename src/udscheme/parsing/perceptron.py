@@ -13,6 +13,7 @@ prediction with probability `explore_p`.
 from __future__ import annotations
 
 import random
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from ..conllu import Sentence, validate_tree
@@ -20,14 +21,13 @@ from ..evaluate import corpus_uas
 from .features import extract_features
 from .transitions import (
     Action,
-    KIND_ORDER,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
     SHIFT,
     apply_action,
     initial_config,
-    reachable_gold_count,
+    oracle_step,
     valid_actions,
 )
 
@@ -151,7 +151,7 @@ def _argmax(scores: list[float], allowed: list[int]) -> int:
     return best
 
 
-def _allowed_indices(model: Model, kinds: set[str]) -> list[int]:
+def _allowed_indices(model: Model, kinds: Set[str]) -> list[int]:
     return [i for i, a in enumerate(model.actions) if a.kind in kinds]
 
 
@@ -192,36 +192,14 @@ def train(
                 # the averaging clock ticks on every instance, updated or not,
                 # so converged passes keep weighting the final weights in
                 acc.updates += 1
-                kinds = valid_actions(c)
+                costs, oracle_actions = oracle_step(c, gold_heads, gold_deprels)
                 feats = _hash_features(extract_features(c, sent), memo)
-                allowed = _allowed_indices(model, kinds)
+                allowed = _allowed_indices(model, costs.keys())
                 scores = model.score(feats)
                 pred_i = _argmax(scores, allowed)
-                pred = model.actions[pred_i]
-                before = reachable_gold_count(c, gold_heads)
-                kind_costs = {
-                    k: before
-                    - reachable_gold_count(
-                        apply_action(c, Action(k) if k in (SHIFT, REDUCE) else Action(k, "_")),
-                        gold_heads,
-                    )
-                    for k in kinds
-                }
-                min_cost = min(kind_costs.values())
-                # oracle candidates: min-cost kinds, arc actions with the gold label
-                cands = []
-                for k in sorted(kinds, key=KIND_ORDER.get):
-                    if kind_costs[k] != min_cost:
-                        continue
-                    if k == LEFT_ARC:
-                        a = Action(k, gold_deprels[c.stack[-1]])
-                    elif k == RIGHT_ARC:
-                        a = Action(k, gold_deprels[c.buffer[0]])
-                    else:
-                        a = Action(k)
-                    cands.append(model.action_index(a))
+                cands = [model.action_index(a) for a in oracle_actions]
                 oracle_i = _argmax(scores, cands)
-                if kind_costs[pred.kind] > 0 and oracle_i != pred_i:
+                if costs[model.actions[pred_i].kind] > 0 and oracle_i != pred_i:
                     acc.update(feats, oracle_i, pred_i)
                 if epoch > hp.explore_k and rng.random() < hp.explore_p:
                     follow = pred_i

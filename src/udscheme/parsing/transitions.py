@@ -35,7 +35,9 @@ class Action:
 @dataclass(frozen=True)
 class Derivation:
     actions: tuple[Action, ...]
-    length: int  # number of tokens in the sentence
+    # the token each arc action attaches, in order: the stack top for
+    # LEFT_ARC, the buffer front for RIGHT_ARC
+    attached: tuple[int, ...]
 
 
 class Configuration:
@@ -49,20 +51,6 @@ class Configuration:
         self.arcs = tuple(arcs)
         self.n = n
         self.head_of = {d: (h, l) for h, d, l in arcs}
-
-    def children(self, h: int) -> list[int]:
-        return sorted(d for x, d, _ in self.arcs if x == h)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Configuration)
-            and self.stack == other.stack
-            and self.buffer == other.buffer
-            and set(self.arcs) == set(other.arcs)
-        )
-
-    def __hash__(self):
-        return hash((self.stack, self.buffer, frozenset(self.arcs)))
 
     def __repr__(self):
         return "Configuration(stack=%r, buffer=%r, arcs=%r)" % (
@@ -131,17 +119,34 @@ def reachable_gold_count(c: Configuration, gold_heads: list[int]) -> int:
     return count
 
 
+# the action of each kind that cost computations apply; labels do not affect cost
+_UNLABELED = {k: Action(k, None if k in (SHIFT, REDUCE) else "_") for k in KIND_ORDER}
+
+
+def _cost(c: Configuration, kind: str, gold_heads: list[int], before: int) -> int:
+    """Gold arcs made unreachable by `kind`, given `before` =
+    reachable_gold_count(c, gold_heads)."""
+    return before - reachable_gold_count(apply_action(c, _UNLABELED[kind]), gold_heads)
+
+
 def action_cost(c: Configuration, a: Action, gold: Sentence) -> int:
     """Gold arcs made unreachable by taking `a`. Labels do not affect cost."""
     gold_heads = gold.heads()
+    return _cost(c, a.kind, gold_heads, reachable_gold_count(c, gold_heads))
+
+
+def oracle_step(
+    c: Configuration, gold_heads: list[int], gold_deprels: list[str]
+) -> tuple[dict[str, int], list[Action]]:
+    """One dynamic-oracle step from a configuration with a non-empty buffer:
+    the cost of each valid kind, and the min-cost actions in KIND_ORDER, arc
+    actions with the gold label of the token they attach."""
     before = reachable_gold_count(c, gold_heads)
-    after = reachable_gold_count(apply_action(c, a), gold_heads)
-    return before - after
-
-
-def _kind_cost(c: Configuration, kind: str, gold_heads: list[int], before: int) -> int:
-    a = Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, "_")
-    return before - reachable_gold_count(apply_action(c, a), gold_heads)
+    costs = {k: _cost(c, k, gold_heads, before) for k in valid_actions(c)}
+    best = min(costs.values())
+    labels = {LEFT_ARC: gold_deprels[c.stack[-1]], RIGHT_ARC: gold_deprels[c.buffer[0]]}
+    kinds = sorted((k for k in costs if costs[k] == best), key=KIND_ORDER.get)
+    return costs, [Action(k, labels.get(k)) for k in kinds]
 
 
 def static_oracle_derivation(gold: Sentence) -> Derivation:
@@ -153,21 +158,11 @@ def static_oracle_derivation(gold: Sentence) -> Derivation:
     c = initial_config(gold)
     actions: list[Action] = []
     while c.buffer:
-        kinds = valid_actions(c)
-        before = reachable_gold_count(c, gold_heads)
-        best_kind = min(
-            kinds,
-            key=lambda k: (_kind_cost(c, k, gold_heads, before), KIND_ORDER[k]),
-        )
-        if best_kind == LEFT_ARC:
-            a = Action(LEFT_ARC, gold_deprels[c.stack[-1]])
-        elif best_kind == RIGHT_ARC:
-            a = Action(RIGHT_ARC, gold_deprels[c.buffer[0]])
-        else:
-            a = Action(best_kind)
+        a = oracle_step(c, gold_heads, gold_deprels)[1][0]
         actions.append(a)
         c = apply_action(c, a)
-    return Derivation(tuple(actions), len(gold.tokens))
+    # each arc action appends one arc, so the arcs are in attachment order
+    return Derivation(tuple(actions), tuple(d for _, d, _ in c.arcs))
 
 
 def execute_derivation(s: Sentence, d: Derivation) -> list[tuple[int, int, str]]:

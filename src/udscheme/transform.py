@@ -49,17 +49,6 @@ class TransformError(ValueError):
 
 
 @dataclass(frozen=True)
-class InversionContext:
-    """The tokens involved in one inversion: w_h -> w_i -> w_j becomes
-    w_h -> w_j -> w_i, with w_k_set holding the other children of w_i."""
-
-    w_h: int
-    w_i: int
-    w_j: int
-    w_k_set: frozenset[int]
-
-
-@dataclass(frozen=True)
 class TransformResult:
     sentences: list[Sentence]
     changed: bool
@@ -71,11 +60,6 @@ def _children(heads: list[int], h: int) -> list[int]:
     return [d for d in range(1, len(heads)) if heads[d] == h]
 
 
-def _needs_repair(k: int, j: int, i: int) -> bool:
-    """Positional trigger for the repair: k < j < i or i < j < k."""
-    return k < j < i or i < j < k
-
-
 def _repair(heads: list[int], i: int, j: int, skip: set[int]) -> int:
     """Reattach to j every child k of i with j strictly between k and i.
 
@@ -84,24 +68,18 @@ def _repair(heads: list[int], i: int, j: int, skip: set[int]) -> int:
     """
     moved = 0
     for k in _children(heads, i):
-        if k == j or k in skip:
-            continue
-        if _needs_repair(k, j, i):
+        if k != j and k not in skip and (k < j < i or i < j < k):
             heads[k] = j
             moved += 1
     return moved
 
 
-def repair_projectivity(s: Sentence, ctx: InversionContext) -> Sentence:
-    """Apply the post-inversion repair rule for one inversion context."""
-    heads, deprels = s.heads(), s.deprels()
-    for k in ctx.w_k_set:
-        if heads[k] == ctx.w_i and _needs_repair(k, ctx.w_j, ctx.w_i):
-            heads[k] = ctx.w_j
-    return s.with_arcs(heads, deprels)
-
-
-def _invert_simple(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int, int]:
+def _invert_simple(
+    s: Sentence, labels: frozenset[str], noun_labels: frozenset[str] | None = None
+) -> tuple[Sentence, int, int]:
+    """Invert each trigger dependency. With `noun_labels` (the copula
+    rewrite), the demoted word's children not labelled in it also move to
+    the promoted word."""
     heads, deprels = s.heads(), s.deprels()
     orig_heads, orig_deprels = list(heads), list(deprels)
     n = len(s.tokens)
@@ -135,6 +113,12 @@ def _invert_simple(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int, 
                 heads[d] = promoted
                 moved.add(d)
                 rewritten += 1
+        if noun_labels is not None:
+            # non-noun modifiers of the demoted word follow the promoted one
+            for c in _children(heads, i):
+                if c != promoted and c not in moved and deprels[c] not in noun_labels:
+                    heads[c] = promoted
+                    moved.add(c)
         repairs += _repair(heads, i, promoted, moved)
     return s.with_arcs(heads, deprels), rewritten, repairs
 
@@ -163,56 +147,11 @@ def chain_sequence(s: Sentence, labels: frozenset[str]) -> Sentence:
     return _chain_sequence(s, labels)[0]
 
 
-def _promote_copula(
-    s: Sentence, noun_labels: frozenset[str]
-) -> tuple[Sentence, int, int]:
-    labels = TRIGGER_LABELS[Transformation.COPULA]
-    heads, deprels = s.heads(), s.deprels()
-    orig_heads, orig_deprels = list(heads), list(deprels)
-    n = len(s.tokens)
-    rewritten = repairs = 0
-    done_heads: set[int] = set()
-    for j in range(1, n + 1):
-        if orig_deprels[j] not in labels:
-            continue
-        i = orig_heads[j]
-        if i == 0 or i in done_heads:
-            continue
-        done_heads.add(i)
-        trig = [
-            d
-            for d in range(1, n + 1)
-            if orig_heads[d] == i and orig_deprels[d] in labels and heads[d] == i
-        ]
-        if not trig:
-            continue
-        promoted = min(trig, key=lambda d: (abs(d - i), d))
-        label = deprels[promoted]
-        heads[promoted], deprels[promoted] = heads[i], deprels[i]
-        heads[i], deprels[i] = promoted, label
-        rewritten += 1
-        moved: set[int] = set()
-        for d in trig:
-            if d != promoted and heads[d] == i:
-                heads[d] = promoted
-                moved.add(d)
-                rewritten += 1
-        # non-noun modifiers of the demoted word follow the promoted one
-        for c in _children(heads, i):
-            if c == promoted or c in moved:
-                continue
-            if deprels[c] not in noun_labels:
-                heads[c] = promoted
-                moved.add(c)
-        repairs += _repair(heads, i, promoted, moved)
-    return s.with_arcs(heads, deprels), rewritten, repairs
-
-
 def promote_copula(
     s: Sentence, noun_labels: frozenset[str] = COPULA_NOUN_LABELS
 ) -> Sentence:
     """Make the copula/auxpass word the head of its construction."""
-    return _promote_copula(s, noun_labels)[0]
+    return _invert_simple(s, TRIGGER_LABELS[Transformation.COPULA], noun_labels)[0]
 
 
 def _depths(heads: list[int]) -> list[int]:
@@ -233,12 +172,9 @@ def _rehead_coordination(s: Sentence) -> tuple[Sentence, int, int]:
     rewritten = repairs = 0
     # a head takes part iff it has both a cc child and a conj child;
     # nested coordinations are handled independently, outermost first
-    coord_heads = [
-        h
-        for h in range(1, n + 1)
-        if any(orig_heads[d] == h and orig_deprels[d] == "cc" for d in range(1, n + 1))
-        and any(orig_heads[d] == h and orig_deprels[d] == "conj" for d in range(1, n + 1))
-    ]
+    cc_heads = {orig_heads[d] for d in range(1, n + 1) if orig_deprels[d] == "cc"}
+    conj_heads = {orig_heads[d] for d in range(1, n + 1) if orig_deprels[d] == "conj"}
+    coord_heads = (cc_heads & conj_heads) - {0}
     depth = _depths(orig_heads)
     for w1 in sorted(coord_heads, key=lambda h: (depth[h], h)):
         cc_kids = [d for d in _children(heads, w1) if deprels[d] == "cc"]
@@ -250,11 +186,7 @@ def _rehead_coordination(s: Sentence) -> tuple[Sentence, int, int]:
         heads[w1], deprels[w1] = conj, "conj"
         rewritten += 1
         moved: set[int] = set()
-        for d in conj_kids:
-            heads[d] = conj
-            moved.add(d)
-            rewritten += 1
-        for d in cc_kids:
+        for d in conj_kids + cc_kids:
             if d != conj:
                 heads[d] = conj
                 moved.add(d)
@@ -276,7 +208,7 @@ def _dispatch(
     if t in (Transformation.MWE, Transformation.NAME):
         return _chain_sequence(s, TRIGGER_LABELS[t])
     if t is Transformation.COPULA:
-        return _promote_copula(s, noun_labels)
+        return _invert_simple(s, TRIGGER_LABELS[t], noun_labels)
     if t is Transformation.COORDINATION:
         return _rehead_coordination(s)
     raise TransformError("unknown transformation %r" % t)

@@ -15,6 +15,7 @@ from udscheme.parsing.transitions import (
     SHIFT,
     apply_action,
     initial_config,
+    static_oracle_derivation,
     valid_actions,
 )
 
@@ -172,6 +173,26 @@ def all_reachable_configs(s: Sentence):
         yield c
         for k in valid_actions(c):
             stack.append(apply_action(c, _mk_action(k)))
+
+
+def replay_attachment_ids(s: Sentence) -> list[int]:
+    """Token ids in the order the static-oracle derivation attaches them,
+    found by replaying its actions from the initial configuration (LEFT_ARC
+    attaches the stack top, RIGHT_ARC the buffer front); tokens left
+    unattached follow in surface order. The reference for
+    `Derivation.attached`."""
+    d = static_oracle_derivation(s)
+    c = initial_config(s)
+    order: list[int] = []
+    for a in d.actions:
+        if a.kind == LEFT_ARC:
+            order.append(c.stack[-1])
+        elif a.kind == RIGHT_ARC:
+            order.append(c.buffer[0])
+        c = apply_action(c, a)
+    seen = set(order)
+    order.extend(t.id for t in s.tokens if t.id not in seen)
+    return order
 
 
 def brute_force_substring_count(strings) -> int:

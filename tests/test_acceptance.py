@@ -16,11 +16,15 @@ from udscheme.metrics import pos_predictability
 from udscheme.ngram import WittenBellTrigram
 from udscheme.parsing.perceptron import Hyperparameters, parse, train
 from udscheme.parsing.transitions import (
+    KIND_ORDER,
+    LEFT_ARC,
+    RIGHT_ARC,
     Action,
     REDUCE,
     SHIFT,
     action_cost,
     execute_derivation,
+    oracle_step,
     static_oracle_derivation,
     valid_actions,
 )
@@ -243,25 +247,39 @@ def test_acceptance_oracle_completeness():
 
 def test_acceptance_cost_equivalence():
     t0 = time.perf_counter()
-    trees = checks = 0
+    trees = checks = steps = 0
     for n in range(1, 6):
         for heads in all_trees(n):
             trees += 1
-            s = make_sentence(heads)
-            gold_heads = s.heads()
+            s = make_sentence(heads, ["r%d" % i for i in range(1, n + 1)])
+            gold_heads, gold_deprels = s.heads(), s.deprels()
             memo = {}
             for c in all_reachable_configs(s):
+                bf = {}
                 for k in valid_actions(c):
                     a = Action(k) if k in (SHIFT, REDUCE) else Action(k, "_")
-                    assert action_cost(c, a, s) == bf_arc_cost(
-                        c, k, gold_heads, memo
-                    ), (heads, c, k)
+                    bf[k] = bf_arc_cost(c, k, gold_heads, memo)
+                    assert action_cost(c, a, s) == bf[k], (heads, c, k)
                     checks += 1
+                if not c.buffer:
+                    continue
+                # the oracle step: the same costs, and the min-cost kinds in
+                # KIND_ORDER, arc actions labelled with the attached token's
+                # gold deprel
+                costs, actions = oracle_step(c, gold_heads, gold_deprels)
+                assert costs == bf, (heads, c)
+                best = min(bf.values())
+                kinds = sorted((k for k in bf if bf[k] == best), key=KIND_ORDER.get)
+                assert [a.kind for a in actions] == kinds, (heads, c)
+                for a in actions:
+                    dep = {LEFT_ARC: c.stack[-1], RIGHT_ARC: c.buffer[0]}.get(a.kind)
+                    assert a.label == (None if dep is None else gold_deprels[dep])
+                steps += 1
     report(
         "cost equivalence",
         trees > 0,
-        "exhaustive match on all %d trees (n<=5), %d (config, action) checks"
-        % (trees, checks),
+        "exhaustive match on all %d trees (n<=5), %d (config, action) checks, "
+        "%d oracle steps" % (trees, checks, steps),
         time.perf_counter() - t0,
         60.0,
     )

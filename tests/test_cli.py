@@ -92,3 +92,74 @@ def test_experiment_command(tmp_path, capsys):
     summary = json.loads(out.splitlines()[-1])
     assert summary["rows"] == 2
     assert os.path.exists(os.path.join(out_dir, "summary.json"))
+
+
+def run_failing(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_truncated_model_file_is_one_line_error(tmp_path, capsys):
+    model_p = str(tmp_path / "model.txt")
+    src = str(tmp_path / "in.conllu")
+    write_conllu_file(src, synth_corpus(2))
+    with open(model_p, "w", encoding="utf-8") as f:
+        f.write("# udscheme-model v1\n")
+    code, err = run_failing(
+        capsys, "parse", "--model", model_p, "--input", src,
+        "--output", str(tmp_path / "out.conllu"),
+    )
+    assert code == 2
+    assert err == "udscheme: %s:2: missing labels line\n" % model_p
+
+
+def test_malformed_conllu_input_is_one_line_error(tmp_path, capsys):
+    src = str(tmp_path / "bad.conllu")
+    with open(src, "w", encoding="utf-8") as f:
+        f.write("1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n\n2\tb\t_\tX\n\n")
+    code, err = run_failing(capsys, "metrics", "--input", src)
+    assert code == 2
+    assert err == "udscheme: %s:3: expected 10 columns, got 4\n" % src
+
+
+def test_missing_input_file_is_one_line_error(tmp_path, capsys):
+    src = str(tmp_path / "absent.conllu")
+    code, err = run_failing(capsys, "metrics", "--input", src)
+    assert code == 2
+    assert err == "udscheme: %s: No such file or directory\n" % src
+
+
+def test_evaluate_scores_and_counts(tmp_path, capsys):
+    gold_p = str(tmp_path / "gold.conllu")
+    pred_p = str(tmp_path / "pred.conllu")
+    gold = synth_corpus(5)
+    write_conllu_file(gold_p, gold)
+    # predict every token as a child of its sentence's root
+    pred = []
+    for s in gold:
+        root = next(t.id for t in s.tokens if t.head == 0)
+        heads = [0] + [0 if t.id == root else root for t in s.tokens]
+        pred.append(s.with_arcs(heads, s.deprels()))
+    write_conllu_file(pred_p, pred)
+    code, out = run(capsys, "evaluate", "--gold", gold_p, "--pred", pred_p)
+    assert code == 0
+    scores = json.loads(out)
+    correct = total = 0
+    for g, p in zip(gold, pred):
+        for gt, pt in zip(g.tokens, p.tokens):
+            if gt.upos != "PUNCT":
+                total += 1
+                correct += gt.head == pt.head
+    assert (scores["correct"], scores["total"]) == (correct, total)
+    assert scores["uas"] == 100.0 * correct / total
+
+
+def test_evaluate_without_scorable_tokens_is_an_error(tmp_path, capsys):
+    path = str(tmp_path / "punct.conllu")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("1\t.\t_\tPUNCT\t_\t_\t0\troot\t_\t_\n\n")
+    code, err = run_failing(capsys, "evaluate", "--gold", path, "--pred", path)
+    assert code == 2
+    assert err == "udscheme: no scorable (non-punctuation) tokens\n"

@@ -3,17 +3,26 @@ import random
 
 import pytest
 
+from udscheme import metrics
 from udscheme.metrics import (
+    MetricReport,
     avg_dependency_distance,
     compute_report,
     derivation_actions,
     derivation_complexity,
     derivation_order,
     derivation_perplexity,
+    metric_dict,
     pos_predictability,
 )
+from udscheme.parsing.transitions import static_oracle_derivation
 
-from helpers import make_sentence, random_projective_tree
+from helpers import (
+    make_sentence,
+    random_projective_tree,
+    random_tree,
+    replay_attachment_ids,
+)
 
 THE_BOOK = make_sentence([2, 0], ["det", "root"], ["the", "book"], ["DET", "NOUN"])
 
@@ -156,3 +165,38 @@ def test_compute_report_fields():
     assert math.isfinite(r.predictability_bits)
     with pytest.raises(ValueError):
         compute_report([])
+
+
+def test_compute_report_derives_each_sentence_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return static_oracle_derivation(s)
+
+    monkeypatch.setattr(metrics, "static_oracle_derivation", counting)
+    rng = random.Random(41)
+    corpus = [make_sentence(random_tree(rng, rng.randint(1, 9))) for _ in range(12)]
+    r = compute_report(corpus)
+    assert len(calls) == len(corpus)
+    # the shared derivations give the same values as the public measures
+    assert r.derivation_perplexity == derivation_perplexity(corpus)
+    assert r.derivation_complexity == derivation_complexity(corpus)
+
+
+def test_attached_matches_replayed_attachment_order():
+    rng = random.Random(97)
+    for i in range(1000):
+        n = rng.randint(1, 14)
+        heads = random_tree(rng, n) if i % 2 else random_projective_tree(rng, n)
+        s = make_sentence(heads)
+        attached = list(static_oracle_derivation(s).attached)
+        rest = [t.id for t in s.tokens if t.id not in attached]
+        assert attached + rest == replay_attachment_ids(s), heads
+
+
+def test_metric_dict_keys_in_report_order():
+    r = compute_report([THE_BOOK])
+    d = metric_dict(r)
+    assert list(d) == [f for f in MetricReport.__dataclass_fields__ if f != "corpus_id"]
+    assert d["derivation_complexity"] == r.derivation_complexity

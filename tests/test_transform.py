@@ -6,14 +6,12 @@ from udscheme.conllu import Sentence, is_projective, validate_tree
 from udscheme.transform import (
     COPULA_NOUN_LABELS,
     TRIGGER_LABELS,
-    InversionContext,
     Transformation,
     apply_transformation,
     chain_sequence,
     invert_simple,
     promote_copula,
     rehead_coordination,
-    repair_projectivity,
 )
 
 from helpers import make_sentence, random_projective_tree, random_tree
@@ -140,12 +138,13 @@ def test_repair_applies_only_when_j_between_k_and_i():
 
 
 def test_repair_projectivity_operation():
-    # post-swap inversion state: root->w_j(2), w_j->w_i(1), w_i->w_k(3)
-    s = make_sentence([2, 0, 1], ["case", "root", "nmod"])
-    ctx = InversionContext(w_h=0, w_i=1, w_j=2, w_k_set=frozenset({3}))
-    out = repair_projectivity(s, ctx)
-    assert out.token(3).head == 2
+    # w_h(0) -> w_i(1) -> w_j(2, case), w_i -> w_k(3): the inversion leaves
+    # w_j between w_i and w_k, so w_k is reattached to w_j
+    s = make_sentence([0, 1, 1], ["root", "case", "nmod"])
+    out = invert_simple(s, frozenset({"case"}))
+    assert arcs_of(out) == [(2, 1, "case"), (0, 2, "root"), (2, 3, "nmod")]
     assert is_projective(out)
+    assert apply_transformation([s], Transformation.CASE).repairs_applied == 1
 
 
 # --- behavior details ------------------------------------------------------
