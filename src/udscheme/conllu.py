@@ -201,10 +201,18 @@ def write_conllu(sentences: list[Sentence]) -> str:
 
 
 def read_conllu_file(path: str) -> list[Sentence]:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    """Read and parse a UTF-8 CoNLL-U file, taking \\r\\n and \\r as line
+    breaks like text mode does. A ConlluError names the file; bytes that are
+    not UTF-8 raise one at the line of the first of them."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return parse_conllu(text)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start]) from None
+        return parse_conllu(text.replace("\r\n", "\n").replace("\r", "\n"))
     except ConlluError as e:
         e.path = path
         raise

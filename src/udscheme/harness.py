@@ -2,15 +2,21 @@
 
 For each treebank the UD-side models depend only on the seed, so they are
 trained once and shared across all transformation cells. Completed work is
-cached as JSON under <output_dir>/cache; a rerun over a completed directory
-trains nothing and reproduces the reports byte for byte. Entries are written
-atomically, and one that does not decode is recomputed. A failing cell is
-recorded and skipped, the rest of the grid still runs.
+cached as JSON under <output_dir>/cache. Each entry is named by a sha256 of
+everything its value depends on (the bytes of the splits it reads, the
+hyperparameters, the seed or seeds, the transformation and the result
+format), so a rerun over a completed directory trains nothing and reproduces
+the reports byte for byte, and a rerun with any of those changed recomputes
+what they affect. Entries are written atomically, and one that does not
+decode is recomputed. A failing cell is recorded and skipped, the rest of the
+grid still runs.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -26,6 +32,10 @@ COHERENCE_NOTE = (
     "# coherence = the metric's preferred scheme (lower value) is the scheme "
     "with the higher UAS; ties in UAS are skipped and counted separately"
 )
+
+# part of every cache entry's name: change it when what an entry holds, or
+# how it is computed, changes, so older entries are no longer read
+CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -58,9 +68,13 @@ class ExperimentReport:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """Read an INI experiment config; a missing section or key raises
+    ValueError naming the file."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as f:
         cp.read_file(f)
+    if not cp.has_section("experiment"):
+        raise ValueError("%s: no [experiment] section" % path)
     exp = cp["experiment"]
     seeds = [int(x) for x in exp.get("seeds", "1 2 3").split()]
     if not seeds or len(set(seeds)) != len(seeds):
@@ -78,9 +92,11 @@ def load_config(path: str) -> ExperimentConfig:
     for section in cp.sections():
         if not section.startswith("treebank:"):
             continue
-        lang = section.split(":", 1)[1]
+        for key in ("train", "dev", "test"):
+            if not cp.has_option(section, key):
+                raise ValueError("%s: [%s] has no %r key" % (path, section, key))
         tb = TreebankSpec(
-            language=lang,
+            language=section.split(":", 1)[1],
             train=cp.get(section, "train"),
             dev=cp.get(section, "dev"),
             test=cp.get(section, "test"),
@@ -90,7 +106,7 @@ def load_config(path: str) -> ExperimentConfig:
                 raise FileNotFoundError("treebank file missing: %s" % p)
         treebanks.append(tb)
     if not treebanks:
-        raise ValueError("no [treebank:<lang>] sections in config")
+        raise ValueError("%s: no [treebank:<lang>] sections" % path)
     return ExperimentConfig(
         treebanks=treebanks,
         transformations=transformations,
@@ -98,6 +114,18 @@ def load_config(path: str) -> ExperimentConfig:
         hp=hp,
         output_dir=exp.get("output_dir", "out"),
     )
+
+
+def _entry_name(label: str, **inputs) -> str:
+    """A cache entry's name: a readable label and the sha256 of the label,
+    the result format and every input the entry's value depends on."""
+    blob = json.dumps(dict(inputs, label=label, format=CACHE_FORMAT), sort_keys=True)
+    return "%s.%s" % (label, hashlib.sha256(blob.encode("utf-8")).hexdigest())
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 class _Cache:
@@ -142,14 +170,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             train_c = read_conllu_file(tb.train)
             dev_c = read_conllu_file(tb.dev)
             test_c = read_conllu_file(tb.test)
+            splits = {
+                "train": _file_sha256(tb.train),
+                "dev": _file_sha256(tb.dev),
+                "test": _file_sha256(tb.test),
+            }
         except Exception as e:  # record and move on to the next treebank
             report.errors.append((tb.language, "*", str(e)))
             continue
+        hp = dataclasses.asdict(cfg.hp)
 
         # UD-side: one training per seed, shared across the transformations
         ud_scores: dict[int, float] = {}
         for seed in cfg.seeds:
-            key = "%s.ud.seed%d" % (tb.language, seed)
+            key = _entry_name("%s.ud.seed%d" % (tb.language, seed), splits=splits, hp=hp, seed=seed)
             cached = cache.get(key)
             if cached is None:
                 model = train(train_c, dev_c, cfg.hp, seed)
@@ -159,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 report.trainings_executed += 1
             ud_scores[seed] = cached["uas"]
 
-        key = "%s.ud.metrics" % tb.language
+        key = _entry_name("%s.ud.metrics" % tb.language, train=splits["train"])
         cached = cache.get(key)
         if cached is None:
             cached = metric_dict(compute_report(train_c, tb.language + "/ud"))
@@ -167,7 +201,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         report.metrics[(tb.language, "ud")] = cached
 
         for transfo in cfg.transformations:
-            key = "%s.%s" % (tb.language, transfo.value)
+            key = _entry_name(
+                "%s.%s" % (tb.language, transfo.value), splits=splits, hp=hp, seeds=cfg.seeds
+            )
             cached = cache.get(key)
             if cached is None:
                 try:

@@ -32,46 +32,44 @@ def _node(s: Sentence, i: int | None):
 
 def extract_features(c: Configuration, s: Sentence) -> list[str]:
     s0 = c.stack[-1]
-    n0 = c.buffer[0] if len(c.buffer) > 0 else None
-    n1 = c.buffer[1] if len(c.buffer) > 1 else None
-    n2 = c.buffer[2] if len(c.buffer) > 2 else None
+    b, n = c.b, c.n
+    n0 = b if b <= n else None
+    n1 = b + 1 if b + 1 <= n else None
+    n2 = b + 2 if b + 2 <= n else None
 
     s0w, s0p = _node(s, s0)
     n0w, n0p = _node(s, n0)
     n1w, n1p = _node(s, n1)
     n2w, n2p = _node(s, n2)
 
+    label = c.label
+
     def head_of(i):
         if i is None or i == 0:
             return None, NULL
-        got = c.head_of.get(i)
-        return (got[0], got[1]) if got else (None, NULL)
-
-    def kids(i):
-        if i is None:
-            return [], []
-        left = sorted((d, l) for h, d, l in c.arcs if h == i and d < i)
-        right = sorted((d, l) for h, d, l in c.arcs if h == i and d > i)
-        return left, right
+        h = c.head[i]
+        return (h, label[i]) if h is not None else (None, NULL)
 
     s0h, s0hl = head_of(s0)
     s0h2, s0h2l = head_of(s0h)
     s0hw, s0hp = _node(s, s0h)
     s0h2w, s0h2p = _node(s, s0h2)
 
-    s0_left, s0_right = kids(s0)
-    n0_left, _ = kids(n0)
+    s0_left, s0_right = c.lefts[s0], c.rights[s0]
+    n0_left = c.lefts[n0] if n0 is not None else []
 
-    def pick(lst, idx, from_end=False):
-        # idx-th child from the relevant edge: (token id, label) or null
-        if len(lst) <= idx:
+    def pick(kids, idx):
+        # the idx-th of kids (counting from the end for idx < 0):
+        # (token id, label) or null
+        if not -len(kids) <= idx < len(kids):
             return None, NULL
-        return lst[-1 - idx] if from_end else lst[idx]
+        d = kids[idx]
+        return d, label[d]
 
     s0l, s0ll = pick(s0_left, 0)
     s0l2, s0l2l = pick(s0_left, 1)
-    s0r, s0rl = pick(s0_right, 0, from_end=True)
-    s0r2, s0r2l = pick(s0_right, 1, from_end=True)
+    s0r, s0rl = pick(s0_right, -1)
+    s0r2, s0r2l = pick(s0_right, -2)
     n0l, n0ll = pick(n0_left, 0)
     n0l2, n0l2l = pick(n0_left, 1)
 
@@ -85,9 +83,9 @@ def extract_features(c: Configuration, s: Sentence) -> list[str]:
     d = str(min(n0 - s0, 10)) if n0 is not None else NULL
     s0vl, s0vr = str(len(s0_left)), str(len(s0_right))
     n0vl = str(len(n0_left))
-    s0sl = "|".join(sorted({l for _, l in s0_left})) or NULL
-    s0sr = "|".join(sorted({l for _, l in s0_right})) or NULL
-    n0sl = "|".join(sorted({l for _, l in n0_left})) or NULL
+    s0sl = "|".join(sorted({label[k] for k in s0_left})) or NULL
+    s0sr = "|".join(sorted({label[k] for k in s0_right})) or NULL
+    n0sl = "|".join(sorted({label[k] for k in n0_left})) or NULL
 
     f = [
         # unigrams

@@ -21,11 +21,13 @@ from ..evaluate import corpus_uas
 from .features import extract_features
 from .transitions import (
     Action,
+    Gold,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
     SHIFT,
     apply_action,
+    check_lost,
     initial_config,
     oracle_step,
     valid_actions,
@@ -185,14 +187,14 @@ def train(
         rng.shuffle(order)
         for si in order:
             sent = train_set[si]
-            gold_heads = sent.heads()
-            gold_deprels = sent.deprels()
+            gold = Gold(sent)
             c = initial_config(sent)
-            while c.buffer:
+            lost = 0
+            while c.b <= c.n:
                 # the averaging clock ticks on every instance, updated or not,
                 # so converged passes keep weighting the final weights in
                 acc.updates += 1
-                costs, oracle_actions = oracle_step(c, gold_heads, gold_deprels)
+                costs, oracle_actions = oracle_step(c, gold)
                 feats = _hash_features(extract_features(c, sent), memo)
                 allowed = _allowed_indices(model, costs.keys())
                 scores = model.score(feats)
@@ -202,10 +204,12 @@ def train(
                 if costs[model.actions[pred_i].kind] > 0 and oracle_i != pred_i:
                     acc.update(feats, oracle_i, pred_i)
                 if epoch > hp.explore_k and rng.random() < hp.explore_p:
-                    follow = pred_i
+                    follow = model.actions[pred_i]
                 else:
-                    follow = oracle_i
-                c = apply_action(c, model.actions[follow])
+                    follow = model.actions[oracle_i]
+                lost += costs[follow.kind]
+                apply_action(c, follow)
+            check_lost(c, gold.heads, lost)
         if dev_set:
             snapshot = acc.averaged()
             dev_uas = 0.0
@@ -229,29 +233,23 @@ def parse(model: Model, s: Sentence) -> Sentence:
 
 def _decode(model: Model, s: Sentence, memo: dict[str, int]) -> Sentence:
     c = initial_config(s)
-    n = len(s.tokens)
-    while c.buffer:
+    n = c.n
+    while c.b <= n:
         kinds = valid_actions(c)
         # keep the output single-rooted: once the root has a child, block
         # further right-arcs from the root (SHIFT is always available here)
-        if c.stack[-1] == 0 and any(h == 0 for h, _, _ in c.arcs):
+        if c.stack[-1] == 0 and c.rights[0]:
             kinds = kinds - {RIGHT_ARC} or kinds
         feats = _hash_features(extract_features(c, s), memo)
         allowed = _allowed_indices(model, kinds)
         scores = model.score(feats)
-        c = apply_action(c, model.actions[_argmax(scores, allowed)])
-    heads = [0] * (n + 1)
-    deprels = [""] * (n + 1)
-    for h, d, l in c.arcs:
-        heads[d] = h
-        deprels[d] = l
-    attached = {d for _, d, _ in c.arcs}
-    orphans = [d for d in range(1, n + 1) if d not in attached]
-    root_kids = sorted(d for d in range(1, n + 1) if d in attached and heads[d] == 0)
-    for d in orphans:
-        heads[d] = 0
-        deprels[d] = "root"
-    roots = sorted(d for d in range(1, n + 1) if heads[d] == 0)
+        apply_action(c, model.actions[_argmax(scores, allowed)])
+    # tokens left headless become roots; every root but the first child of
+    # the artificial root (or the first root) then hangs from that one
+    heads = [0 if h is None else h for h in c.head]
+    deprels = ["root" if h is None else l for h, l in zip(c.head, c.label)]
+    root_kids = c.rights[0]
+    roots = [d for d in range(1, n + 1) if heads[d] == 0]
     primary = root_kids[0] if root_kids else roots[0]
     for d in roots:
         if d != primary:

@@ -1,8 +1,31 @@
-"""Arc-eager transition system with a dynamic-oracle cost function.
+"""Arc-eager transition system with closed-form dynamic-oracle costs.
+
+`Configuration` is one mutable state per sentence that `apply_action`
+advances in place in O(1): a stack list, the buffer front `b` (the buffer is
+always the range b..n), each token's head and label, and each token's left
+and right dependents in id order.
 
 The cost of an action is the number of gold arcs it makes unreachable.
-Arc-eager is arc-decomposable, so we compute it as the difference in the
-count of individually reachable gold arcs before and after the action.
+`reachable_gold_count` counts the gold arcs still obtainable (built ones
+included): a pending gold arc (h, d) is reachable iff d has no head yet and
+either d is in the buffer with h not yet reduced, or d is on the stack with h
+still in the buffer. Arc-eager is arc-decomposable, so an action's cost is
+the drop in that count, which has a closed form over the tokens the action
+moves (Goldberg & Nivre, "A Dynamic Oracle for Arc-Eager Dependency
+Parsing", COLING 2012; TACL 2013). For buffer front b, stack top s and gold
+heads g:
+
+    SHIFT     = [g(b) on stack] + #{headless stack d with g(d) = b}
+    RIGHT_ARC = [g(b) != s and (g(b) on stack or g(b) > b)]
+                + #{headless stack d with g(d) = b}
+    LEFT_ARC  = [g(s) > b] + #{buffer d with g(d) = s}
+    REDUCE    = #{buffer d with g(d) = s}
+
+Each is O(degree) through the per-head gold dependents in `Gold`. Every
+derivation and training sentence checks the closed form against its
+definition once, at O(n): all n gold arcs are reachable initially, so at the
+end `reachable_gold_count` must equal n minus the summed cost of the actions
+taken (`check_lost`).
 """
 
 from __future__ import annotations
@@ -41,56 +64,99 @@ class Derivation:
 
 
 class Configuration:
-    """Immutable arc-eager state: stack, buffer and the arcs built so far."""
+    """Mutable arc-eager state over tokens 1..n and the artificial root 0.
 
-    __slots__ = ("stack", "buffer", "arcs", "head_of", "n")
+    `head[d]`/`label[d]` are None while d is headless; `stacked[d]` says
+    whether d is on the stack; `lefts[h]`/`rights[h]` are h's dependents
+    left and right of it, in id order.
+    """
 
-    def __init__(self, stack, buffer, arcs, n):
-        self.stack = tuple(stack)
-        self.buffer = tuple(buffer)
-        self.arcs = tuple(arcs)
+    __slots__ = ("n", "stack", "b", "head", "label", "stacked", "lefts", "rights")
+
+    def __init__(self, n: int):
         self.n = n
-        self.head_of = {d: (h, l) for h, d, l in arcs}
+        self.stack = [0]
+        self.b = 1
+        self.head: list[int | None] = [None] * (n + 1)
+        self.label: list[str | None] = [None] * (n + 1)
+        self.stacked = [True] + [False] * n
+        self.lefts: list[list[int]] = [[] for _ in range(n + 1)]
+        self.rights: list[list[int]] = [[] for _ in range(n + 1)]
+
+    @property
+    def buffer(self) -> range:
+        return range(self.b, self.n + 1)
+
+    @property
+    def arcs(self) -> list[tuple[int, int, str]]:
+        """(head, dependent, label) of every arc built, by dependent."""
+        return [(h, d, self.label[d]) for d, h in enumerate(self.head) if h is not None]
 
     def __repr__(self):
         return "Configuration(stack=%r, buffer=%r, arcs=%r)" % (
             self.stack,
-            self.buffer,
+            tuple(self.buffer),
             self.arcs,
         )
 
 
 def initial_config(s: Sentence) -> Configuration:
-    n = len(s.tokens)
-    return Configuration((0,), tuple(range(1, n + 1)), (), n)
+    return Configuration(len(s.tokens))
 
 
 def valid_actions(c: Configuration) -> set[str]:
     kinds: set[str] = set()
     top = c.stack[-1]
-    if c.buffer:
+    if c.b <= c.n:
         kinds.add(SHIFT)
         kinds.add(RIGHT_ARC)
-        if top != 0 and top not in c.head_of:
+        if top != 0 and c.head[top] is None:
             kinds.add(LEFT_ARC)
-    if top != 0 and top in c.head_of:
+    if top != 0 and c.head[top] is not None:
         kinds.add(REDUCE)
     return kinds
 
 
-def apply_action(c: Configuration, a: Action) -> Configuration:
+def apply_action(c: Configuration, a: Action) -> None:
+    """Advance c by `a` in place; an action invalid in c raises ValueError."""
     if a.kind not in valid_actions(c):
         raise ValueError("action %r is not valid in %r" % (a, c))
     if a.kind == SHIFT:
-        return Configuration(c.stack + (c.buffer[0],), c.buffer[1:], c.arcs, c.n)
-    if a.kind == REDUCE:
-        return Configuration(c.stack[:-1], c.buffer, c.arcs, c.n)
-    if a.kind == LEFT_ARC:
-        arc = (c.buffer[0], c.stack[-1], a.label)
-        return Configuration(c.stack[:-1], c.buffer, c.arcs + (arc,), c.n)
-    # RIGHT_ARC
-    arc = (c.stack[-1], c.buffer[0], a.label)
-    return Configuration(c.stack + (c.buffer[0],), c.buffer[1:], c.arcs + (arc,), c.n)
+        c.stack.append(c.b)
+        c.stacked[c.b] = True
+        c.b += 1
+    elif a.kind == REDUCE:
+        c.stacked[c.stack.pop()] = False
+    elif a.kind == LEFT_ARC:
+        d = c.stack.pop()
+        c.stacked[d] = False
+        c.head[d] = c.b
+        c.label[d] = a.label
+        # the stack holds ids in increasing order, so each new left
+        # dependent of the buffer front is further left than the last
+        c.lefts[c.b].insert(0, d)
+    else:  # RIGHT_ARC
+        h, d = c.stack[-1], c.b
+        c.head[d] = h
+        c.label[d] = a.label
+        c.rights[h].append(d)
+        c.stack.append(d)
+        c.stacked[d] = True
+        c.b += 1
+
+
+class Gold:
+    """A gold tree as the oracle reads it: heads and deprels indexed by token
+    id (index 0 unused), and each token's gold dependents in id order."""
+
+    __slots__ = ("heads", "deprels", "deps")
+
+    def __init__(self, s: Sentence):
+        self.heads = s.heads()
+        self.deprels = s.deprels()
+        self.deps: list[list[int]] = [[] for _ in self.heads]
+        for d in range(1, len(self.heads)):
+            self.deps[self.heads[d]].append(d)
 
 
 def reachable_gold_count(c: Configuration, gold_heads: list[int]) -> int:
@@ -100,51 +166,79 @@ def reachable_gold_count(c: Configuration, gold_heads: list[int]) -> int:
     d is in the buffer with h not yet reduced, or d is on the stack with h
     still in the buffer.
     """
-    in_buffer = set(c.buffer)
-    in_stack = set(c.stack)
+    b, head, stacked = c.b, c.head, c.stacked
     count = 0
     for d in range(1, c.n + 1):
         h = gold_heads[d]
-        got = c.head_of.get(d)
+        got = head[d]
         if got is not None:
-            if got[0] == h:
+            if got == h:
                 count += 1
-            continue
-        if d in in_buffer:
-            if h in in_buffer or h in in_stack:
+        elif d >= b:
+            if h >= b or stacked[h]:
                 count += 1
-        elif d in in_stack:
-            if h in in_buffer:
+        elif stacked[d]:
+            if h >= b:
                 count += 1
     return count
 
 
-# the action of each kind that cost computations apply; labels do not affect cost
-_UNLABELED = {k: Action(k, None if k in (SHIFT, REDUCE) else "_") for k in KIND_ORDER}
+def check_lost(c: Configuration, gold_heads: list[int], lost: int) -> None:
+    """Check that the gold arcs still reachable in c are all but `lost`, the
+    summed cost of the actions that led to c from the initial configuration
+    (where all n are reachable)."""
+    reachable = reachable_gold_count(c, gold_heads)
+    if reachable != c.n - lost:
+        raise RuntimeError(
+            "oracle costs sum to %d, but %d of %d gold arcs are unreachable in %r"
+            % (lost, c.n - reachable, c.n, c)
+        )
 
 
-def _cost(c: Configuration, kind: str, gold_heads: list[int], before: int) -> int:
-    """Gold arcs made unreachable by `kind`, given `before` =
-    reachable_gold_count(c, gold_heads)."""
-    return before - reachable_gold_count(apply_action(c, _UNLABELED[kind]), gold_heads)
+def kind_costs(c: Configuration, gold: Gold) -> dict[str, int]:
+    """The cost of each valid kind in c, in closed form."""
+    b, s, n = c.b, c.stack[-1], c.n
+    heads, stacked, head = gold.heads, c.stacked, c.head
+    costs = {}
+    if b <= n:
+        gb = heads[b]
+        # b's headless gold dependents on the stack lose their head once b
+        # leaves the buffer
+        stranded = 0
+        for d in gold.deps[b]:
+            if d > b:
+                break
+            if stacked[d] and head[d] is None:
+                stranded += 1
+        costs[SHIFT] = stacked[gb] + stranded
+        costs[RIGHT_ARC] = (gb != s and (stacked[gb] or gb > b)) + stranded
+    if s != 0:
+        # s's gold dependents in the buffer lose their head once s is popped
+        orphaned = 0
+        for d in reversed(gold.deps[s]):
+            if d < b:
+                break
+            orphaned += 1
+        if head[s] is None:
+            if b <= n:
+                costs[LEFT_ARC] = (heads[s] > b) + orphaned
+        else:
+            costs[REDUCE] = orphaned
+    return costs
 
 
 def action_cost(c: Configuration, a: Action, gold: Sentence) -> int:
     """Gold arcs made unreachable by taking `a`. Labels do not affect cost."""
-    gold_heads = gold.heads()
-    return _cost(c, a.kind, gold_heads, reachable_gold_count(c, gold_heads))
+    return kind_costs(c, Gold(gold))[a.kind]
 
 
-def oracle_step(
-    c: Configuration, gold_heads: list[int], gold_deprels: list[str]
-) -> tuple[dict[str, int], list[Action]]:
+def oracle_step(c: Configuration, gold: Gold) -> tuple[dict[str, int], list[Action]]:
     """One dynamic-oracle step from a configuration with a non-empty buffer:
     the cost of each valid kind, and the min-cost actions in KIND_ORDER, arc
     actions with the gold label of the token they attach."""
-    before = reachable_gold_count(c, gold_heads)
-    costs = {k: _cost(c, k, gold_heads, before) for k in valid_actions(c)}
+    costs = kind_costs(c, gold)
     best = min(costs.values())
-    labels = {LEFT_ARC: gold_deprels[c.stack[-1]], RIGHT_ARC: gold_deprels[c.buffer[0]]}
+    labels = {LEFT_ARC: gold.deprels[c.stack[-1]], RIGHT_ARC: gold.deprels[c.b]}
     kinds = sorted((k for k in costs if costs[k] == best), key=KIND_ORDER.get)
     return costs, [Action(k, labels.get(k)) for k in kinds]
 
@@ -153,21 +247,28 @@ def static_oracle_derivation(gold: Sentence) -> Derivation:
     """Gold action sequence under the fixed Shift > Reduce > Left > Right
     priority, choosing zero-cost actions (minimum cost for non-projective
     trees). Decoding stops when the buffer is exhausted."""
-    gold_heads = gold.heads()
-    gold_deprels = gold.deprels()
+    g = Gold(gold)
     c = initial_config(gold)
     actions: list[Action] = []
-    while c.buffer:
-        a = oracle_step(c, gold_heads, gold_deprels)[1][0]
+    attached: list[int] = []
+    lost = 0
+    while c.b <= c.n:
+        costs, best = oracle_step(c, g)
+        a = best[0]
+        if a.kind == LEFT_ARC:
+            attached.append(c.stack[-1])
+        elif a.kind == RIGHT_ARC:
+            attached.append(c.b)
         actions.append(a)
-        c = apply_action(c, a)
-    # each arc action appends one arc, so the arcs are in attachment order
-    return Derivation(tuple(actions), tuple(d for _, d, _ in c.arcs))
+        lost += costs[a.kind]
+        apply_action(c, a)
+    check_lost(c, g.heads, lost)
+    return Derivation(tuple(actions), tuple(attached))
 
 
 def execute_derivation(s: Sentence, d: Derivation) -> list[tuple[int, int, str]]:
     """Run a derivation from the initial configuration and return its arcs."""
     c = initial_config(s)
     for a in d.actions:
-        c = apply_action(c, a)
-    return list(c.arcs)
+        apply_action(c, a)
+    return c.arcs

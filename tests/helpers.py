@@ -7,8 +7,11 @@ import itertools
 import random
 
 from udscheme.conllu import Sentence, Token
+from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD
 from udscheme.parsing.transitions import (
+    KIND_ORDER,
     Action,
+    Configuration,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
@@ -107,72 +110,93 @@ def random_projective_tree(rng: random.Random, n: int) -> list[int]:
     return heads
 
 
-def _mk_action(kind: str) -> Action:
-    return Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, "_")
+# the action of each kind that the explorers apply; labels do not affect cost
+UNLABELED = {k: Action(k) if k in (SHIFT, REDUCE) else Action(k, "_") for k in KIND_ORDER}
 
 
-def _state_key(c, gold_heads):
-    arcs = frozenset((d, h == gold_heads[d]) for h, d, _ in c.arcs)
-    return (c.stack, c.buffer, arcs)
+def copy_config(c: Configuration) -> Configuration:
+    """An independent copy of c, so `apply_action` can branch from one
+    configuration several times."""
+    new = object.__new__(Configuration)
+    new.n, new.b = c.n, c.b
+    new.stack, new.stacked = c.stack[:], c.stacked[:]
+    new.head, new.label = c.head[:], c.label[:]
+    new.lefts = [kids[:] for kids in c.lefts]
+    new.rights = [kids[:] for kids in c.rights]
+    return new
 
 
-def bf_max_reachable(c, gold_heads, memo) -> int:
-    """Max gold arcs obtainable from c, by exhaustively expanding every
-    action sequence (memoized)."""
-    key = _state_key(c, gold_heads)
-    if key in memo:
-        return memo[key]
-    kinds = valid_actions(c)
-    if not kinds:
-        val = sum(1 for h, d, _ in c.arcs if h == gold_heads[d])
-    else:
-        val = max(
-            bf_max_reachable(apply_action(c, _mk_action(k)), gold_heads, memo)
-            for k in kinds
-        )
-    memo[key] = val
-    return val
+def state_key(c: Configuration, gold_heads: list[int]) -> tuple:
+    """What the oracles can tell apart: stack, buffer, and which tokens have
+    a head and whether it is the gold one (labels play no part)."""
+    return (
+        tuple(c.stack),
+        c.b,
+        tuple(None if h is None else h == g for h, g in zip(c.head, gold_heads)),
+    )
 
 
-def bf_action_cost(c, kind, gold_heads, memo) -> int:
-    before = bf_max_reachable(c, gold_heads, memo)
-    after = bf_max_reachable(apply_action(c, _mk_action(kind)), gold_heads, memo)
-    return before - after
+class ConfigGraph:
+    """Every configuration reachable from the initial one of a sentence,
+    deduplicated by `state_key`, with the successor of each valid kind: the
+    search space the brute-force oracles expand exhaustively."""
 
+    def __init__(self, s: Sentence):
+        self.gold_heads = s.heads()
+        # state key -> (configuration, {kind: successor's state key})
+        self.nodes: dict[tuple, tuple[Configuration, dict[str, tuple]]] = {}
+        c = initial_config(s)
+        todo = [(state_key(c, self.gold_heads), c)]
+        while todo:
+            key, c = todo.pop()
+            if key in self.nodes:
+                continue
+            succ = {}
+            for k in valid_actions(c):
+                c2 = copy_config(c)
+                apply_action(c2, UNLABELED[k])
+                succ[k] = state_key(c2, self.gold_heads)
+                todo.append((succ[k], c2))
+            self.nodes[key] = (c, succ)
+        self._joint: dict[tuple, int] = {}
+        self._per_arc: dict[tuple, frozenset] = {}
 
-def bf_reachable_gold(c, gold_heads, memo) -> frozenset:
-    """Gold dependents whose arc appears in some configuration reachable
-    from c (each arc checked independently), by exhaustive expansion."""
-    key = _state_key(c, gold_heads)
-    if key in memo:
-        return memo[key]
-    acc = {d for h, d, _ in c.arcs if h == gold_heads[d]}
-    for k in valid_actions(c):
-        acc |= bf_reachable_gold(apply_action(c, _mk_action(k)), gold_heads, memo)
-    memo[key] = frozenset(acc)
-    return memo[key]
+    def configs(self):
+        """(state key, configuration) pairs, each configuration once."""
+        return ((key, c) for key, (c, _) in self.nodes.items())
 
+    def _correct(self, key) -> set[int]:
+        return {d for d, ok in enumerate(key[2]) if ok}
 
-def bf_arc_cost(c, kind, gold_heads, memo) -> int:
-    before = bf_reachable_gold(c, gold_heads, memo)
-    after = bf_reachable_gold(apply_action(c, _mk_action(kind)), gold_heads, memo)
-    return len(before) - len(after)
+    def max_reachable(self, key) -> int:
+        """Max gold arcs obtainable jointly from the configuration, by
+        expanding every action sequence."""
+        if key not in self._joint:
+            succ = self.nodes[key][1]
+            if not succ:
+                self._joint[key] = len(self._correct(key))
+            else:
+                self._joint[key] = max(self.max_reachable(k2) for k2 in succ.values())
+        return self._joint[key]
 
+    def reachable_gold(self, key) -> frozenset:
+        """Gold dependents whose arc appears in some configuration reachable
+        from the configuration (each arc checked independently)."""
+        if key not in self._per_arc:
+            acc = self._correct(key)
+            for k2 in self.nodes[key][1].values():
+                acc |= self.reachable_gold(k2)
+            self._per_arc[key] = frozenset(acc)
+        return self._per_arc[key]
 
-def all_reachable_configs(s: Sentence):
-    """Every configuration reachable from the initial one, deduplicated."""
-    gold_heads = s.heads()
-    seen = set()
-    stack = [initial_config(s)]
-    while stack:
-        c = stack.pop()
-        key = _state_key(c, gold_heads)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield c
-        for k in valid_actions(c):
-            stack.append(apply_action(c, _mk_action(k)))
+    def action_cost(self, key, kind: str) -> int:
+        """Drop in the jointly obtainable gold arcs by taking `kind`."""
+        return self.max_reachable(key) - self.max_reachable(self.nodes[key][1][kind])
+
+    def arc_cost(self, key, kind: str) -> int:
+        """Gold arcs no longer individually reachable after taking `kind`."""
+        after = self.reachable_gold(self.nodes[key][1][kind])
+        return len(self.reachable_gold(key)) - len(after)
 
 
 def replay_attachment_ids(s: Sentence) -> list[int]:
@@ -188,11 +212,240 @@ def replay_attachment_ids(s: Sentence) -> list[int]:
         if a.kind == LEFT_ARC:
             order.append(c.stack[-1])
         elif a.kind == RIGHT_ARC:
-            order.append(c.buffer[0])
-        c = apply_action(c, a)
+            order.append(c.b)
+        apply_action(c, a)
     seen = set(order)
     order.extend(t.id for t in s.tokens if t.id not in seen)
     return order
+
+
+# ---- the immutable configuration the in-place one replaced, with its
+# functional transitions, cost and features: the references it must match
+
+
+class RefConfig:
+    """Immutable arc-eager state: stack, buffer and the arcs built so far."""
+
+    __slots__ = ("stack", "buffer", "arcs", "head_of", "n")
+
+    def __init__(self, stack, buffer, arcs, n):
+        self.stack = tuple(stack)
+        self.buffer = tuple(buffer)
+        self.arcs = tuple(arcs)
+        self.n = n
+        self.head_of = {d: (h, l) for h, d, l in arcs}
+
+
+def ref_initial(s: Sentence) -> RefConfig:
+    n = len(s.tokens)
+    return RefConfig((0,), tuple(range(1, n + 1)), (), n)
+
+
+def ref_valid_actions(c: RefConfig) -> set[str]:
+    kinds: set[str] = set()
+    top = c.stack[-1]
+    if c.buffer:
+        kinds.add(SHIFT)
+        kinds.add(RIGHT_ARC)
+        if top != 0 and top not in c.head_of:
+            kinds.add(LEFT_ARC)
+    if top != 0 and top in c.head_of:
+        kinds.add(REDUCE)
+    return kinds
+
+
+def ref_apply(c: RefConfig, a: Action) -> RefConfig:
+    if a.kind not in ref_valid_actions(c):
+        raise ValueError("action %r is not valid in %r" % (a, c))
+    if a.kind == SHIFT:
+        return RefConfig(c.stack + (c.buffer[0],), c.buffer[1:], c.arcs, c.n)
+    if a.kind == REDUCE:
+        return RefConfig(c.stack[:-1], c.buffer, c.arcs, c.n)
+    if a.kind == LEFT_ARC:
+        arc = (c.buffer[0], c.stack[-1], a.label)
+        return RefConfig(c.stack[:-1], c.buffer, c.arcs + (arc,), c.n)
+    arc = (c.stack[-1], c.buffer[0], a.label)
+    return RefConfig(c.stack + (c.buffer[0],), c.buffer[1:], c.arcs + (arc,), c.n)
+
+
+def ref_reachable_gold_count(c: RefConfig, gold_heads: list[int]) -> int:
+    in_buffer = set(c.buffer)
+    in_stack = set(c.stack)
+    count = 0
+    for d in range(1, c.n + 1):
+        h = gold_heads[d]
+        got = c.head_of.get(d)
+        if got is not None:
+            if got[0] == h:
+                count += 1
+            continue
+        if d in in_buffer:
+            if h in in_buffer or h in in_stack:
+                count += 1
+        elif d in in_stack:
+            if h in in_buffer:
+                count += 1
+    return count
+
+
+def ref_cost(c: RefConfig, kind: str, gold_heads: list[int]) -> int:
+    """Gold arcs made unreachable by `kind`: the count before the action
+    minus the count after it, on a new configuration."""
+    before = ref_reachable_gold_count(c, gold_heads)
+    return before - ref_reachable_gold_count(ref_apply(c, UNLABELED[kind]), gold_heads)
+
+
+def _ref_node(s: Sentence, i: int | None):
+    if i is None:
+        return NULL, NULL
+    if i == 0:
+        return ROOT_WORD, ROOT_POS
+    t = s.token(i)
+    return t.form, t.upos
+
+
+def ref_extract_features(c: RefConfig, s: Sentence) -> list[str]:
+    """The feature extraction that scanned `c.arcs` for children, kept as
+    the reference for `extract_features` over the child lists."""
+    s0 = c.stack[-1]
+    n0 = c.buffer[0] if len(c.buffer) > 0 else None
+    n1 = c.buffer[1] if len(c.buffer) > 1 else None
+    n2 = c.buffer[2] if len(c.buffer) > 2 else None
+
+    s0w, s0p = _ref_node(s, s0)
+    n0w, n0p = _ref_node(s, n0)
+    n1w, n1p = _ref_node(s, n1)
+    n2w, n2p = _ref_node(s, n2)
+
+    def head_of(i):
+        if i is None or i == 0:
+            return None, NULL
+        got = c.head_of.get(i)
+        return (got[0], got[1]) if got else (None, NULL)
+
+    def kids(i):
+        if i is None:
+            return [], []
+        left = sorted((d, l) for h, d, l in c.arcs if h == i and d < i)
+        right = sorted((d, l) for h, d, l in c.arcs if h == i and d > i)
+        return left, right
+
+    s0h, s0hl = head_of(s0)
+    s0h2, s0h2l = head_of(s0h)
+    s0hw, s0hp = _ref_node(s, s0h)
+    s0h2w, s0h2p = _ref_node(s, s0h2)
+
+    s0_left, s0_right = kids(s0)
+    n0_left, _ = kids(n0)
+
+    def pick(lst, idx, from_end=False):
+        # idx-th child from the relevant edge: (token id, label) or null
+        if len(lst) <= idx:
+            return None, NULL
+        return lst[-1 - idx] if from_end else lst[idx]
+
+    s0l, s0ll = pick(s0_left, 0)
+    s0l2, s0l2l = pick(s0_left, 1)
+    s0r, s0rl = pick(s0_right, 0, from_end=True)
+    s0r2, s0r2l = pick(s0_right, 1, from_end=True)
+    n0l, n0ll = pick(n0_left, 0)
+    n0l2, n0l2l = pick(n0_left, 1)
+
+    s0lw, s0lp = _ref_node(s, s0l)
+    s0l2w, s0l2p = _ref_node(s, s0l2)
+    s0rw, s0rp = _ref_node(s, s0r)
+    s0r2w, s0r2p = _ref_node(s, s0r2)
+    n0lw, n0lp = _ref_node(s, n0l)
+    n0l2w, n0l2p = _ref_node(s, n0l2)
+
+    d = str(min(n0 - s0, 10)) if n0 is not None else NULL
+    s0vl, s0vr = str(len(s0_left)), str(len(s0_right))
+    n0vl = str(len(n0_left))
+    s0sl = "|".join(sorted({l for _, l in s0_left})) or NULL
+    s0sr = "|".join(sorted({l for _, l in s0_right})) or NULL
+    n0sl = "|".join(sorted({l for _, l in n0_left})) or NULL
+
+    f = [
+        # unigrams
+        "S0w=" + s0w,
+        "S0p=" + s0p,
+        "S0wp=" + s0w + "|" + s0p,
+        "N0w=" + n0w,
+        "N0p=" + n0p,
+        "N0wp=" + n0w + "|" + n0p,
+        "N1w=" + n1w,
+        "N1p=" + n1p,
+        "N2w=" + n2w,
+        "N2p=" + n2p,
+        # word pairs
+        "S0wpN0wp=" + s0w + "|" + s0p + "|" + n0w + "|" + n0p,
+        "S0wpN0w=" + s0w + "|" + s0p + "|" + n0w,
+        "S0wN0wp=" + s0w + "|" + n0w + "|" + n0p,
+        "S0wpN0p=" + s0w + "|" + s0p + "|" + n0p,
+        "S0pN0wp=" + s0p + "|" + n0w + "|" + n0p,
+        "S0wN0w=" + s0w + "|" + n0w,
+        "S0pN0p=" + s0p + "|" + n0p,
+        "N0pN1p=" + n0p + "|" + n1p,
+        # triples
+        "N0pN1pN2p=" + n0p + "|" + n1p + "|" + n2p,
+        "S0pN0pN1p=" + s0p + "|" + n0p + "|" + n1p,
+        "S0hpS0pN0p=" + s0hp + "|" + s0p + "|" + n0p,
+        "S0pS0lpN0p=" + s0p + "|" + s0lp + "|" + n0p,
+        "S0pS0rpN0p=" + s0p + "|" + s0rp + "|" + n0p,
+        "S0pN0pN0lp=" + s0p + "|" + n0p + "|" + n0lp,
+        # distance
+        "S0wd=" + s0w + "|" + d,
+        "S0pd=" + s0p + "|" + d,
+        "N0wd=" + n0w + "|" + d,
+        "N0pd=" + n0p + "|" + d,
+        "S0wN0wd=" + s0w + "|" + n0w + "|" + d,
+        "S0pN0pd=" + s0p + "|" + n0p + "|" + d,
+        # valence
+        "S0wvl=" + s0w + "|" + s0vl,
+        "S0pvl=" + s0p + "|" + s0vl,
+        "S0wvr=" + s0w + "|" + s0vr,
+        "S0pvr=" + s0p + "|" + s0vr,
+        "N0wvl=" + n0w + "|" + n0vl,
+        "N0pvl=" + n0p + "|" + n0vl,
+        # head and child unigrams
+        "S0hw=" + s0hw,
+        "S0hp=" + s0hp,
+        "S0hl=" + s0hl,
+        "S0lw=" + s0lw,
+        "S0lp=" + s0lp,
+        "S0ll=" + s0ll,
+        "S0rw=" + s0rw,
+        "S0rp=" + s0rp,
+        "S0rl=" + s0rl,
+        "N0lw=" + n0lw,
+        "N0lp=" + n0lp,
+        "N0ll=" + n0ll,
+        # third order
+        "S0h2w=" + s0h2w,
+        "S0h2p=" + s0h2p,
+        "S0h2l=" + s0h2l,
+        "S0l2w=" + s0l2w,
+        "S0l2p=" + s0l2p,
+        "S0l2l=" + s0l2l,
+        "S0r2w=" + s0r2w,
+        "S0r2p=" + s0r2p,
+        "S0r2l=" + s0r2l,
+        "N0l2w=" + n0l2w,
+        "N0l2p=" + n0l2p,
+        "N0l2l=" + n0l2l,
+        "S0pS0lpS0l2p=" + s0p + "|" + s0lp + "|" + s0l2p,
+        "S0pS0rpS0r2p=" + s0p + "|" + s0rp + "|" + s0r2p,
+        "S0pS0hpS0h2p=" + s0p + "|" + s0hp + "|" + s0h2p,
+        "N0pN0lpN0l2p=" + n0p + "|" + n0lp + "|" + n0l2p,
+        # label sets
+        "S0wsl=" + s0w + "|" + s0sl,
+        "S0psl=" + s0p + "|" + s0sl,
+        "S0wsr=" + s0w + "|" + s0sr,
+        "S0psr=" + s0p + "|" + s0sr,
+        "N0wsl=" + n0w + "|" + n0sl,
+        "N0psl=" + n0p + "|" + n0sl,
+    ]
+    return f
 
 
 def brute_force_substring_count(strings) -> int:

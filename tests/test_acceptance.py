@@ -19,11 +19,9 @@ from udscheme.parsing.transitions import (
     KIND_ORDER,
     LEFT_ARC,
     RIGHT_ARC,
-    Action,
-    REDUCE,
-    SHIFT,
-    action_cost,
+    Gold,
     execute_derivation,
+    kind_costs,
     oracle_step,
     static_oracle_derivation,
     valid_actions,
@@ -37,9 +35,8 @@ from udscheme.transform import (
 )
 
 from helpers import (
-    all_reachable_configs,
+    ConfigGraph,
     all_trees,
-    bf_arc_cost,
     brute_force_substring_count,
     make_sentence,
     random_projective_tree,
@@ -252,21 +249,19 @@ def test_acceptance_cost_equivalence():
         for heads in all_trees(n):
             trees += 1
             s = make_sentence(heads, ["r%d" % i for i in range(1, n + 1)])
-            gold_heads, gold_deprels = s.heads(), s.deprels()
-            memo = {}
-            for c in all_reachable_configs(s):
-                bf = {}
-                for k in valid_actions(c):
-                    a = Action(k) if k in (SHIFT, REDUCE) else Action(k, "_")
-                    bf[k] = bf_arc_cost(c, k, gold_heads, memo)
-                    assert action_cost(c, a, s) == bf[k], (heads, c, k)
-                    checks += 1
+            gold = Gold(s)
+            gold_deprels = gold.deprels
+            graph = ConfigGraph(s)
+            for key, c in graph.configs():
+                bf = {k: graph.arc_cost(key, k) for k in valid_actions(c)}
+                assert kind_costs(c, gold) == bf, (heads, c)
+                checks += len(bf)
                 if not c.buffer:
                     continue
                 # the oracle step: the same costs, and the min-cost kinds in
                 # KIND_ORDER, arc actions labelled with the attached token's
                 # gold deprel
-                costs, actions = oracle_step(c, gold_heads, gold_deprels)
+                costs, actions = oracle_step(c, gold)
                 assert costs == bf, (heads, c)
                 best = min(bf.values())
                 kinds = sorted((k for k in bf if bf[k] == best), key=KIND_ORDER.get)

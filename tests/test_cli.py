@@ -131,6 +131,41 @@ def test_missing_input_file_is_one_line_error(tmp_path, capsys):
     assert err == "udscheme: %s: No such file or directory\n" % src
 
 
+def test_non_utf8_input_is_one_line_error(tmp_path, capsys):
+    src = str(tmp_path / "utf16.conllu")
+    with open(src, "wb") as f:
+        f.write(b"\xff\xfe")
+    code, err = run_failing(capsys, "metrics", "--input", src)
+    assert code == 2
+    assert err == "udscheme: %s:1: byte 0xff is not UTF-8\n" % src
+    # the line of the first bad byte, after valid lines
+    with open(src, "wb") as f:
+        f.write(b"# ok\n# ok\r\n# caf\xe9\n")
+    code, err = run_failing(capsys, "metrics", "--input", src)
+    assert code == 2
+    assert err == "udscheme: %s:3: byte 0xe9 is not UTF-8\n" % src
+
+
+def test_config_without_experiment_section_is_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[parser]\nepochs = 1\n")
+    code, err = run_failing(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert err == "udscheme: %s: no [experiment] section\n" % cfg
+
+
+def test_treebank_section_without_split_is_one_line_error(tmp_path, capsys):
+    paths = write_treebank(tmp_path, n_train=4, n_dev=2, n_test=2)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[experiment]\noutput_dir = %s\n[treebank:xx]\ntrain = %s\ntest = %s\n"
+        % (tmp_path / "out", paths["train"], paths["test"])
+    )
+    code, err = run_failing(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert err == "udscheme: %s: [treebank:xx] has no 'dev' key\n" % cfg
+
+
 def test_evaluate_scores_and_counts(tmp_path, capsys):
     gold_p = str(tmp_path / "gold.conllu")
     pred_p = str(tmp_path / "pred.conllu")

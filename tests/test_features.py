@@ -42,7 +42,7 @@ def test_initial_config_values():
 def test_empty_buffer_gives_null_n0():
     c = initial_config(THE_BOOK)
     for a in (Action(SHIFT), Action(LEFT_ARC, "det"), Action(RIGHT_ARC, "root")):
-        c = apply_action(c, a)
+        apply_action(c, a)
     assert not c.buffer
     f = feats(c, THE_BOOK)
     assert f["N0w"] == f["N0p"] == f["N1w"] == f["N2p"] == NULL
@@ -53,9 +53,9 @@ def test_empty_buffer_gives_null_n0():
 
 def test_child_and_head_features_after_arcs():
     c = initial_config(THE_BOOK)
-    c = apply_action(c, Action(SHIFT))
-    c = apply_action(c, Action(LEFT_ARC, "det"))
-    c = apply_action(c, Action(RIGHT_ARC, "root"))
+    apply_action(c, Action(SHIFT))
+    apply_action(c, Action(LEFT_ARC, "det"))
+    apply_action(c, Action(RIGHT_ARC, "root"))
     f = feats(c, THE_BOOK)
     # S0 = book, headed by the root with label root, with left child "the"
     assert f["S0hw"] == ROOT_WORD
@@ -75,7 +75,7 @@ def test_fixed_length_everywhere():
         c = initial_config(s)
         assert len(extract_features(c, s)) == FEATURE_TEMPLATE_COUNT
         for a in static_oracle_derivation(s).actions:
-            c = apply_action(c, a)
+            apply_action(c, a)
             fs = extract_features(c, s)
             assert len(fs) == FEATURE_TEMPLATE_COUNT
             # template keys are unique, so features can index a weight map
@@ -87,11 +87,11 @@ def test_distance_cap():
     heads = [0] + [1] * (n - 1)
     s = make_sentence(heads)
     c = initial_config(s)
-    c = apply_action(c, Action(SHIFT))  # token 1 on top
+    apply_action(c, Action(SHIFT))  # token 1 on top
     # attach tokens 2..12 to token 1 and pop them, leaving N0 = 13 far away
     for _ in range(11):
-        c = apply_action(c, Action(RIGHT_ARC, "dep"))
-        c = apply_action(c, Action("REDUCE"))
+        apply_action(c, Action(RIGHT_ARC, "dep"))
+        apply_action(c, Action("REDUCE"))
     assert c.stack[-1] == 1 and c.buffer[0] == 13
     f = feats(c, s)
     assert f["S0pd"].endswith("|10")

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -27,7 +28,7 @@ def write_treebank(tmp_path, lang="xx", n_train=30, n_dev=6, n_test=10):
     return paths
 
 
-def write_config(tmp_path, paths, out_dir, seeds="1 2", transformations=None):
+def write_config(tmp_path, paths, out_dir, seeds="1 2", transformations=None, epochs=2):
     lines = [
         "[experiment]",
         "seeds = %s" % seeds,
@@ -37,7 +38,7 @@ def write_config(tmp_path, paths, out_dir, seeds="1 2", transformations=None):
         lines.append("transformations = %s" % transformations)
     lines += [
         "[parser]",
-        "epochs = 2",
+        "epochs = %d" % epochs,
         "[treebank:xx]",
         "train = %s" % paths["train"],
         "dev = %s" % paths["dev"],
@@ -197,7 +198,7 @@ def test_truncated_cache_entry_is_recomputed(tmp_path):
     emit_reports(run_experiment(cfg), out_dir)
     before = read_all(out_dir)
 
-    entry = os.path.join(out_dir, "cache", "xx.det.json")
+    (entry,) = glob.glob(os.path.join(out_dir, "cache", "xx.det.*.json"))
     with open(entry, "r+b") as f:
         f.truncate(os.path.getsize(entry) // 2)
     report = run_experiment(cfg)
@@ -213,3 +214,35 @@ def test_failed_cache_write_keeps_previous_entry(tmp_path):
         cache.put("cell", {"uas": object()})  # not JSON-serializable mid-write
     assert cache.get("cell") == {"uas": 90.0}
     assert os.listdir(cache.dir) == ["cell.json"]
+
+
+def _small_grid(tmp_path, epochs=1):
+    paths = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
+    out_dir = str(tmp_path / "out")
+    cfg = write_config(tmp_path, paths, out_dir, seeds="1", transformations="det", epochs=epochs)
+    return paths, out_dir, cfg
+
+
+def test_changed_epochs_retrain(tmp_path):
+    paths, out_dir, cfg = _small_grid(tmp_path, epochs=1)
+    assert run_experiment(load_config(cfg)).trainings_executed == 2
+    cfg = write_config(tmp_path, paths, out_dir, seeds="1", transformations="det", epochs=2)
+    assert run_experiment(load_config(cfg)).trainings_executed == 2
+
+
+def test_edited_train_file_retrains(tmp_path):
+    paths, out_dir, cfg = _small_grid(tmp_path)
+    assert run_experiment(load_config(cfg)).trainings_executed == 2
+    with open(paths["train"], encoding="utf-8") as f:
+        text = f.read()
+    with open(paths["train"], "w", encoding="utf-8") as f:
+        f.write("# edited\n" + text)
+    assert run_experiment(load_config(cfg)).trainings_executed == 2
+
+
+def test_unchanged_rerun_trains_nothing_and_keeps_cache(tmp_path):
+    _, out_dir, cfg = _small_grid(tmp_path)
+    run_experiment(load_config(cfg))
+    cache = read_all(os.path.join(out_dir, "cache"))
+    assert run_experiment(load_config(cfg)).trainings_executed == 0
+    assert read_all(os.path.join(out_dir, "cache")) == cache

@@ -3,8 +3,12 @@ import random
 import pytest
 
 from udscheme.conllu import is_projective
+from udscheme.parsing import transitions
+from udscheme.parsing.features import extract_features
+from udscheme.parsing.perceptron import Hyperparameters, train
 from udscheme.parsing.transitions import (
     Action,
+    Gold,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
@@ -13,20 +17,26 @@ from udscheme.parsing.transitions import (
     apply_action,
     execute_derivation,
     initial_config,
+    kind_costs,
+    oracle_step,
     reachable_gold_count,
     static_oracle_derivation,
     valid_actions,
 )
 
 from helpers import (
-    all_reachable_configs,
+    ConfigGraph,
     all_trees,
-    bf_action_cost,
-    bf_arc_cost,
-    bf_max_reachable,
-    bf_reachable_gold,
     make_sentence,
     random_projective_tree,
+    random_tree,
+    ref_apply,
+    ref_cost,
+    ref_extract_features,
+    ref_initial,
+    ref_reachable_gold_count,
+    ref_valid_actions,
+    state_key,
 )
 
 THE_BOOK = make_sentence([2, 0], ["det", "root"], ["the", "book"])
@@ -42,24 +52,24 @@ def test_action_label_validation():
 
 def test_initial_config():
     c = initial_config(THE_BOOK)
-    assert c.stack == (0,) and c.buffer == (1, 2) and c.arcs == ()
+    assert c.stack == [0] and list(c.buffer) == [1, 2] and c.arcs == []
 
 
 def test_valid_actions_transitions():
     c = initial_config(THE_BOOK)
     # stack top is the artificial root: no LEFT_ARC, nothing to reduce
     assert valid_actions(c) == {SHIFT, RIGHT_ARC}
-    c = apply_action(c, Action(SHIFT))
+    apply_action(c, Action(SHIFT))
     # token 1 has no head yet: no REDUCE
     assert valid_actions(c) == {SHIFT, RIGHT_ARC, LEFT_ARC}
-    c = apply_action(c, Action(LEFT_ARC, "det"))
-    assert c.arcs == ((2, 1, "det"),)
+    apply_action(c, Action(LEFT_ARC, "det"))
+    assert c.arcs == [(2, 1, "det")]
     assert valid_actions(c) == {SHIFT, RIGHT_ARC}
-    c = apply_action(c, Action(RIGHT_ARC, "root"))
-    assert c.arcs == ((2, 1, "det"), (0, 2, "root"))
+    apply_action(c, Action(RIGHT_ARC, "root"))
+    assert c.arcs == [(2, 1, "det"), (0, 2, "root")]
     # buffer exhausted, token 2 has a head: only REDUCE remains
     assert valid_actions(c) == {REDUCE}
-    c = apply_action(c, Action(REDUCE))
+    apply_action(c, Action(REDUCE))
     assert valid_actions(c) == set()
 
 
@@ -75,14 +85,14 @@ def test_cost_example_the_book():
     # at stack [0,1], buffer [2]: LEFT_ARC is on the gold path; SHIFT buries
     # the headless token 1 AND strands token 2 without its root arc (verified
     # against the exhaustive oracle, which gives 2); RIGHT_ARC loses both arcs
-    c = apply_action(initial_config(THE_BOOK), Action(SHIFT))
+    c = initial_config(THE_BOOK)
+    apply_action(c, Action(SHIFT))
     assert action_cost(c, Action(LEFT_ARC, "det"), THE_BOOK) == 0
     assert action_cost(c, Action(SHIFT), THE_BOOK) >= 1
     assert action_cost(c, Action(RIGHT_ARC, "x"), THE_BOOK) == 2
-    memo = {}
-    gold_heads = THE_BOOK.heads()
-    assert action_cost(c, Action(SHIFT), THE_BOOK) == bf_arc_cost(
-        c, SHIFT, gold_heads, memo
+    graph = ConfigGraph(THE_BOOK)
+    assert action_cost(c, Action(SHIFT), THE_BOOK) == graph.arc_cost(
+        state_key(c, THE_BOOK.heads()), SHIFT
     )
 
 
@@ -125,14 +135,11 @@ def test_cost_matches_bruteforce_exhaustive_small():
     for n in range(1, 5):
         for heads in all_trees(n):
             s = make_sentence(heads)
-            gold_heads = s.heads()
-            memo = {}
-            for c in all_reachable_configs(s):
+            graph = ConfigGraph(s)
+            for key, c in graph.configs():
                 for kind in valid_actions(c):
                     a = Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, "_")
-                    assert action_cost(c, a, s) == bf_arc_cost(
-                        c, kind, gold_heads, memo
-                    ), (heads, c, kind)
+                    assert action_cost(c, a, s) == graph.arc_cost(key, kind), (heads, c, kind)
 
 
 def test_reachable_count_matches_bruteforce_joint_max_on_projective():
@@ -142,12 +149,12 @@ def test_reachable_count_matches_bruteforce_joint_max_on_projective():
         n = rng.randint(1, 6)
         s = make_sentence(random_projective_tree(rng, n))
         gold_heads = s.heads()
-        memo_joint, memo_arc = {}, {}
-        for c in all_reachable_configs(s):
+        graph = ConfigGraph(s)
+        for key, c in graph.configs():
             assert (
                 reachable_gold_count(c, gold_heads)
-                == bf_max_reachable(c, gold_heads, memo_joint)
-                == len(bf_reachable_gold(c, gold_heads, memo_arc))
+                == graph.max_reachable(key)
+                == len(graph.reachable_gold(key))
             )
 
 
@@ -173,7 +180,7 @@ def test_zero_cost_action_always_exists_on_gold_path():
             ]
             assert zero, (s.heads(), c)
             k = rng.choice(zero)
-            c = apply_action(c, Action(k) if k in (SHIFT, REDUCE) else Action(k, "_"))
+            apply_action(c, Action(k) if k in (SHIFT, REDUCE) else Action(k, "_"))
 
 
 def test_joint_max_cost_agrees_on_projective_configs():
@@ -183,11 +190,91 @@ def test_joint_max_cost_agrees_on_projective_configs():
     for _ in range(40):
         n = rng.randint(1, 5)
         s = make_sentence(random_projective_tree(rng, n))
-        gold_heads = s.heads()
-        memo = {}
-        memo2 = {}
-        for c in all_reachable_configs(s):
+        graph = ConfigGraph(s)
+        for key, c in graph.configs():
             for kind in valid_actions(c):
-                assert bf_action_cost(c, kind, gold_heads, memo) == bf_arc_cost(
-                    c, kind, gold_heads, memo2
-                )
+                assert graph.action_cost(key, kind) == graph.arc_cost(key, kind)
+
+
+# --- the in-place state against the functional references -------------------
+
+LABELS = ["nsubj", "obj", "det", "case", "nmod"]
+
+
+def _random_sentence(rng, n, projective):
+    heads = random_projective_tree(rng, n) if projective else random_tree(rng, n)
+    deprels = ["root" if h == 0 else rng.choice(LABELS) for h in heads]
+    forms = ["w%d" % rng.randint(1, 8) for _ in heads]
+    upos = [rng.choice(["NOUN", "VERB", "ADP", "DET"]) for _ in heads]
+    return make_sentence(heads, deprels, forms, upos)
+
+
+def _assert_same_state(c, r, s, gold):
+    """c (in place) and r (functional replay) are the same configuration,
+    and everything read off c equals its reference read off r."""
+    n = c.n
+    assert c.stack == list(r.stack)
+    assert tuple(c.buffer) == r.buffer
+    assert sorted(c.arcs) == sorted(r.arcs)
+    assert c.stacked == [d in r.stack for d in range(n + 1)]
+    # child lists against an arc scan
+    lefts, rights = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    for h, d, _ in sorted(r.arcs, key=lambda arc: arc[1]):
+        (lefts if d < h else rights)[h].append(d)
+    assert c.lefts == lefts and c.rights == rights
+    assert valid_actions(c) == ref_valid_actions(r)
+    # closed-form costs against count-before minus count-after
+    assert kind_costs(c, gold) == {
+        k: ref_cost(r, k, gold.heads) for k in ref_valid_actions(r)
+    }
+    assert reachable_gold_count(c, gold.heads) == ref_reachable_gold_count(r, gold.heads)
+    assert extract_features(c, s) == ref_extract_features(r, s)
+
+
+def test_incremental_state_matches_references_on_oracle_and_random_paths():
+    # random projective and non-projective trees up to n=60; every step of a
+    # path that follows a min-cost action and of one that takes any valid
+    # action (random label), checked against the functional replay
+    rng = random.Random(606)
+    steps = 0
+    for i in range(160):
+        s = _random_sentence(rng, rng.randint(1, 60), projective=i % 2 == 0)
+        gold = Gold(s)
+        for follow_oracle in (True, False):
+            c, r = initial_config(s), ref_initial(s)
+            lost = 0
+            while True:
+                _assert_same_state(c, r, s, gold)
+                steps += 1
+                if not c.buffer:
+                    break
+                costs, best = oracle_step(c, gold)
+                if follow_oracle:
+                    a = rng.choice(best)
+                else:
+                    k = rng.choice(sorted(costs))
+                    a = Action(k) if k in (SHIFT, REDUCE) else Action(k, rng.choice(LABELS))
+                lost += costs[a.kind]
+                apply_action(c, a)
+                r = ref_apply(r, a)
+            transitions.check_lost(c, gold.heads, lost)
+            if follow_oracle and is_projective(s):
+                assert lost == 0
+    assert steps > 10_000
+
+
+def test_check_lost_catches_wrong_costs(monkeypatch):
+    # a cost expression that disagrees with the reachable count is caught at
+    # the end of the sentence, in the static oracle and in training
+    s = make_sentence([2, 0, 2], ["nsubj", "root", "obj"])
+    real = transitions.kind_costs
+
+    def off_by_one(c, gold):
+        costs = real(c, gold)
+        return {k: v + (k == SHIFT) for k, v in costs.items()}
+
+    monkeypatch.setattr(transitions, "kind_costs", off_by_one)
+    with pytest.raises(RuntimeError, match="oracle costs sum to"):
+        static_oracle_derivation(s)
+    with pytest.raises(RuntimeError, match="oracle costs sum to"):
+        train([s], None, Hyperparameters(epochs=1), seed=1)
