@@ -8,8 +8,15 @@ hyperparameters, the seed or seeds, the transformation and the result
 format), so a rerun over a completed directory trains nothing and reproduces
 the reports byte for byte, and a rerun with any of those changed recomputes
 what they affect. Entries are written atomically, and one that does not
-decode is recomputed. A failing cell is recorded and skipped, the rest of the
-grid still runs.
+decode, or decodes to the wrong shape, is recomputed. A failing cell, or a
+failing UD side (which skips that treebank's cells), is recorded and the
+rest of the grid still runs.
+
+Each treebank gets one feature-hash memo, shared by all of its trainings and
+parses (the UD side and every cell, every seed) and dropped when the next
+treebank starts. Its schemes mostly share feature strings, so each is hashed
+about once per treebank; the memo only maps a string to its hash, so results
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -68,26 +75,53 @@ class ExperimentReport:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read an INI experiment config; a missing section or key raises
-    ValueError naming the file."""
+    """Read an INI experiment config; a missing section or key, or a value
+    that does not parse, raises ValueError naming the file (and the section
+    and key)."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as f:
         cp.read_file(f)
     if not cp.has_section("experiment"):
         raise ValueError("%s: no [experiment] section" % path)
+
+    def bad(section: str, key: str, problem: str) -> ValueError:
+        return ValueError("%s: [%s] %s: %s" % (path, section, key, problem))
+
+    def convert(section: str, key: str, text: str, kind, what: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise bad(section, key, "%r is not %s" % (text, what)) from None
+
     exp = cp["experiment"]
-    seeds = [int(x) for x in exp.get("seeds", "1 2 3").split()]
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be non-empty and distinct")
-    transfo_names = exp.get(
-        "transformations", " ".join(t.value for t in Transformation)
-    ).split()
-    transformations = [Transformation(x) for x in transfo_names]
+    seeds = [
+        convert("experiment", "seeds", x, int, "an integer")
+        for x in exp.get("seeds", "1 2 3").split()
+    ]
+    if not seeds:
+        raise bad("experiment", "seeds", "no seeds given")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise bad("experiment", "seeds", "seed %d is listed twice" % seed)
+    names = " ".join(t.value for t in Transformation)
+    transformations = [
+        convert("experiment", "transformations", x, Transformation,
+                "a transformation (one of: %s)" % names)
+        for x in exp.get("transformations", names).split()
+    ]
+
+    def hyper(key: str, default, kind, what: str):
+        text = cp.get("parser", key, fallback=None)
+        return default if text is None else convert("parser", key, text, kind, what)
+
     hp = Hyperparameters(
-        epochs=cp.getint("parser", "epochs", fallback=10),
-        explore_k=cp.getint("parser", "explore_k", fallback=1),
-        explore_p=cp.getfloat("parser", "explore_p", fallback=0.9),
+        epochs=hyper("epochs", 10, int, "an integer"),
+        explore_k=hyper("explore_k", 1, int, "an integer"),
+        explore_p=hyper("explore_p", 0.9, float, "a number"),
     )
+    if hp.epochs < 1:
+        raise bad("parser", "epochs", "must be at least 1")
+
     treebanks = []
     for section in cp.sections():
         if not section.startswith("treebank:"):
@@ -136,14 +170,18 @@ class _Cache:
     def path(self, name: str) -> str:
         return os.path.join(self.dir, name + ".json")
 
-    def get(self, name: str):
-        """The cached value, or None for a missing or undecodable entry
-        (a corrupt entry is recomputed and overwritten)."""
+    def get(self, name: str, *keys: str):
+        """The cached value, or None for an entry that is missing, does not
+        decode, or is not a dict with all of `keys` (a corrupt entry is
+        recomputed and overwritten)."""
         try:
             with open(self.path(name), encoding="utf-8") as f:
-                return json.load(f)
+                value = json.load(f)
         except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
             return None
+        if not isinstance(value, dict) or not all(k in value for k in keys):
+            return None
+        return value
 
     def put(self, name: str, value) -> None:
         # write aside and rename, so an interrupted write never leaves a
@@ -179,44 +217,49 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             report.errors.append((tb.language, "*", str(e)))
             continue
         hp = dataclasses.asdict(cfg.hp)
+        memo: dict[str, int] = {}  # feature hashes, for this treebank only
 
-        # UD-side: one training per seed, shared across the transformations
-        ud_scores: dict[int, float] = {}
-        for seed in cfg.seeds:
-            key = _entry_name("%s.ud.seed%d" % (tb.language, seed), splits=splits, hp=hp, seed=seed)
-            cached = cache.get(key)
+        # UD-side: one training per seed, shared across the transformations;
+        # the cells are compared against it, so they are skipped if it fails
+        try:
+            ud_scores: dict[int, float] = {}
+            for seed in cfg.seeds:
+                key = _entry_name(
+                    "%s.ud.seed%d" % (tb.language, seed), splits=splits, hp=hp, seed=seed
+                )
+                cached = cache.get(key, "uas")
+                if cached is None:
+                    model = train(train_c, dev_c, cfg.hp, seed, memo=memo)
+                    predicted = [parse(model, s, memo) for s in test_c]
+                    cached = {"uas": corpus_uas(test_c, predicted)}
+                    cache.put(key, cached)
+                    report.trainings_executed += 1
+                ud_scores[seed] = cached["uas"]
+
+            key = _entry_name("%s.ud.metrics" % tb.language, train=splits["train"])
+            cached = cache.get(key, *MEASURE_NAMES)
             if cached is None:
-                model = train(train_c, dev_c, cfg.hp, seed)
-                predicted = [parse(model, s) for s in test_c]
-                cached = {"uas": corpus_uas(test_c, predicted)}
+                cached = metric_dict(compute_report(train_c, tb.language + "/ud"))
                 cache.put(key, cached)
-                report.trainings_executed += 1
-            ud_scores[seed] = cached["uas"]
-
-        key = _entry_name("%s.ud.metrics" % tb.language, train=splits["train"])
-        cached = cache.get(key)
-        if cached is None:
-            cached = metric_dict(compute_report(train_c, tb.language + "/ud"))
-            cache.put(key, cached)
-        report.metrics[(tb.language, "ud")] = cached
+            report.metrics[(tb.language, "ud")] = cached
+        except Exception as e:
+            report.errors.append((tb.language, "ud", str(e)))
+            continue
 
         for transfo in cfg.transformations:
             key = _entry_name(
                 "%s.%s" % (tb.language, transfo.value), splits=splits, hp=hp, seeds=cfg.seeds
             )
-            cached = cache.get(key)
+            cached = cache.get(key, "excluded")
             if cached is None:
                 try:
                     cached = _run_cell(
-                        tb, transfo, train_c, dev_c, test_c, cfg, report
+                        tb, transfo, train_c, dev_c, test_c, cfg, report, memo
                     )
                 except Exception as e:
                     report.errors.append((tb.language, transfo.value, str(e)))
                     continue
                 cache.put(key, cached)
-            if "error" in cached:
-                report.errors.append((tb.language, transfo.value, cached["error"]))
-                continue
             if cached["excluded"]:
                 report.rows.append(
                     compare_schemes(tb.language, transfo, [], [], excluded=True)
@@ -236,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _run_cell(tb, transfo, train_c, dev_c, test_c, cfg, report) -> dict:
+def _run_cell(tb, transfo, train_c, dev_c, test_c, cfg, report, memo) -> dict:
     t_train = apply_transformation(train_c, transfo)
     t_dev = apply_transformation(dev_c, transfo)
     t_test = apply_transformation(test_c, transfo)
@@ -244,8 +287,8 @@ def _run_cell(tb, transfo, train_c, dev_c, test_c, cfg, report) -> dict:
         return {"excluded": True}
     scores: dict[str, float] = {}
     for seed in cfg.seeds:
-        model = train(t_train.sentences, t_dev.sentences, cfg.hp, seed)
-        predicted = [parse(model, s) for s in t_test.sentences]
+        model = train(t_train.sentences, t_dev.sentences, cfg.hp, seed, memo=memo)
+        predicted = [parse(model, s, memo) for s in t_test.sentences]
         # transformed models are scored against their own references
         scores[str(seed)] = corpus_uas(t_test.sentences, predicted)
         report.trainings_executed += 1

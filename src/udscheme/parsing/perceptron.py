@@ -1,9 +1,12 @@
 """Averaged perceptron for greedy arc-eager parsing.
 
 Feature strings are hashed to 64-bit keys (FNV-1a); collisions are accepted.
-Hashes are memoized in a plain dict that lives exactly as long as one call:
-`train()` shares one memo across all its steps and dev-set decodes, each
-`parse()` call starts a fresh one, and nothing is cached at module level.
+Hashes are memoized in a plain dict that maps a string to its hash, so
+sharing one never changes a result. `train()` and `parse()` take an optional
+memo from their caller (the experiment harness passes one per treebank to
+all of that treebank's trainings and parses). Without one, `train()` shares
+a memo across all its steps and dev-set decodes, and each `parse()` call
+starts a fresh one. Nothing is cached at module level.
 Training follows the dynamic-oracle recipe: predict with the current weights,
 update toward the best zero-cost action whenever the prediction has non-zero
 cost, and after the first `explore_k` epochs follow the model's own
@@ -73,9 +76,8 @@ class Model:
     def __post_init__(self):
         self.actions = _action_inventory(self.labels)
         self._index = {a: i for i, a in enumerate(self.actions)}
-
-    def action_index(self, a: Action) -> int:
-        return self._index[a]
+        # set of valid kinds -> indices of its actions (at most 16 sets)
+        self._allowed: dict[frozenset[str], list[int]] = {}
 
     def score(self, feats: list[int]) -> list[float]:
         scores = [0.0] * len(self.actions)
@@ -154,7 +156,15 @@ def _argmax(scores: list[float], allowed: list[int]) -> int:
 
 
 def _allowed_indices(model: Model, kinds: Set[str]) -> list[int]:
-    return [i for i, a in enumerate(model.actions) if a.kind in kinds]
+    """Indices of the actions of the given kinds, in inventory order; one
+    shared list per set of kinds, which callers must not change."""
+    key = frozenset(kinds)
+    allowed = model._allowed.get(key)
+    if allowed is None:
+        allowed = model._allowed[key] = [
+            i for i, a in enumerate(model.actions) if a.kind in key
+        ]
+    return allowed
 
 
 def train(
@@ -162,9 +172,11 @@ def train(
     dev_set: list[Sentence] | None,
     hp: Hyperparameters,
     seed: int,
+    memo: dict[str, int] | None = None,
 ) -> Model:
     """Train an arc-eager model; returns averaged weights (best dev-UAS epoch
-    snapshot when a dev set is given)."""
+    snapshot when a dev set is given). `memo` is a feature-hash memo to read
+    and fill (a fresh one when None)."""
     if not train_set:
         raise ValueError("empty training set")
     if hp.epochs < 1:
@@ -175,7 +187,10 @@ def train(
     acc = _AveragedWeights()
     # training scores the raw weights; the averaged ones replace them at the end
     model = Model(labels=labels, weights=acc.w)
-    memo: dict[str, int] = {}
+    actions, index = model.actions, model._index
+    if memo is None:
+        memo = {}
+    golds = [Gold(s) for s in train_set]
     rng = random.Random(seed)
     # a dev set without scorable tokens scores 0 every epoch: epoch 1 is kept
     dev_scorable = any(t.upos != "PUNCT" for s in dev_set or () for t in s.tokens)
@@ -186,8 +201,7 @@ def train(
     for epoch in range(1, hp.epochs + 1):
         rng.shuffle(order)
         for si in order:
-            sent = train_set[si]
-            gold = Gold(sent)
+            sent, gold = train_set[si], golds[si]
             c = initial_config(sent)
             lost = 0
             while c.b <= c.n:
@@ -199,14 +213,13 @@ def train(
                 allowed = _allowed_indices(model, costs.keys())
                 scores = model.score(feats)
                 pred_i = _argmax(scores, allowed)
-                cands = [model.action_index(a) for a in oracle_actions]
-                oracle_i = _argmax(scores, cands)
-                if costs[model.actions[pred_i].kind] > 0 and oracle_i != pred_i:
+                oracle_i = _argmax(scores, [index[a] for a in oracle_actions])
+                if costs[actions[pred_i].kind] > 0 and oracle_i != pred_i:
                     acc.update(feats, oracle_i, pred_i)
                 if epoch > hp.explore_k and rng.random() < hp.explore_p:
-                    follow = model.actions[pred_i]
+                    follow = actions[pred_i]
                 else:
-                    follow = model.actions[oracle_i]
+                    follow = actions[oracle_i]
                 lost += costs[follow.kind]
                 apply_action(c, follow)
             check_lost(c, gold.heads, lost)
@@ -224,11 +237,12 @@ def train(
     return model
 
 
-def parse(model: Model, s: Sentence) -> Sentence:
+def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sentence:
     """Greedy decoding. The output is always a valid single-rooted tree:
     at most one arc leaves the artificial root during decoding, and any
-    token left headless is attached afterwards."""
-    return _decode(model, s, {})
+    token left headless is attached afterwards. `memo` is a feature-hash
+    memo to read and fill (a fresh one when None)."""
+    return _decode(model, s, {} if memo is None else memo)
 
 
 def _decode(model: Model, s: Sentence, memo: dict[str, int]) -> Sentence:

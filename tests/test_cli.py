@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from udscheme.cli import main
 from udscheme.conllu import read_conllu_file, write_conllu_file
 
@@ -164,6 +166,32 @@ def test_treebank_section_without_split_is_one_line_error(tmp_path, capsys):
     code, err = run_failing(capsys, "experiment", "--config", str(cfg))
     assert code == 2
     assert err == "udscheme: %s: [treebank:xx] has no 'dev' key\n" % cfg
+
+
+@pytest.mark.parametrize(
+    "experiment, parser, message",
+    [
+        ("seeds = 1 x", "", "[experiment] seeds: 'x' is not an integer"),
+        ("seeds =", "", "[experiment] seeds: no seeds given"),
+        ("seeds = 3 1 3", "", "[experiment] seeds: seed 3 is listed twice"),
+        (
+            "transformations = det foo",
+            "",
+            "[experiment] transformations: 'foo' is not a transformation "
+            "(one of: case mark det mwe name copula coordination)",
+        ),
+        ("", "epochs = x", "[parser] epochs: 'x' is not an integer"),
+        ("", "epochs = 0", "[parser] epochs: must be at least 1"),
+        ("", "explore_k = 1.5", "[parser] explore_k: '1.5' is not an integer"),
+        ("", "explore_p = high", "[parser] explore_p: 'high' is not a number"),
+    ],
+)
+def test_bad_config_value_is_one_line_error(tmp_path, capsys, experiment, parser, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\n%s\n[parser]\n%s\n" % (experiment, parser))
+    code, err = run_failing(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert err == "udscheme: %s: %s\n" % (cfg, message)
 
 
 def test_evaluate_scores_and_counts(tmp_path, capsys):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from udscheme import harness
 from udscheme.conllu import write_conllu_file
 from udscheme.harness import (
     ExperimentConfig,
@@ -13,6 +14,7 @@ from udscheme.harness import (
     load_config,
     run_experiment,
 )
+from udscheme.parsing import perceptron
 from udscheme.parsing.perceptron import Hyperparameters
 from udscheme.transform import Transformation
 
@@ -246,3 +248,114 @@ def test_unchanged_rerun_trains_nothing_and_keeps_cache(tmp_path):
     cache = read_all(os.path.join(out_dir, "cache"))
     assert run_experiment(load_config(cfg)).trainings_executed == 0
     assert read_all(os.path.join(out_dir, "cache")) == cache
+
+
+@pytest.mark.parametrize(
+    "entry, content, retrained",
+    [
+        ("xx.det", "[]", 1),
+        ("xx.det", '{"uas": {"1": 90.0}}', 1),  # no "excluded"
+        ("xx.ud.seed1", "{}", 1),
+        ("xx.ud.seed1", "[90.0]", 1),
+        ("xx.ud.metrics", '"distance"', 0),
+        ("xx.ud.metrics", '{"distance": 2.0}', 0),
+    ],
+)
+def test_wrong_shape_cache_entry_is_recomputed(tmp_path, entry, content, retrained):
+    paths = write_treebank(tmp_path, n_train=12, n_dev=4, n_test=6)
+    out_dir = str(tmp_path / "out")
+    cfg = load_config(
+        write_config(tmp_path, paths, out_dir, seeds="1", transformations="det")
+    )
+    emit_reports(run_experiment(cfg), out_dir)
+    before = read_all(out_dir)
+
+    (path,) = glob.glob(os.path.join(out_dir, "cache", entry + ".*.json"))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(content)
+    report = run_experiment(cfg)
+    assert report.trainings_executed == retrained
+    assert not report.errors
+    emit_reports(report, out_dir)
+    assert read_all(out_dir) == before  # the entry is overwritten as well
+
+
+def test_ud_side_failure_skips_only_its_treebank(tmp_path, monkeypatch):
+    bad = write_treebank(tmp_path, lang="bad", n_train=5, n_dev=2, n_test=2)
+    good = write_treebank(tmp_path, lang="xx", n_train=8, n_dev=3, n_test=4)
+    real_train = harness.train
+
+    def failing_train(train_set, *args, **kwargs):
+        if len(train_set) == 5:
+            raise RuntimeError("no convergence")
+        return real_train(train_set, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", failing_train)
+    cfg = ExperimentConfig(
+        treebanks=[
+            TreebankSpec("bad", bad["train"], bad["dev"], bad["test"]),
+            TreebankSpec("xx", good["train"], good["dev"], good["test"]),
+        ],
+        transformations=[Transformation.DET, Transformation.CASE],
+        seeds=[1],
+        hp=Hyperparameters(epochs=1),
+        output_dir=str(tmp_path / "out"),
+    )
+    report = run_experiment(cfg)
+    assert report.errors == [("bad", "ud", "no convergence")]
+    assert [(r.language, r.transformation) for r in report.rows] == [
+        ("xx", Transformation.DET), ("xx", Transformation.CASE)
+    ]
+    assert {lang for lang, _ in report.metrics} == {"xx"}
+    assert report.summary["errors"] == 1
+
+
+def _count_hashes(monkeypatch):
+    """Record every fnv1a64 argument, and every memo harness passes to train."""
+    calls, memos = [], []
+    original = perceptron.fnv1a64
+    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
+    real_train = harness.train
+
+    def recording_train(*args, memo, **kwargs):
+        memos.append(memo)
+        return real_train(*args, memo=memo, **kwargs)
+
+    monkeypatch.setattr(harness, "train", recording_train)
+    return calls, memos
+
+
+def _grid_config(paths, out_dir, languages):
+    return ExperimentConfig(
+        treebanks=[
+            TreebankSpec(lang, paths["train"], paths["dev"], paths["test"])
+            for lang in languages
+        ],
+        transformations=[Transformation.DET, Transformation.CASE],
+        seeds=[1, 2],
+        hp=Hyperparameters(epochs=2),
+        output_dir=out_dir,
+    )
+
+
+def test_each_feature_string_is_hashed_once_per_treebank(tmp_path, monkeypatch):
+    paths = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
+    calls, memos = _count_hashes(monkeypatch)
+    report = run_experiment(_grid_config(paths, str(tmp_path / "out"), ["xx"]))
+    assert not report.errors and report.trainings_executed == 6
+    # one memo for all six trainings (and their parses), one call per string
+    assert len(memos) == 6 and all(m is memos[0] for m in memos)
+    assert len(calls) == len(set(calls)) == len(memos[0]) > 0
+
+
+def test_hash_memo_is_reset_for_each_treebank(tmp_path, monkeypatch):
+    paths = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
+    calls, memos = _count_hashes(monkeypatch)
+    run_experiment(_grid_config(paths, str(tmp_path / "one"), ["xx"]))
+    once = len(calls)
+    del calls[:]
+    # the same splits under two names: the second treebank hashes everything again
+    report = run_experiment(_grid_config(paths, str(tmp_path / "two"), ["xx", "yy"]))
+    assert report.trainings_executed == 12
+    assert len(calls) == 2 * once
+    assert memos[6] is not memos[12]

@@ -4,9 +4,12 @@ import pytest
 
 from udscheme.conllu import ValidationReport, validate_tree
 from udscheme.parsing import perceptron
+from udscheme.parsing.transitions import KIND_ORDER
+from udscheme.transform import Transformation, apply_transformation
 from udscheme.parsing.perceptron import (
     Hyperparameters,
     Model,
+    _allowed_indices,
     _AveragedWeights,
     _hash_features,
     fnv1a64,
@@ -103,6 +106,50 @@ def test_each_parse_call_hashes_afresh(monkeypatch):
     first = len(calls)
     parse(model, corpus[0])
     assert first > 0 and len(calls) == 2 * first
+
+
+def test_memo_filled_by_another_scheme_gives_identical_model_file(tmp_path):
+    corpus, dev = synth_corpus(12), synth_corpus(5, seed=999)
+    hp = Hyperparameters(epochs=3)
+    fresh = str(tmp_path / "fresh.txt")
+    save_model(train(corpus, dev, hp, seed=2), fresh)
+
+    memo: dict = {}
+    other = apply_transformation(corpus, Transformation.DET).sentences
+    train(other, None, hp, seed=5, memo=memo)
+    filled = len(memo)
+    shared = str(tmp_path / "shared.txt")
+    save_model(train(corpus, dev, hp, seed=2, memo=memo), shared)
+    assert 0 < filled < len(memo)  # partly served by the other scheme's strings
+    assert all(memo[x] == fnv1a64(x) for x in memo)
+    with open(fresh, "rb") as a, open(shared, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_parse_with_a_memo_reads_and_fills_it(monkeypatch):
+    corpus = synth_corpus(10)
+    model = train(corpus, None, Hyperparameters(epochs=1), seed=3)
+    calls = []
+    original = perceptron.fnv1a64
+    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
+    memo: dict = {}
+    out = parse(model, corpus[0], memo)
+    assert len(calls) == len(memo) > 0
+    assert parse(model, corpus[0], memo) == out == parse(model, corpus[0])
+    assert len(calls) == 2 * len(memo)  # only the memo-less call hashed again
+
+
+def test_allowed_indices_match_the_inventory_scan_for_every_kind_set():
+    model = Model(labels=["root", "nsubj", "det", "obj"])
+    kinds = list(KIND_ORDER)
+    for mask in range(16):
+        subset = {k for i, k in enumerate(kinds) if mask >> i & 1}
+        expected = [i for i, a in enumerate(model.actions) if a.kind in subset]
+        first = _allowed_indices(model, subset)
+        assert first == expected
+        # a dict's keys (as training passes them) hit the same cached list
+        assert _allowed_indices(model, dict.fromkeys(subset).keys()) is first
+    assert len(model._allowed) == 16
 
 
 def test_dev_set_without_scorable_tokens_keeps_first_epoch():
