@@ -56,7 +56,8 @@ def _cmd_train(args) -> int:
 def _cmd_parse(args) -> int:
     model = load_model(args.model)
     sentences = read_conllu_file(args.input)
-    write_conllu_file(args.output, [parse(model, s) for s in sentences])
+    memo: dict[str, int] = {}  # one feature-hash memo for the whole input
+    write_conllu_file(args.output, [parse(model, s, memo) for s in sentences])
     return 0
 
 

@@ -1,13 +1,17 @@
 """CoNLL-U (UD v1) reading and writing, plus tree validation and projectivity.
 
 Tokens and sentences are immutable; all operations here are pure functions.
-Columns that carry no structure (feats, deps, misc, xpos) are kept verbatim
-so that a parse -> write round trip reproduces the input byte for byte.
+A `Token` is a named tuple of the ten CoNLL-U columns, in column order, so
+it is built, copied and formatted at C level; like any named tuple it
+compares equal to a plain tuple of the same fields. Columns that carry no
+structure (feats, deps, misc, xpos) are kept verbatim so that a parse ->
+write round trip reproduces the input byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConlluError(ValueError):
@@ -27,8 +31,7 @@ class ConlluError(ValueError):
         return "%s:%d: %s" % (self.path, self.line_no, self.message)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     id: int
     form: str
     lemma: str = "_"
@@ -39,6 +42,10 @@ class Token:
     deprel: str = "_"
     deps: str = "_"
     misc: str = "_"
+
+
+# builds a Token from an iterable of its ten fields, in column order
+_make_token = Token._make
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,16 @@ class Sentence:
         return [""] + [t.deprel for t in self.tokens]
 
     def with_arcs(self, heads: list[int], deprels: list[str]) -> "Sentence":
-        """Copy of the sentence with head/deprel replaced from id-indexed arrays."""
-        toks = tuple(
-            replace(t, head=heads[t.id], deprel=deprels[t.id]) for t in self.tokens
-        )
-        return Sentence(toks, self.mwt_ranges, self.comments)
+        """Copy of the sentence with head/deprel replaced from id-indexed arrays.
+        A token whose arc is unchanged is kept as the same object."""
+        toks = []
+        for t in self.tokens:
+            h = heads[t.id]
+            r = deprels[t.id]
+            if h != t.head or r != t.deprel:
+                t = _make_token(t[:6] + (h, r) + t[8:])  # fields 6, 7: head, deprel
+            toks.append(t)
+        return Sentence(tuple(toks), self.mwt_ranges, self.comments)
 
     def same_tree(self, other: "Sentence") -> bool:
         return all(
@@ -142,40 +154,16 @@ def parse_conllu(text: str) -> list[Sentence]:
         head = int(head)
         if head < 0:
             raise ConlluError(line_no, "negative head %d" % head)
-        tokens.append(
-            Token(
-                id=tid,
-                form=cols[1],
-                lemma=cols[2],
-                upos=cols[3],
-                xpos=cols[4],
-                feats=cols[5],
-                head=head,
-                deprel=cols[7],
-                deps=cols[8],
-                misc=cols[9],
-            )
-        )
+        cols[0] = tid
+        cols[6] = head
+        tokens.append(_make_token(cols))
         token_lines.append(line_no)
     flush(line_no + 1)
     return sentences
 
 
-def _token_line(t: Token) -> str:
-    return "\t".join(
-        (
-            str(t.id),
-            t.form,
-            t.lemma,
-            t.upos,
-            t.xpos,
-            t.feats,
-            str(t.head),
-            t.deprel,
-            t.deps,
-            t.misc,
-        )
-    )
+# a token's CoNLL-U line: its ten fields, tab-separated, in one % operation
+_token_line = "\t".join(["%s"] * len(Token._fields)).__mod__
 
 
 def write_conllu(sentences: list[Sentence]) -> str:
@@ -223,6 +211,10 @@ def write_conllu_file(path: str, sentences: list[Sentence]) -> None:
         f.write(write_conllu(sentences))
 
 
+# the states of a token in validate_tree's walk along head chains
+_UNSEEN, _ON_PATH, _ROOTED = 0, 1, 2
+
+
 def validate_tree(s: Sentence) -> ValidationReport:
     """Check the sentence invariants: contiguous ids, single root, a real tree."""
     violations: list[tuple[int | None, str, str]] = []
@@ -249,20 +241,27 @@ def validate_tree(s: Sentence) -> ValidationReport:
             violations.append((t.id, "empty-deprel", "token %d has no deprel" % t.id))
     if violations:
         return ValidationReport(False, tuple(violations))
-    # cycle / connectivity: every token must reach 0 by following heads
+    # cycle / connectivity: every token must reach 0 by following heads. Each
+    # token is walked over once: it is ON_PATH while the current chain is
+    # followed and ROOTED once that chain reaches 0 or a ROOTED token. So the
+    # first token whose walk meets its own path is the first token in id
+    # order that does not reach the root.
     heads = s.heads()
+    state = [_ROOTED] + [_UNSEEN] * n
     for t in s.tokens:
-        seen = set()
+        path = []
         a = t.id
-        while a != 0:
-            if a in seen:
-                violations.append((t.id, "cycle", "token %d is caught in a head cycle" % t.id))
-                break
-            seen.add(a)
+        while state[a] == _UNSEEN:
+            state[a] = _ON_PATH
+            path.append(a)
             a = heads[a]
-        if violations:
-            break
-    return ValidationReport(not violations, tuple(violations))
+        if state[a] == _ON_PATH:
+            return ValidationReport(
+                False, ((t.id, "cycle", "token %d is caught in a head cycle" % t.id),)
+            )
+        for a in path:
+            state[a] = _ROOTED
+    return ValidationReport(True, ())
 
 
 def is_projective(s: Sentence) -> bool:

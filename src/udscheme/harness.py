@@ -93,6 +93,11 @@ def load_config(path: str) -> ExperimentConfig:
         except ValueError:
             raise bad(section, key, "%r is not %s" % (text, what)) from None
 
+    def listed_once(key: str, values: list, name) -> None:
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise bad("experiment", key, "%s is listed twice" % name(v))
+
     exp = cp["experiment"]
     seeds = [
         convert("experiment", "seeds", x, int, "an integer")
@@ -100,15 +105,14 @@ def load_config(path: str) -> ExperimentConfig:
     ]
     if not seeds:
         raise bad("experiment", "seeds", "no seeds given")
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise bad("experiment", "seeds", "seed %d is listed twice" % seed)
+    listed_once("seeds", seeds, lambda seed: "seed %d" % seed)
     names = " ".join(t.value for t in Transformation)
     transformations = [
         convert("experiment", "transformations", x, Transformation,
                 "a transformation (one of: %s)" % names)
         for x in exp.get("transformations", names).split()
     ]
+    listed_once("transformations", transformations, lambda t: repr(t.value))
 
     def hyper(key: str, default, kind, what: str):
         text = cp.get("parser", key, fallback=None)

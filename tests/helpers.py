@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from udscheme.conllu import Sentence, Token
+from udscheme.conllu import Sentence, Token, ValidationReport
 from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD
 from udscheme.parsing.transitions import (
     KIND_ORDER,
@@ -490,3 +490,166 @@ class ReferenceAveragedWeights:
             if avg != 0.0:
                 out.setdefault(key[0], {})[key[1]] = avg
         return out
+
+
+# ---- the CoNLL-U code that tokens as named tuples replaced: the references
+# validate_tree, the token-line formatter, write_conllu and with_arcs must match
+
+
+def ref_validate_tree(s: Sentence) -> ValidationReport:
+    """Tree check that walks a full head chain from every token."""
+    violations: list[tuple[int | None, str, str]] = []
+    n = len(s.tokens)
+    for i, t in enumerate(s.tokens, start=1):
+        if t.id != i:
+            violations.append((t.id, "id-sequence", "token ids are not 1..n contiguous"))
+            return ValidationReport(False, tuple(violations))
+    roots = [t.id for t in s.tokens if t.head == 0]
+    if not roots:
+        violations.append((None, "no-root", "no token has head 0"))
+    elif len(roots) > 1:
+        violations.append(
+            (roots[1], "multiple-roots", "tokens %s all have head 0" % roots)
+        )
+    for t in s.tokens:
+        if not 0 <= t.head <= n:
+            violations.append((t.id, "head-range", "head %d out of range" % t.head))
+        if t.head == t.id:
+            violations.append((t.id, "self-loop", "token %d is its own head" % t.id))
+        if t.deprel in ("", "_") and t.head != 0:
+            violations.append((t.id, "empty-deprel", "token %d has no deprel" % t.id))
+    if violations:
+        return ValidationReport(False, tuple(violations))
+    heads = s.heads()
+    for t in s.tokens:
+        seen = set()
+        a = t.id
+        while a != 0:
+            if a in seen:
+                violations.append((t.id, "cycle", "token %d is caught in a head cycle" % t.id))
+                break
+            seen.add(a)
+            a = heads[a]
+        if violations:
+            break
+    return ValidationReport(not violations, tuple(violations))
+
+
+def ref_token_line(t: Token) -> str:
+    """A token's CoNLL-U line, joined field by field."""
+    return "\t".join(
+        (
+            str(t.id),
+            t.form,
+            t.lemma,
+            t.upos,
+            t.xpos,
+            t.feats,
+            str(t.head),
+            t.deprel,
+            t.deps,
+            t.misc,
+        )
+    )
+
+
+def ref_write_conllu(sentences: list[Sentence]) -> str:
+    """write_conllu over the reference validator and token-line formatter."""
+    out: list[str] = []
+    for idx, s in enumerate(sentences):
+        report = ref_validate_tree(s)
+        if not report.ok:
+            raise ValueError(
+                "sentence %d is not a valid tree: %s" % (idx, report.violations[0][2])
+            )
+        out.extend(s.comments)
+        mwt_by_start = {m[0]: m for m in s.mwt_ranges}
+        for t in s.tokens:
+            if t.id in mwt_by_start:
+                a, b, form, misc = mwt_by_start[t.id]
+                out.append(
+                    "\t".join(("%d-%d" % (a, b), form, "_", "_", "_", "_", "_", "_", "_", misc))
+                )
+            out.append(ref_token_line(t))
+        out.append("")
+    return "\n".join(out) + "\n" if out else ""
+
+
+def ref_with_arcs(s: Sentence, heads: list[int], deprels: list[str]) -> Sentence:
+    """with_arcs that replaces head and deprel in a new copy of every token."""
+    toks = tuple(t._replace(head=heads[t.id], deprel=deprels[t.id]) for t in s.tokens)
+    return Sentence(toks, s.mwt_ranges, s.comments)
+
+
+SHAPES = (
+    "tree", "chain", "cycle", "self-loop", "multi-root", "no-root",
+    "head-range", "empty-deprel", "id-sequence", "random",
+)
+FIELD_CHARS = "abcXYZ_=|:.-éß語 "
+
+
+def _field(rng: random.Random) -> str:
+    text = "".join(rng.choice(FIELD_CHARS) for _ in range(rng.randint(1, 6)))
+    return "_" if text.isspace() else text
+
+
+def random_head_graph(rng: random.Random, n: int, shape: str) -> list[int]:
+    """A 0-based head list of the given shape: a valid tree, a deep chain,
+    or a graph with one kind of defect (or any mix, for "random")."""
+    if shape == "random":
+        return [rng.randint(-1, n + 1) for _ in range(n)]
+    if shape == "chain":
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        heads = [0] * n
+        for parent, child in zip(order, order[1:]):
+            heads[child - 1] = parent
+        return heads
+    heads = random_tree(rng, n)
+    if shape == "cycle" and n >= 3:
+        # point the root at a token below it: every token ends in a cycle
+        root = heads.index(0) + 1
+        below = [i + 1 for i in range(n) if i + 1 != root]
+        heads[root - 1] = rng.choice(below)
+        # and give the graph a fresh root, so only the cycle is wrong
+        free = [d for d in below if heads[d - 1] != root and d != heads[root - 1]]
+        if free:
+            heads[rng.choice(free) - 1] = 0
+    elif shape == "self-loop":
+        d = rng.randint(1, n)
+        heads[d - 1] = d
+    elif shape == "multi-root" and n >= 2:
+        heads[rng.choice([i for i in range(n) if heads[i] != 0])] = 0
+    elif shape == "no-root":
+        root = heads.index(0)
+        heads[root] = rng.choice([d for d in range(1, n + 1) if d != root + 1] or [1])
+    elif shape == "head-range":
+        heads[rng.randrange(n)] = rng.choice([-1, n + 1, n + 5])
+    return heads
+
+
+def random_conllu_sentence(rng: random.Random, n: int, shape: str) -> Sentence:
+    """A sentence of n tokens with random text columns, comments and
+    multiword ranges, over a head graph of the given shape."""
+    heads = random_head_graph(rng, n, shape)
+    tokens = []
+    for i, h in enumerate(heads, start=1):
+        deprel = "root" if h == 0 else rng.choice(["nsubj", "obj", "det", "case", "x:y"])
+        if shape == "empty-deprel" and h != 0 and rng.random() < 0.5:
+            deprel = rng.choice(["", "_"])
+        tokens.append(
+            Token(i, _field(rng), _field(rng), rng.choice(["NOUN", "VERB", "PUNCT"]),
+                  _field(rng), _field(rng), h, deprel, _field(rng), _field(rng))
+        )
+    if shape == "id-sequence" and n >= 2:
+        i = rng.randrange(n)
+        tokens[i] = tokens[i]._replace(id=tokens[i].id + rng.choice([1, n]))
+    mwt = []
+    start = 1
+    while start < n and rng.random() < 0.5:
+        start = rng.randint(start, n - 1)
+        end = rng.randint(start + 1, min(n, start + 2))
+        mwt.append((start, end, _field(rng), _field(rng)))
+        start = end + 1
+    comments = tuple("# %s = %s" % (_field(rng), _field(rng)) for _ in range(rng.randint(0, 2)))
+    return Sentence(tuple(tokens), tuple(mwt), comments)

@@ -4,7 +4,9 @@ import os
 import pytest
 
 from udscheme.cli import main
-from udscheme.conllu import read_conllu_file, write_conllu_file
+from udscheme.conllu import read_conllu_file, write_conllu, write_conllu_file
+from udscheme.parsing import perceptron
+from udscheme.parsing.perceptron import load_model, parse
 
 from synth import synth_corpus
 from test_harness import write_config, write_treebank
@@ -63,6 +65,42 @@ def test_train_parse_evaluate_roundtrip(tmp_path, capsys):
     scores = json.loads(out)
     assert 0.0 <= scores["uas"] <= 100.0
     assert scores["correct"] <= scores["total"]
+
+
+def test_parse_shares_one_hash_memo_across_sentences(tmp_path, capsys, monkeypatch):
+    train_p = str(tmp_path / "train.conllu")
+    test_p = str(tmp_path / "test.conllu")
+    model_p = str(tmp_path / "model.txt")
+    pred_p = str(tmp_path / "pred.conllu")
+    write_conllu_file(train_p, synth_corpus(20))
+    test = synth_corpus(12, seed=777)
+    write_conllu_file(test_p, test)
+    assert run(capsys, "train", "--train", train_p, "--model", model_p,
+               "--epochs", "2", "--seed", "1")[0] == 0
+    model = load_model(model_p)
+    alone = write_conllu([parse(model, s) for s in test])
+
+    hashed: list[str] = []
+    real = perceptron.fnv1a64
+
+    def counting(x: str) -> int:
+        hashed.append(x)
+        return real(x)
+
+    monkeypatch.setattr(perceptron, "fnv1a64", counting)
+    code, _ = run(capsys, "parse", "--model", model_p, "--input", test_p,
+                  "--output", pred_p)
+    assert code == 0
+    with open(pred_p, encoding="utf-8") as f:
+        assert f.read() == alone
+    shared = list(hashed)
+    assert len(shared) == len(set(shared))
+    # a memo per sentence hashes the same strings, some of them repeatedly
+    hashed.clear()
+    for s in test:
+        parse(model, s)
+    assert set(hashed) == set(shared)
+    assert len(hashed) > len(shared)
 
 
 def test_metrics_command_json_and_tsv(tmp_path, capsys):
@@ -174,6 +212,11 @@ def test_treebank_section_without_split_is_one_line_error(tmp_path, capsys):
         ("seeds = 1 x", "", "[experiment] seeds: 'x' is not an integer"),
         ("seeds =", "", "[experiment] seeds: no seeds given"),
         ("seeds = 3 1 3", "", "[experiment] seeds: seed 3 is listed twice"),
+        (
+            "transformations = det case det",
+            "",
+            "[experiment] transformations: 'det' is listed twice",
+        ),
         (
             "transformations = det foo",
             "",

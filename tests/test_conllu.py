@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from udscheme import conllu
 from udscheme.conllu import (
     ConlluError,
     Sentence,
@@ -14,10 +15,16 @@ from udscheme.conllu import (
 )
 
 from helpers import (
+    SHAPES,
     brute_force_projective,
     is_valid_tree,
     make_sentence,
+    random_conllu_sentence,
     random_tree,
+    ref_token_line,
+    ref_validate_tree,
+    ref_with_arcs,
+    ref_write_conllu,
 )
 
 THE_BOOK = (
@@ -163,3 +170,92 @@ def test_projective_matches_brute_force():
         n = rng.randint(1, 10)
         s = make_sentence(random_tree(rng, n))
         assert is_projective(s) == brute_force_projective(s)
+
+
+def test_token_is_an_immutable_named_tuple():
+    t = Token(3, "dog", upos="NOUN", head=2, deprel="nsubj")
+    assert t == (3, "dog", "_", "NOUN", "_", "_", 2, "nsubj", "_", "_")
+    assert hash(t) == hash(tuple(t))
+    assert t == Token(id=3, form="dog", upos="NOUN", head=2, deprel="nsubj")
+    assert repr(t) == (
+        "Token(id=3, form='dog', lemma='_', upos='NOUN', xpos='_', feats='_', "
+        "head=2, deprel='nsubj', deps='_', misc='_')"
+    )
+    for field in Token._fields:
+        with pytest.raises(AttributeError):
+            setattr(t, field, getattr(t, field))
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
+def random_corpus(seed: int, count: int, max_len: int = 12) -> list[Sentence]:
+    rng = random.Random(seed)
+    return [
+        random_conllu_sentence(rng, rng.randint(1, max_len), rng.choice(SHAPES))
+        for _ in range(count)
+    ]
+
+
+def test_validate_matches_per_token_walk_on_random_corpora():
+    seen = set()
+    for s in random_corpus(21, 3000):
+        got = validate_tree(s)
+        assert got == ref_validate_tree(s)
+        seen.add(got.violations[0][1] if got.violations else "ok")
+    # the corpora reach every verdict the validator can give
+    assert seen == {
+        "ok", "cycle", "self-loop", "multiple-roots", "no-root",
+        "head-range", "empty-deprel", "id-sequence",
+    }
+
+
+def test_validate_deep_chains_match_per_token_walk():
+    rng = random.Random(5)
+    for n in (1, 2, 50, 400):
+        for shape in ("chain", "cycle", "tree"):
+            s = random_conllu_sentence(rng, n, shape)
+            assert validate_tree(s) == ref_validate_tree(s)
+
+
+def test_token_line_matches_field_by_field_join():
+    for s in random_corpus(22, 300):
+        for t in s.tokens:
+            assert conllu._token_line(t) == ref_token_line(t)
+
+
+def test_write_matches_reference_bytes_on_random_corpora():
+    corpus = random_corpus(23, 2000)
+    valid = [s for s in corpus if ref_validate_tree(s).ok]
+    assert valid and any(s.mwt_ranges for s in valid) and any(s.comments for s in valid)
+    text = write_conllu(valid)
+    assert text == ref_write_conllu(valid)
+    assert parse_conllu(text) == valid
+    for s in corpus:
+        try:
+            want = ref_write_conllu([s])
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                write_conllu([s])
+            assert str(err.value) == str(e)
+        else:
+            assert write_conllu([s]) == want
+
+
+def test_with_arcs_matches_replace_and_keeps_unchanged_tokens():
+    rng = random.Random(24)
+    for s in random_corpus(24, 500):
+        n = len(s)
+        if [t.id for t in s.tokens] != list(range(1, n + 1)):
+            continue  # arcs are given per id, so ids must be 1..n
+        heads, deprels = s.heads(), s.deprels()
+        for d in range(1, n + 1):
+            if rng.random() < 0.4:
+                heads[d] = rng.randint(0, n)
+            if rng.random() < 0.3:
+                deprels[d] = rng.choice(["dep", "root", deprels[d]])
+        got = s.with_arcs(heads, deprels)
+        assert got == ref_with_arcs(s, heads, deprels)
+        for old, new in zip(s.tokens, got.tokens):
+            assert type(new) is Token
+            unchanged = (old.head, old.deprel) == (heads[old.id], deprels[old.id])
+            assert (new is old) == unchanged

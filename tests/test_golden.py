@@ -3,17 +3,20 @@
 The model file pins the training arithmetic (feature hashing, update order,
 lazy averaging, best-epoch selection on a dev set) and the report files pin
 the whole experiment grid. Any change that moves a single float shows up
-here. The digests were computed before the perceptron hot path was rebuilt;
-regenerate them only for a change that is meant to alter results.
+here. The CoNLL-U digests pin the read, rewrite and write path: the bytes
+`write_conllu` gives for a corpus under each transformation. The model and
+report digests were computed before the perceptron hot path was rebuilt, the
+CoNLL-U digests before tokens became named tuples; regenerate them only for
+a change that is meant to alter results.
 """
 
 import hashlib
 import os
 
-from udscheme.conllu import write_conllu_file
+from udscheme.conllu import parse_conllu, write_conllu, write_conllu_file
 from udscheme.harness import ExperimentConfig, TreebankSpec, emit_reports, run_experiment
 from udscheme.parsing.perceptron import Hyperparameters, save_model, train
-from udscheme.transform import Transformation
+from udscheme.transform import Transformation, apply_transformation
 
 from synth import synth_corpus
 
@@ -31,6 +34,19 @@ REPORTS_SHA256 = {
     "tables/top_negative.tsv": "d5c9eb728e1c42b18fc9b15a14faea3493d1e5bc891b1cb26b2db044ad82f779",
     "tables/top_positive.tsv": "363d8bc43c50e5f81bf4b1d436bfb7fabd0cf957398302b4302531e9b554f2ef",
     "tables/ud_wins.tsv": "ddbbe23847c23b4bebbe6401ad5ac7f20f10172fc1a94c910515a0d693ab62f9",
+}
+
+# write_conllu of synth_corpus(40), as given ("ud") and under each transformation
+CONLLU_SHA256 = {
+    "ud": "3e8a05e8f945b622c98fcfdfa6d046b565cecd34739f378b7a643231268893c7",
+    "case": "eaf8827d728a08e12025ff1871d35c753ed95ac6af6fc9d4b530c1e5eedddc99",
+    "mark": "6c817b9908f37d1824143477bdc9e5c275301c60e5a2139a07f983565c8c257f",
+    "det": "a68e1c07eabc211867c2affe74a5da7f9d5f121f1e7cc1884ba8fb6161dca204",
+    "mwe": "80e11209e7afd2912f9e248c5323681adc24f521c9f9fbe7f32fe750bf8266cb",
+    # synth_corpus names have two tokens, already a chain: this scheme equals "ud"
+    "name": "3e8a05e8f945b622c98fcfdfa6d046b565cecd34739f378b7a643231268893c7",
+    "copula": "607dbb1b5119930fca8bf1cdea88e0fd703a54f6cc621ffea96c1dc256bf9bb6",
+    "coordination": "bb5bf0121779fe09d35c3a571a44f308d0b34a6052c9d34d4ec32649a8a455bd",
 }
 
 
@@ -69,3 +85,17 @@ def test_golden_reports(tmp_path):
         for p in written
     }
     assert got == REPORTS_SHA256
+
+
+def test_golden_conllu_schemes():
+    corpus = synth_corpus(40)
+    # read what was written, so the parse path is pinned too
+    corpus = parse_conllu(write_conllu(corpus))
+    schemes = {"ud": corpus}
+    for t in Transformation:
+        schemes[t.value] = apply_transformation(corpus, t).sentences
+    got = {
+        name: hashlib.sha256(write_conllu(s).encode("utf-8")).hexdigest()
+        for name, s in schemes.items()
+    }
+    assert got == CONLLU_SHA256
