@@ -1,44 +1,2 @@
 """udscheme: UD v1 annotation-scheme rewrites, a greedy arc-eager parser,
 and learnability metrics for comparing how well each scheme parses."""
-
-from .conllu import (
-    ConlluError,
-    Sentence,
-    Token,
-    ValidationReport,
-    is_projective,
-    parse_conllu,
-    validate_tree,
-    write_conllu,
-)
-from .transform import (
-    COPULA_NOUN_LABELS,
-    TRIGGER_LABELS,
-    Transformation,
-    TransformResult,
-    apply_transformation,
-    chain_sequence,
-    invert_simple,
-    promote_copula,
-    rehead_coordination,
-)
-
-__all__ = [
-    "ConlluError",
-    "Sentence",
-    "Token",
-    "ValidationReport",
-    "is_projective",
-    "parse_conllu",
-    "validate_tree",
-    "write_conllu",
-    "COPULA_NOUN_LABELS",
-    "TRIGGER_LABELS",
-    "Transformation",
-    "TransformResult",
-    "apply_transformation",
-    "chain_sequence",
-    "invert_simple",
-    "promote_copula",
-    "rehead_coordination",
-]

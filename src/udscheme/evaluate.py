@@ -82,9 +82,9 @@ def metric_coherence(
     metric_transformed: float,
     uas_ud: float,
     uas_transformed: float,
-    lower_is_better: bool = True,
 ) -> bool:
-    """True iff the scheme the metric prefers is the scheme with higher UAS.
+    """True iff the scheme the metric prefers (the lower value: all four
+    measures are lower-is-better) is the scheme with higher UAS.
 
     UAS ties have no best performer; callers must skip them (and report them
     separately).
@@ -93,6 +93,6 @@ def metric_coherence(
         raise ValueError("UAS tie: coherence is undefined")
     if metric_ud == metric_transformed:
         return False  # the metric picks no side, so it cannot be coherent
-    metric_prefers_ud = (metric_ud < metric_transformed) == lower_is_better
+    metric_prefers_ud = metric_ud < metric_transformed
     uas_prefers_ud = uas_ud > uas_transformed
     return metric_prefers_ud == uas_prefers_ud

@@ -7,10 +7,10 @@ everything its value depends on (the bytes of the splits it reads, the
 hyperparameters, the seed or seeds, the transformation and the result
 format), so a rerun over a completed directory trains nothing and reproduces
 the reports byte for byte, and a rerun with any of those changed recomputes
-what they affect. Entries are written atomically, and one that does not
-decode, or decodes to the wrong shape, is recomputed. A failing cell, or a
-failing UD side (which skips that treebank's cells), is recorded and the
-rest of the grid still runs.
+what they affect. Entries and reports are written atomically; an entry that
+does not decode, or decodes to the wrong shape, is recomputed. A failing
+cell, or a failing UD side (which skips that treebank's cells), is recorded
+and the rest of the grid still runs.
 
 Each treebank gets one feature-hash memo, shared by all of its trainings and
 parses (the UD side and every cell, every seed) and dropped when the next
@@ -166,6 +166,29 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write aside and rename, so no file is ever left half-written. A file
+    that already holds `text` is left alone: a cached rerun rewrites every
+    report unchanged, and renaming over a file just written makes ext4 flush
+    it (auto_da_alloc)."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as f:
+            if f.read() == data:
+                return
+    except FileNotFoundError:
+        pass
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 class _Cache:
     def __init__(self, root: str):
         self.dir = os.path.join(root, "cache")
@@ -188,18 +211,7 @@ class _Cache:
         return value
 
     def put(self, name: str, value) -> None:
-        # write aside and rename, so an interrupted write never leaves a
-        # half-written entry under the final name
-        path = self.path(name)
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        try:
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(value, f, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        _write_atomic(self.path(name), json.dumps(value, sort_keys=True))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -352,8 +364,7 @@ def emit_reports(report: ExperimentReport, output_dir: str) -> list[str]:
 
     def emit(relpath: str, text: str) -> None:
         path = os.path.join(output_dir, relpath)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write_atomic(path, text)
         written.append(path)
 
     lines = ["language\ttransformation\tuas_ud\tuas_transformed\tdiff\texcluded"]

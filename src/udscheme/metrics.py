@@ -103,53 +103,41 @@ def _attachment_ids(s: Sentence, d: Derivation) -> list[int]:
     return list(d.attached) + [t.id for t in s.tokens if t.id not in seen]
 
 
-def derivation_actions(s: Sentence) -> str:
-    """The gold action sequence as a string over the alphabet {S, R, L, A}."""
-    return _action_string(static_oracle_derivation(s))
-
-
-def derivation_order(s: Sentence) -> list[str]:
-    """Word forms in attachment order."""
-    return [s.token(i).form for i in _attachment_ids(s, static_oracle_derivation(s))]
-
-
-class _Derived(list):
-    """A corpus with the static-oracle derivation of each sentence, derived
-    once so that both derivation measures of one report share it."""
-
-    def __init__(self, corpus: list[Sentence]):
-        super().__init__(corpus)
-        self.derivations = [static_oracle_derivation(s) for s in corpus]
-
-
-def _derivations(corpus: list[Sentence]) -> list[Derivation]:
-    if isinstance(corpus, _Derived):
-        return corpus.derivations
-    return [static_oracle_derivation(s) for s in corpus]
-
-
-def derivation_perplexity(corpus: list[Sentence], unit: str = "form") -> float:
+def derivation_perplexity(
+    corpus: list[Sentence],
+    unit: str = "form",
+    derivations: list[Derivation] | None = None,
+) -> float:
     """Witten-Bell trigram self-perplexity of the attachment-ordered corpus.
 
     `unit` selects what the language model sees: word forms (default) or
-    POS tags.
+    POS tags. `derivations`: the static-oracle derivations, or None to derive.
     """
     if unit not in ("form", "upos"):
         raise ValueError("unit must be 'form' or 'upos'")
+    if derivations is None:
+        derivations = [static_oracle_derivation(s) for s in corpus]
     reordered = [
         [getattr(s.token(i), unit) for i in _attachment_ids(s, d)]
-        for s, d in zip(corpus, _derivations(corpus))
+        for s, d in zip(corpus, derivations)
     ]
     return WittenBellTrigram(reordered).perplexity(reordered)
 
 
-def derivation_complexity(corpus: list[Sentence], scope: str = "global") -> int:
+def derivation_complexity(
+    corpus: list[Sentence],
+    scope: str = "global",
+    derivations: list[Derivation] | None = None,
+) -> int:
     """Distinct substrings over the gold derivations.
 
     scope='global' counts the distinct set across all derivations with one
     generalized suffix tree; scope='per-sentence' sums per-derivation counts.
+    `derivations` as for `derivation_perplexity`.
     """
-    seqs = [_action_string(d) for d in _derivations(corpus)]
+    if derivations is None:
+        derivations = [static_oracle_derivation(s) for s in corpus]
+    seqs = [_action_string(d) for d in derivations]
     if scope == "global":
         return count_distinct_substrings(seqs)
     if scope == "per-sentence":
@@ -165,11 +153,11 @@ def compute_report(
 ) -> MetricReport:
     if not corpus:
         raise ValueError("empty corpus")
-    derived = _Derived(corpus)
+    derivations = [static_oracle_derivation(s) for s in corpus]
     return MetricReport(
         corpus_id=corpus_id,
         distance=avg_dependency_distance(corpus),
         predictability_bits=pos_predictability(corpus),
-        derivation_perplexity=derivation_perplexity(derived, unit=perplexity_unit),
-        derivation_complexity=derivation_complexity(derived, scope=complexity_scope),
+        derivation_perplexity=derivation_perplexity(corpus, perplexity_unit, derivations),
+        derivation_complexity=derivation_complexity(corpus, complexity_scope, derivations),
     )

@@ -16,8 +16,6 @@ NULL = "<NULL>"
 ROOT_WORD = "<ROOT>"
 ROOT_POS = "<ROOT>"
 
-FEATURE_TEMPLATE_COUNT = 70
-
 
 def _node(s: Sentence, i: int | None):
     """(word, pos) for a token id; the artificial root and absent positions

@@ -5,8 +5,8 @@ Hashes are memoized in a plain dict that maps a string to its hash, so
 sharing one never changes a result. `train()` and `parse()` take an optional
 memo from their caller (the experiment harness passes one per treebank to
 all of that treebank's trainings and parses). Without one, `train()` shares
-a memo across all its steps and dev-set decodes, and each `parse()` call
-starts a fresh one. Nothing is cached at module level.
+a memo across all its steps and dev-set decodes (which call `parse()`), and
+each `parse()` call starts a fresh one. Nothing is cached at module level.
 Training follows the dynamic-oracle recipe: predict with the current weights,
 update toward the best zero-cost action whenever the prediction has non-zero
 cost, and after the first `explore_k` epochs follow the model's own
@@ -228,7 +228,7 @@ def train(
             dev_uas = 0.0
             if dev_scorable:
                 dev_model = Model(labels=labels, weights=snapshot)
-                predicted = [_decode(dev_model, s, memo) for s in dev_set]
+                predicted = [parse(dev_model, s, memo) for s in dev_set]
                 dev_uas = corpus_uas(dev_set, predicted)
             if dev_uas > best_dev:
                 best_dev = dev_uas
@@ -242,10 +242,8 @@ def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sent
     at most one arc leaves the artificial root during decoding, and any
     token left headless is attached afterwards. `memo` is a feature-hash
     memo to read and fill (a fresh one when None)."""
-    return _decode(model, s, {} if memo is None else memo)
-
-
-def _decode(model: Model, s: Sentence, memo: dict[str, int]) -> Sentence:
+    if memo is None:
+        memo = {}
     c = initial_config(s)
     n = c.n
     while c.b <= n:
@@ -279,6 +277,11 @@ def _decode(model: Model, s: Sentence, memo: dict[str, int]) -> Sentence:
 _MODEL_HEADER = "# udscheme-model v1"
 
 
+def _action_name(a: Action) -> str:
+    """How a model file names an action: its kind, then `:label` if any."""
+    return a.kind if a.label is None else a.kind + ":" + a.label
+
+
 def save_model(model: Model, path: str) -> None:
     for label in model.labels:
         # the labels line is comma-separated and the file is read line by line
@@ -288,9 +291,7 @@ def save_model(model: Model, path: str) -> None:
     entries = []
     for f, row in model.weights.items():
         for a, w in row.items():
-            act = model.actions[a]
-            name = act.kind if act.label is None else act.kind + ":" + act.label
-            entries.append((f, name, w))
+            entries.append((f, _action_name(model.actions[a]), w))
     entries.sort()
     lines += ["%d\t%s\t%r" % e for e in entries]
     with open(path, "w", encoding="utf-8") as fh:
@@ -307,6 +308,7 @@ def load_model(path: str) -> Model:
     if len(lines) < 2 or not lines[1].startswith("labels\t"):
         raise ValueError("%s:2: missing labels line" % path)
     model = Model(labels=lines[1][len("labels\t"):].split(","))
+    index = {_action_name(a): i for i, a in enumerate(model.actions)}
     for lineno, line in enumerate(lines[2:], start=3):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -314,8 +316,7 @@ def load_model(path: str) -> Model:
                 "%s:%d: expected 3 tab-separated fields, got %d" % (path, lineno, len(fields))
             )
         f, name, w = fields
-        kind, _, label = name.partition(":")
-        a = model._index.get(Action(kind, label or None))
+        a = index.get(name)
         if a is None:
             raise ValueError("%s:%d: unknown action %r" % (path, lineno, name))
         try:

@@ -227,11 +227,6 @@ def kind_costs(c: Configuration, gold: Gold) -> dict[str, int]:
     return costs
 
 
-def action_cost(c: Configuration, a: Action, gold: Sentence) -> int:
-    """Gold arcs made unreachable by taking `a`. Labels do not affect cost."""
-    return kind_costs(c, Gold(gold))[a.kind]
-
-
 def oracle_step(c: Configuration, gold: Gold) -> tuple[dict[str, int], list[Action]]:
     """One dynamic-oracle step from a configuration with a non-empty buffer:
     the cost of each valid kind, and the min-cost actions in KIND_ORDER, arc
@@ -265,10 +260,3 @@ def static_oracle_derivation(gold: Sentence) -> Derivation:
     check_lost(c, g.heads, lost)
     return Derivation(tuple(actions), tuple(attached))
 
-
-def execute_derivation(s: Sentence, d: Derivation) -> list[tuple[int, int, str]]:
-    """Run a derivation from the initial configuration and return its arcs."""
-    c = initial_config(s)
-    for a in d.actions:
-        apply_action(c, a)
-    return c.arcs

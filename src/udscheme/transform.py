@@ -74,7 +74,7 @@ def _repair(heads: list[int], i: int, j: int, skip: set[int]) -> int:
     return moved
 
 
-def _invert_simple(
+def _invert(
     s: Sentence, labels: frozenset[str], noun_labels: frozenset[str] | None = None
 ) -> tuple[Sentence, int, int]:
     """Invert each trigger dependency. With `noun_labels` (the copula
@@ -123,12 +123,7 @@ def _invert_simple(
     return s.with_arcs(heads, deprels), rewritten, repairs
 
 
-def invert_simple(s: Sentence, labels: frozenset[str]) -> Sentence:
-    """Invert every dependency labeled in `labels` (case/mark/det style)."""
-    return _invert_simple(s, labels)[0]
-
-
-def _chain_sequence(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int, int]:
+def _chain(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int, int]:
     heads, deprels = s.heads(), s.deprels()
     n = len(s.tokens)
     rewritten = 0
@@ -142,18 +137,6 @@ def _chain_sequence(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int,
     return s.with_arcs(heads, deprels), rewritten, 0
 
 
-def chain_sequence(s: Sentence, labels: frozenset[str]) -> Sentence:
-    """Turn flat head-initial sequences (mwe/goeswith, name) into word chains."""
-    return _chain_sequence(s, labels)[0]
-
-
-def promote_copula(
-    s: Sentence, noun_labels: frozenset[str] = COPULA_NOUN_LABELS
-) -> Sentence:
-    """Make the copula/auxpass word the head of its construction."""
-    return _invert_simple(s, TRIGGER_LABELS[Transformation.COPULA], noun_labels)[0]
-
-
 def _depths(heads: list[int]) -> list[int]:
     depth = [0] * len(heads)
     for d in range(1, len(heads)):
@@ -165,7 +148,7 @@ def _depths(heads: list[int]) -> list[int]:
     return depth
 
 
-def _rehead_coordination(s: Sentence) -> tuple[Sentence, int, int]:
+def _rehead(s: Sentence) -> tuple[Sentence, int, int]:
     heads, deprels = s.heads(), s.deprels()
     orig_heads, orig_deprels = list(heads), list(deprels)
     n = len(s.tokens)
@@ -195,22 +178,17 @@ def _rehead_coordination(s: Sentence) -> tuple[Sentence, int, int]:
     return s.with_arcs(heads, deprels), rewritten, repairs
 
 
-def rehead_coordination(s: Sentence) -> Sentence:
-    """Promote the first coordinating conjunction to head of the coordination."""
-    return _rehead_coordination(s)[0]
-
-
 def _dispatch(
     s: Sentence, t: Transformation, noun_labels: frozenset[str]
 ) -> tuple[Sentence, int, int]:
     if t in (Transformation.CASE, Transformation.MARK, Transformation.DET):
-        return _invert_simple(s, TRIGGER_LABELS[t])
+        return _invert(s, TRIGGER_LABELS[t])
     if t in (Transformation.MWE, Transformation.NAME):
-        return _chain_sequence(s, TRIGGER_LABELS[t])
+        return _chain(s, TRIGGER_LABELS[t])
     if t is Transformation.COPULA:
-        return _invert_simple(s, TRIGGER_LABELS[t], noun_labels)
+        return _invert(s, TRIGGER_LABELS[t], noun_labels)
     if t is Transformation.COORDINATION:
-        return _rehead_coordination(s)
+        return _rehead(s)
     raise TransformError("unknown transformation %r" % t)
 
 

@@ -12,6 +12,7 @@ from udscheme.parsing.transitions import (
     KIND_ORDER,
     Action,
     Configuration,
+    Derivation,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
@@ -197,6 +198,15 @@ class ConfigGraph:
         """Gold arcs no longer individually reachable after taking `kind`."""
         after = self.reachable_gold(self.nodes[key][1][kind])
         return len(self.reachable_gold(key)) - len(after)
+
+
+def replay_arcs(s: Sentence, d: Derivation) -> list[tuple[int, int, str]]:
+    """(head, dependent, label) of every arc `d` builds, by dependent, found
+    by replaying its actions from the initial configuration."""
+    c = initial_config(s)
+    for a in d.actions:
+        apply_action(c, a)
+    return c.arcs
 
 
 def replay_attachment_ids(s: Sentence) -> list[int]:

@@ -20,7 +20,6 @@ from udscheme.parsing.transitions import (
     LEFT_ARC,
     RIGHT_ARC,
     Gold,
-    execute_derivation,
     kind_costs,
     oracle_step,
     static_oracle_derivation,
@@ -31,7 +30,6 @@ from udscheme.transform import (
     TRIGGER_LABELS,
     Transformation,
     apply_transformation,
-    invert_simple,
 )
 
 from helpers import (
@@ -41,6 +39,7 @@ from helpers import (
     make_sentence,
     random_projective_tree,
     random_tree,
+    replay_arcs,
 )
 from synth import synth_corpus
 from test_harness import read_all, write_config, write_treebank
@@ -211,7 +210,7 @@ def test_acceptance_repair_projectivity():
             for t in s.tokens
         ]
         s = make_sentence(heads, deprels)
-        out = invert_simple(s, frozenset({"case"}))
+        out = apply_transformation([s], Transformation.CASE).sentences[0]
         assert is_projective(out), (heads, leaf)
         done += 1
     report(
@@ -229,7 +228,7 @@ def test_acceptance_oracle_completeness():
     for _ in range(1_000):
         n = rng.randint(1, 10)
         s = make_sentence(random_projective_tree(rng, n))
-        arcs = execute_derivation(s, static_oracle_derivation(s))
+        arcs = replay_arcs(s, static_oracle_derivation(s))
         assert sorted((h, d) for h, d, _ in arcs) == sorted(
             (t.head, t.id) for t in s.tokens
         )

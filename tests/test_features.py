@@ -1,7 +1,6 @@
 import random
 
 from udscheme.parsing.features import (
-    FEATURE_TEMPLATE_COUNT,
     NULL,
     ROOT_POS,
     ROOT_WORD,
@@ -19,6 +18,9 @@ from udscheme.parsing.transitions import (
 )
 
 from helpers import make_sentence, random_projective_tree
+
+# every configuration yields one feature per template
+FEATURE_TEMPLATE_COUNT = 70
 
 THE_BOOK = make_sentence([2, 0], ["det", "root"], ["the", "book"], ["DET", "NOUN"])
 

@@ -1,3 +1,4 @@
+import errno
 import glob
 import json
 import os
@@ -216,6 +217,67 @@ def test_failed_cache_write_keeps_previous_entry(tmp_path):
         cache.put("cell", {"uas": object()})  # not JSON-serializable mid-write
     assert cache.get("cell") == {"uas": 90.0}
     assert os.listdir(cache.dir) == ["cell.json"]
+
+
+def test_only_changed_reports_are_rewritten(tmp_path):
+    from udscheme.harness import ExperimentReport
+
+    report = ExperimentReport()
+    report.summary = {"rows": 0}
+    out_dir = str(tmp_path / "out")
+    os.makedirs(out_dir)
+    paths = emit_reports(report, out_dir)
+    inodes = {p: os.stat(p).st_ino for p in paths}
+    emit_reports(report, out_dir)  # same bytes: every file is left in place
+    assert {p: os.stat(p).st_ino for p in paths} == inodes
+    report.summary = {"rows": 1}
+    emit_reports(report, out_dir)
+    changed = [p for p in paths if os.stat(p).st_ino != inodes[p]]
+    assert changed == [os.path.join(out_dir, "summary.json")]
+    with open(changed[0]) as f:
+        assert json.load(f) == {"rows": 1}
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails as a full
+    disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_interrupted_report_write_keeps_previous_summary(tmp_path, monkeypatch):
+    from udscheme.harness import ExperimentReport
+
+    report = ExperimentReport()
+    report.summary = {"rows": 0}
+    out_dir = str(tmp_path / "out")
+    os.makedirs(out_dir)
+    emit_reports(report, out_dir)
+    before = read_all(out_dir)
+
+    def open_failing_summary(path, mode="r", **kw):
+        f = open(path, mode, **kw)
+        if "w" in mode and os.path.basename(path).startswith("summary.json"):
+            return _HalfWriter(f)
+        return f
+
+    monkeypatch.setattr(harness, "open", open_failing_summary, raising=False)
+    report.summary = {"rows": 1}
+    with pytest.raises(OSError):
+        emit_reports(report, out_dir)
+    assert read_all(out_dir) == before  # no torn summary.json, no leftovers
 
 
 def _small_grid(tmp_path, epochs=1):

@@ -8,9 +8,7 @@ from udscheme.metrics import (
     MetricReport,
     avg_dependency_distance,
     compute_report,
-    derivation_actions,
     derivation_complexity,
-    derivation_order,
     derivation_perplexity,
     metric_dict,
     pos_predictability,
@@ -96,8 +94,14 @@ def test_predictability_root_arcs_can_carry_entropy():
 
 # --- derivations ---------------------------------------------------------------
 
+def derivation_order(s):
+    """Word forms in the attachment order the perplexity measure reads."""
+    d = static_oracle_derivation(s)
+    return [s.token(i).form for i in metrics._attachment_ids(s, d)]
+
+
 def test_derivation_actions_the_book():
-    assert derivation_actions(THE_BOOK) == "SLA"
+    assert metrics._action_string(static_oracle_derivation(THE_BOOK)) == "SLA"
 
 
 def test_derivation_order_the_book():

@@ -274,6 +274,8 @@ LABELS = "labels\tdep,root\n"
         (HEADER + LABELS + "17\tSHIFT\t1.0\n18\tJUMP\t1.0\n", 4),
         (HEADER + LABELS + "17\tLEFT_ARC:nsubj\t1.0\n", 3),  # label not in the file
         (HEADER + LABELS + "17\tSHIFT\tabc\n", 3),
+        (HEADER + LABELS + "123\tLEFT_ARC\t1.0\n", 3),  # arc action without a label
+        (HEADER + LABELS + "17\tSHIFT:det\t1.0\n", 3),  # labelled SHIFT
     ],
 )
 def test_load_rejects_malformed_file_with_line(tmp_path, text, line):

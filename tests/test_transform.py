@@ -8,13 +8,13 @@ from udscheme.transform import (
     TRIGGER_LABELS,
     Transformation,
     apply_transformation,
-    chain_sequence,
-    invert_simple,
-    promote_copula,
-    rehead_coordination,
 )
 
 from helpers import make_sentence, random_projective_tree, random_tree
+
+
+def rewrite(s: Sentence, t: Transformation) -> Sentence:
+    return apply_transformation([s], t).sentences[0]
 
 
 def arcs_of(s: Sentence):
@@ -26,26 +26,26 @@ def arcs_of(s: Sentence):
 def test_golden_case_of_earth():
     # "talk of Earth": talk -nmod-> Earth, Earth -case-> of
     s = make_sentence([0, 3, 1], ["root", "case", "nmod"], ["talk", "of", "Earth"])
-    out = invert_simple(s, TRIGGER_LABELS[Transformation.CASE])
+    out = rewrite(s, Transformation.CASE)
     assert arcs_of(out) == [(0, 1, "root"), (1, 2, "nmod"), (2, 3, "case")]
 
 
 def test_golden_mark_to_read():
     # "tries to read": tries -xcomp-> read, read -mark-> to
     s = make_sentence([0, 3, 1], ["root", "mark", "xcomp"], ["tries", "to", "read"])
-    out = invert_simple(s, TRIGGER_LABELS[Transformation.MARK])
+    out = rewrite(s, Transformation.MARK)
     assert arcs_of(out) == [(0, 1, "root"), (1, 2, "xcomp"), (2, 3, "mark")]
 
 
 def test_golden_det_the_book():
     s = make_sentence([2, 0], ["det", "root"], ["the", "book"])
-    out = invert_simple(s, TRIGGER_LABELS[Transformation.DET])
+    out = rewrite(s, Transformation.DET)
     assert arcs_of(out) == [(0, 1, "root"), (1, 2, "det")]
 
 
 def test_golden_name_john_jr_doe():
     s = make_sentence([0, 1, 1], ["root", "name", "name"], ["John", "Jr.", "Doe"])
-    out = chain_sequence(s, TRIGGER_LABELS[Transformation.NAME])
+    out = rewrite(s, Transformation.NAME)
     assert arcs_of(out) == [(0, 1, "root"), (1, 2, "name"), (2, 3, "name")]
 
 
@@ -56,7 +56,7 @@ def test_golden_coordination_me_and_you():
         ["root", "dobj", "cc", "conj"],
         ["sees", "me", "and", "you"],
     )
-    out = rehead_coordination(s)
+    out = rewrite(s, Transformation.COORDINATION)
     assert arcs_of(out) == [
         (0, 1, "root"),
         (3, 2, "conj"),
@@ -67,14 +67,14 @@ def test_golden_coordination_me_and_you():
 
 def test_golden_copula_is_nice():
     s = make_sentence([2, 0], ["cop", "root"], ["is", "nice"])
-    out = promote_copula(s)
+    out = rewrite(s, Transformation.COPULA)
     assert arcs_of(out) == [(0, 1, "root"), (1, 2, "cop")]
 
 
 def test_golden_inversion_head_before_trigger():
     # order (i, j, k) = (1, 2, 3): root->w_i, w_i -case-> w_j, w_i -> w_k
     s = make_sentence([0, 1, 1], ["root", "case", "nmod"])
-    out = invert_simple(s, frozenset({"case"}))
+    out = rewrite(s, Transformation.CASE)
     assert arcs_of(out) == [(2, 1, "case"), (0, 2, "root"), (2, 3, "nmod")]
     assert is_projective(out)
 
@@ -82,7 +82,7 @@ def test_golden_inversion_head_before_trigger():
 def test_golden_inversion_head_after_trigger():
     # order (k, j, i) = (1, 2, 3): root->w_i, w_i -case-> w_j, w_i -> w_k
     s = make_sentence([3, 3, 0], ["nmod", "case", "root"])
-    out = invert_simple(s, frozenset({"case"}))
+    out = rewrite(s, Transformation.CASE)
     assert arcs_of(out) == [(2, 1, "nmod"), (0, 2, "root"), (2, 3, "case")]
     assert is_projective(out)
 
@@ -95,7 +95,7 @@ def test_golden_mwe_chain_danish():
         ["root", "nsubj", "case", "mwe", "mwe", "nmod"],
         forms,
     )
-    out = chain_sequence(s, TRIGGER_LABELS[Transformation.MWE])
+    out = rewrite(s, Transformation.MWE)
     assert arcs_of(out) == [
         (0, 1, "root"),
         (1, 2, "nsubj"),
@@ -114,7 +114,7 @@ def test_golden_coordination_french():
         ["cc", "case", "root", "cc", "case", "conj"],
         forms,
     )
-    out = rehead_coordination(s)
+    out = rewrite(s, Transformation.COORDINATION)
     assert arcs_of(out) == [
         (0, 1, "root"),
         (3, 2, "case"),
@@ -131,7 +131,7 @@ def test_repair_applies_only_when_j_between_k_and_i():
     # order i<k<j: child between target and head stays put
     # i=1 (head), k=2 (other child), j=3 (trigger dependent)
     s = make_sentence([0, 1, 1], ["root", "nmod", "case"])
-    out = invert_simple(s, frozenset({"case"}))
+    out = rewrite(s, Transformation.CASE)
     # w_k (token 2) keeps w_i as head, no crossing arises
     assert out.token(2).head == 1
     assert is_projective(out)
@@ -141,7 +141,7 @@ def test_repair_projectivity_operation():
     # w_h(0) -> w_i(1) -> w_j(2, case), w_i -> w_k(3): the inversion leaves
     # w_j between w_i and w_k, so w_k is reattached to w_j
     s = make_sentence([0, 1, 1], ["root", "case", "nmod"])
-    out = invert_simple(s, frozenset({"case"}))
+    out = rewrite(s, Transformation.CASE)
     assert arcs_of(out) == [(2, 1, "case"), (0, 2, "root"), (2, 3, "nmod")]
     assert is_projective(out)
     assert apply_transformation([s], Transformation.CASE).repairs_applied == 1
@@ -151,14 +151,14 @@ def test_repair_projectivity_operation():
 
 def test_invert_no_trigger_is_identity():
     s = make_sentence([2, 0], ["amod", "root"])
-    out = invert_simple(s, frozenset({"case"}))
+    out = rewrite(s, Transformation.CASE)
     assert out.same_tree(s)
 
 
 def test_invert_multiple_trigger_children_nearest_wins():
     # two case children of token 3: tokens 2 (nearest) and 1
     s = make_sentence([3, 3, 0], ["case", "case", "root"], ["a", "b", "c"])
-    out = invert_simple(s, frozenset({"case"}))
+    out = rewrite(s, Transformation.CASE)
     # token 2 promoted to root; token 3 demoted; token 1 reattached to 2
     assert out.token(2).head == 0 and out.token(2).deprel == "root"
     assert out.token(3).head == 2 and out.token(3).deprel == "case"
@@ -167,7 +167,7 @@ def test_invert_multiple_trigger_children_nearest_wins():
 
 def test_chain_singleton_unchanged():
     s = make_sentence([0, 1], ["root", "mwe"])
-    out = chain_sequence(s, frozenset({"mwe", "goeswith"}))
+    out = rewrite(s, Transformation.MWE)
     assert out.same_tree(s)
 
 
@@ -178,7 +178,7 @@ def test_copula_noun_children_stay():
         ["det", "nsubj", "cop", "root", "punct"],
         ["the", "sky", "is", "blue", "."],
     )
-    out = promote_copula(s)
+    out = rewrite(s, Transformation.COPULA)
     assert out.token(3).head == 0 and out.token(3).deprel == "root"
     assert out.token(4).head == 3 and out.token(4).deprel == "cop"
     # nsubj and punct are not noun-related: they move to the copula
@@ -196,7 +196,7 @@ def test_copula_noun_label_children_keep_demoted_head():
         ["cop", "det", "amod", "root"],
         ["is", "a", "nice", "book"],
     )
-    out = promote_copula(s)
+    out = rewrite(s, Transformation.COPULA)
     assert out.token(1).head == 0 and out.token(1).deprel == "root"
     assert out.token(4).head == 1 and out.token(4).deprel == "cop"
     assert out.token(2).head == 4
@@ -205,7 +205,7 @@ def test_copula_noun_label_children_keep_demoted_head():
 
 def test_coordination_without_cc_unchanged():
     s = make_sentence([0, 1], ["root", "conj"])
-    out = rehead_coordination(s)
+    out = rewrite(s, Transformation.COORDINATION)
     assert out.same_tree(s)
 
 
@@ -283,7 +283,7 @@ def test_property_label_multiset_preserved_by_inversions():
     rng = random.Random(99)
     for _ in range(300):
         s = random_labeled_sentence(rng, rng.randint(1, 10))
-        out = invert_simple(s, frozenset({"case"}))
+        out = rewrite(s, Transformation.CASE)
         assert sorted(t.deprel for t in out.tokens) == sorted(
             t.deprel for t in s.tokens
         )
@@ -310,5 +310,5 @@ def test_property_repair_keeps_leaf_inversions_projective():
         ]
         s = make_sentence(heads, deprels)
         assert is_projective(s)
-        out = invert_simple(s, frozenset({"case"}))
+        out = rewrite(s, Transformation.CASE)
         assert is_projective(out), (arcs_of(s), arcs_of(out))

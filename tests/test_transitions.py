@@ -13,9 +13,7 @@ from udscheme.parsing.transitions import (
     REDUCE,
     RIGHT_ARC,
     SHIFT,
-    action_cost,
     apply_action,
-    execute_derivation,
     initial_config,
     kind_costs,
     oracle_step,
@@ -36,6 +34,7 @@ from helpers import (
     ref_initial,
     ref_reachable_gold_count,
     ref_valid_actions,
+    replay_arcs,
     state_key,
 )
 
@@ -87,11 +86,11 @@ def test_cost_example_the_book():
     # against the exhaustive oracle, which gives 2); RIGHT_ARC loses both arcs
     c = initial_config(THE_BOOK)
     apply_action(c, Action(SHIFT))
-    assert action_cost(c, Action(LEFT_ARC, "det"), THE_BOOK) == 0
-    assert action_cost(c, Action(SHIFT), THE_BOOK) >= 1
-    assert action_cost(c, Action(RIGHT_ARC, "x"), THE_BOOK) == 2
+    assert kind_costs(c, Gold(THE_BOOK))[LEFT_ARC] == 0
+    assert kind_costs(c, Gold(THE_BOOK))[SHIFT] >= 1
+    assert kind_costs(c, Gold(THE_BOOK))[RIGHT_ARC] == 2
     graph = ConfigGraph(THE_BOOK)
-    assert action_cost(c, Action(SHIFT), THE_BOOK) == graph.arc_cost(
+    assert kind_costs(c, Gold(THE_BOOK))[SHIFT] == graph.arc_cost(
         state_key(c, THE_BOOK.heads()), SHIFT
     )
 
@@ -100,7 +99,7 @@ def test_cost_right_arc_to_non_root_token():
     # gold root is token 2; attaching token 1 to the artificial root costs
     s = make_sentence([2, 0], ["dep", "root"])
     c = initial_config(s)
-    assert action_cost(c, Action(RIGHT_ARC, "x"), s) >= 1
+    assert kind_costs(c, Gold(s))[RIGHT_ARC] >= 1
 
 
 def test_static_oracle_the_book():
@@ -123,7 +122,7 @@ def test_oracle_completeness_random_projective():
     for _ in range(300):
         n = rng.randint(1, 10)
         s = make_sentence(random_projective_tree(rng, n))
-        arcs = execute_derivation(s, static_oracle_derivation(s))
+        arcs = replay_arcs(s, static_oracle_derivation(s))
         assert sorted((h, d) for h, d, _ in arcs) == sorted(
             (t.head, t.id) for t in s.tokens
         )
@@ -138,8 +137,7 @@ def test_cost_matches_bruteforce_exhaustive_small():
             graph = ConfigGraph(s)
             for key, c in graph.configs():
                 for kind in valid_actions(c):
-                    a = Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, "_")
-                    assert action_cost(c, a, s) == graph.arc_cost(key, kind), (heads, c, kind)
+                    assert kind_costs(c, Gold(s))[kind] == graph.arc_cost(key, kind), (heads, c, kind)
 
 
 def test_reachable_count_matches_bruteforce_joint_max_on_projective():
@@ -170,14 +168,7 @@ def test_zero_cost_action_always_exists_on_gold_path():
             kinds = valid_actions(c)
             if not kinds:
                 break
-            zero = [
-                k
-                for k in kinds
-                if action_cost(
-                    c, Action(k) if k in (SHIFT, REDUCE) else Action(k, "_"), s
-                )
-                == 0
-            ]
+            zero = [k for k in kinds if kind_costs(c, Gold(s))[k] == 0]
             assert zero, (s.heads(), c)
             k = rng.choice(zero)
             apply_action(c, Action(k) if k in (SHIFT, REDUCE) else Action(k, "_"))
