@@ -1,22 +1,24 @@
-"""Experiment orchestration over (treebank x transformation x seed) grids.
+"""Experiment orchestration over (treebank x scheme x seed) grids.
 
-For each treebank the UD-side models depend only on the seed, so they are
-trained once and shared across all transformation cells. Completed work is
-cached as JSON under <output_dir>/cache. Each entry is named by a sha256 of
-everything its value depends on (the bytes of the splits it reads, the
-hyperparameters, the seed or seeds, the transformation and the result
-format), so a rerun over a completed directory trains nothing and reproduces
-the reports byte for byte, and a rerun with any of those changed recomputes
-what they affect. Entries and reports are written atomically; an entry that
-does not decode, or decodes to the wrong shape, is recomputed. A failing
-cell, or a failing UD side (which skips that treebank's cells), is recorded
-and the rest of the grid still runs.
+A treebank's schemes are the UD scheme, as read, then each configured
+transformation of it. Each scheme is one task: per seed, a model is trained,
+parsed and scored on the scheme's own test split, and the scheme's training
+split is measured. A transformation that changes no split is excluded and
+trains nothing. A failing scheme is recorded and the rest of the grid runs;
+a failing UD scheme skips its treebank, whose cells are compared against it.
+
+Each scheme's result is one JSON cache entry under <output_dir>/cache, named
+by a sha256 of the bytes of the three splits, the hyperparameters, the seed
+list, the scheme and the result format. A rerun over a completed directory
+trains nothing and reproduces the reports byte for byte; a changed split,
+hyperparameter or seed list retrains every scheme of its treebank, UD
+included. Entries and reports are written atomically; an entry that does not
+decode, or has another shape than `_run_scheme` writes, is recomputed.
 
 Each treebank gets one feature-hash memo, shared by all of its trainings and
-parses (the UD side and every cell, every seed) and dropped when the next
-treebank starts. Its schemes mostly share feature strings, so each is hashed
-about once per treebank; the memo only maps a string to its hash, so results
-do not depend on it.
+parses and dropped when the next treebank starts. Its schemes mostly share
+feature strings, so each is hashed about once per treebank; the memo only
+maps a string to its hash, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ COHERENCE_NOTE = (
     "with the higher UAS; ties in UAS are skipped and counted separately"
 )
 
-# part of every cache entry's name: change it when what an entry holds, or
-# how it is computed, changes, so older entries are no longer read
-CACHE_FORMAT = 1
+# part of every cache entry's name (one entry per (treebank, scheme), the UD
+# scheme included; the module docstring says what names a new one): change it
+# when what an entry holds, or how it is computed, changes, so older entries
+# are no longer read
+CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -197,18 +201,16 @@ class _Cache:
     def path(self, name: str) -> str:
         return os.path.join(self.dir, name + ".json")
 
-    def get(self, name: str, *keys: str):
+    def get(self, name: str, valid=None):
         """The cached value, or None for an entry that is missing, does not
-        decode, or is not a dict with all of `keys` (a corrupt entry is
-        recomputed and overwritten)."""
+        decode, or fails `valid` (a corrupt entry is recomputed and
+        overwritten)."""
         try:
             with open(self.path(name), encoding="utf-8") as f:
                 value = json.load(f)
         except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
             return None
-        if not isinstance(value, dict) or not all(k in value for k in keys):
-            return None
-        return value
+        return value if valid is None or valid(value) else None
 
     def put(self, name: str, value) -> None:
         _write_atomic(self.path(name), json.dumps(value, sort_keys=True))
@@ -218,100 +220,90 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     os.makedirs(cfg.output_dir, exist_ok=True)
     cache = _Cache(cfg.output_dir)
     report = ExperimentReport()
+    hp = dataclasses.asdict(cfg.hp)
 
     for tb in cfg.treebanks:
         try:
-            train_c = read_conllu_file(tb.train)
-            dev_c = read_conllu_file(tb.dev)
-            test_c = read_conllu_file(tb.test)
-            splits = {
-                "train": _file_sha256(tb.train),
-                "dev": _file_sha256(tb.dev),
-                "test": _file_sha256(tb.test),
-            }
+            paths = (tb.train, tb.dev, tb.test)
+            corpora = [read_conllu_file(p) for p in paths]
+            splits = [_file_sha256(p) for p in paths]
         except Exception as e:  # record and move on to the next treebank
             report.errors.append((tb.language, "*", str(e)))
             continue
-        hp = dataclasses.asdict(cfg.hp)
         memo: dict[str, int] = {}  # feature hashes, for this treebank only
 
-        # UD-side: one training per seed, shared across the transformations;
-        # the cells are compared against it, so they are skipped if it fails
-        try:
-            ud_scores: dict[int, float] = {}
-            for seed in cfg.seeds:
-                key = _entry_name(
-                    "%s.ud.seed%d" % (tb.language, seed), splits=splits, hp=hp, seed=seed
-                )
-                cached = cache.get(key, "uas")
-                if cached is None:
-                    model = train(train_c, dev_c, cfg.hp, seed, memo=memo)
-                    predicted = [parse(model, s, memo) for s in test_c]
-                    cached = {"uas": corpus_uas(test_c, predicted)}
-                    cache.put(key, cached)
-                    report.trainings_executed += 1
-                ud_scores[seed] = cached["uas"]
-
-            key = _entry_name("%s.ud.metrics" % tb.language, train=splits["train"])
-            cached = cache.get(key, *MEASURE_NAMES)
-            if cached is None:
-                cached = metric_dict(compute_report(train_c, tb.language + "/ud"))
-                cache.put(key, cached)
-            report.metrics[(tb.language, "ud")] = cached
-        except Exception as e:
-            report.errors.append((tb.language, "ud", str(e)))
-            continue
-
-        for transfo in cfg.transformations:
+        for transfo in [None, *cfg.transformations]:
+            scheme = "ud" if transfo is None else transfo.value
             key = _entry_name(
-                "%s.%s" % (tb.language, transfo.value), splits=splits, hp=hp, seeds=cfg.seeds
+                "%s.%s" % (tb.language, scheme), splits=splits, hp=hp, seeds=cfg.seeds
             )
-            cached = cache.get(key, "excluded")
-            if cached is None:
+            entry = cache.get(key, lambda value: _is_entry(value, transfo, cfg.seeds))
+            if entry is None:
                 try:
-                    cached = _run_cell(
-                        tb, transfo, train_c, dev_c, test_c, cfg, report, memo
-                    )
+                    entry = _run_scheme(tb.language, transfo, corpora, cfg, report, memo)
                 except Exception as e:
-                    report.errors.append((tb.language, transfo.value, str(e)))
+                    report.errors.append((tb.language, scheme, str(e)))
+                    if transfo is None:
+                        break  # the cells are compared against the UD scheme
                     continue
-                cache.put(key, cached)
-            if cached["excluded"]:
+                cache.put(key, entry)
+            excluded = entry["excluded"]
+            scores = [] if excluded else [entry["uas"][str(s)] for s in cfg.seeds]
+            if not excluded:
+                report.metrics[(tb.language, scheme)] = entry["metrics"]
+            if transfo is None:
+                ud_scores = scores
+            else:
                 report.rows.append(
-                    compare_schemes(tb.language, transfo, [], [], excluded=True)
+                    compare_schemes(tb.language, transfo, ud_scores, scores, excluded)
                 )
-                continue
-            report.metrics[(tb.language, transfo.value)] = cached["metrics"]
-            row = compare_schemes(
-                tb.language,
-                transfo,
-                [ud_scores[s] for s in cfg.seeds],
-                [cached["uas"][str(s)] for s in cfg.seeds],
-            )
-            report.rows.append(row)
 
     _compute_coherence(report)
     _compute_summary(report)
     return report
 
 
-def _run_cell(tb, transfo, train_c, dev_c, test_c, cfg, report, memo) -> dict:
-    t_train = apply_transformation(train_c, transfo)
-    t_dev = apply_transformation(dev_c, transfo)
-    t_test = apply_transformation(test_c, transfo)
-    if not (t_train.changed or t_dev.changed or t_test.changed):
-        return {"excluded": True}
+def _run_scheme(language, transfo, corpora, cfg, report, memo) -> dict:
+    """The cache entry of one scheme of a treebank: its test UAS for every
+    seed and the four measures of its training split. `transfo` None is the
+    UD scheme, used as read; a transformation that changes none of the
+    splits is excluded and trains nothing."""
+    if transfo is not None:
+        results = [apply_transformation(c, transfo) for c in corpora]
+        if not any(r.changed for r in results):
+            return {"excluded": True}
+        corpora = [r.sentences for r in results]
+    train_c, dev_c, test_c = corpora
     scores: dict[str, float] = {}
     for seed in cfg.seeds:
-        model = train(t_train.sentences, t_dev.sentences, cfg.hp, seed, memo=memo)
-        predicted = [parse(model, s, memo) for s in t_test.sentences]
-        # transformed models are scored against their own references
-        scores[str(seed)] = corpus_uas(t_test.sentences, predicted)
+        model = train(train_c, dev_c, cfg.hp, seed, memo=memo)
+        predicted = [parse(model, s, memo) for s in test_c]
+        # each scheme is scored against its own test reference
+        scores[str(seed)] = corpus_uas(test_c, predicted)
         report.trainings_executed += 1
-    metrics = metric_dict(
-        compute_report(t_train.sentences, "%s/%s" % (tb.language, transfo.value))
-    )
+    scheme = "ud" if transfo is None else transfo.value
+    metrics = metric_dict(compute_report(train_c, "%s/%s" % (language, scheme)))
     return {"excluded": False, "uas": scores, "metrics": metrics}
+
+
+def _is_entry(value, transfo, seeds) -> bool:
+    """Whether a decoded cache entry has the shape `_run_scheme` gives it,
+    down to every value `run_experiment` reads: `excluded` a bool (false for
+    the UD scheme) and, unless excluded, a number in `uas` for each seed and
+    each of the four measures in `metrics`, as a number or null."""
+    # exact types, since a JSON true is a Python int; a missing measure reads
+    # as "", which is not a number
+    if not isinstance(value, dict) or type(value.get("excluded")) is not bool:
+        return False
+    if value["excluded"]:
+        return transfo is not None
+    uas, metrics = value.get("uas"), value.get("metrics")
+    return (
+        isinstance(uas, dict)
+        and all(type(uas.get(str(s))) in (int, float) for s in seeds)
+        and isinstance(metrics, dict)
+        and all(type(metrics.get(k, "")) in (int, float, type(None)) for k in MEASURE_NAMES)
+    )
 
 
 def _compute_coherence(report: ExperimentReport) -> None:
@@ -356,6 +348,12 @@ def _fmt(x) -> str:
     return "" if x is None else "%.2f" % x
 
 
+def _tsv(header: tuple[str, ...], rows) -> str:
+    """The one TSV layout: the header, then each row, fields joined by tabs,
+    every line ending in a newline."""
+    return "".join("\t".join(fields) + "\n" for fields in [header, *rows])
+
+
 def emit_reports(report: ExperimentReport, output_dir: str) -> list[str]:
     """Write rows.tsv, the four tables, the diff histogram (TSV + SVG) and
     summary.json under output_dir; returns the paths written."""
@@ -367,24 +365,16 @@ def emit_reports(report: ExperimentReport, output_dir: str) -> list[str]:
         _write_atomic(path, text)
         written.append(path)
 
-    lines = ["language\ttransformation\tuas_ud\tuas_transformed\tdiff\texcluded"]
-    for r in report.rows:
-        lines.append(
-            "\t".join(
-                (
-                    r.language,
-                    r.transformation.value,
-                    _fmt(r.uas_ud),
-                    _fmt(r.uas_transformed),
-                    _fmt(r.diff),
-                    str(r.excluded).lower(),
-                )
-            )
-        )
-    emit("rows.tsv", "\n".join(lines) + "\n")
+    header = ("language", "transformation", "uas_ud", "uas_transformed", "diff", "excluded")
+    rows = [
+        (r.language, r.transformation.value, _fmt(r.uas_ud), _fmt(r.uas_transformed),
+         _fmt(r.diff), str(r.excluded).lower())
+        for r in report.rows
+    ]
+    emit("rows.tsv", _tsv(header, rows))
 
     # per-transformation percentage of rows where the UD scheme won
-    lines = ["transformation\tud_wins_pct\trows"]
+    wins = []
     for t in Transformation:
         rows = [r for r in report.rows if r.transformation is t and not r.excluded]
         decided = [r for r in rows if r.diff != 0]
@@ -393,43 +383,35 @@ def emit_reports(report: ExperimentReport, output_dir: str) -> list[str]:
             if decided
             else None
         )
-        lines.append("%s\t%s\t%d" % (t.value, _fmt(pct), len(rows)))
-    emit(os.path.join("tables", "ud_wins.tsv"), "\n".join(lines) + "\n")
+        wins.append((t.value, _fmt(pct), str(len(rows))))
+    header = ("transformation", "ud_wins_pct", "rows")
+    emit(os.path.join("tables", "ud_wins.tsv"), _tsv(header, wins))
 
     # top-5 positive and top-5 negative differences, one table each
     scored = [r for r in report.rows if not r.excluded and r.diff != 0]
     positive = sorted((r for r in scored if r.diff > 0), key=lambda r: -r.diff)[:5]
     negative = sorted((r for r in scored if r.diff < 0), key=lambda r: r.diff)[:5]
+    header = ("language", "transformation", "uas_transformed", "uas_ud", "diff")
     for name, rows in (("top_positive", positive), ("top_negative", negative)):
-        lines = ["language\ttransformation\tuas_transformed\tuas_ud\tdiff"]
-        for r in rows:
-            lines.append(
-                "%s\t%s\t%s\t%s\t%s"
-                % (
-                    r.language,
-                    r.transformation.value,
-                    _fmt(r.uas_transformed),
-                    _fmt(r.uas_ud),
-                    _fmt(r.diff),
-                )
-            )
-        emit(os.path.join("tables", name + ".tsv"), "\n".join(lines) + "\n")
+        top = [
+            (r.language, r.transformation.value, _fmt(r.uas_transformed), _fmt(r.uas_ud),
+             _fmt(r.diff))
+            for r in rows
+        ]
+        emit(os.path.join("tables", name + ".tsv"), _tsv(header, top))
 
-    lines = ["metric\tcoherent_pct\tcoherent\tcomparable\tuas_ties"]
+    coherence = []
     for name in MEASURE_NAMES.values():
         coherent, comparable, ties = report.coherence.get(name, (0, 0, 0))
         pct = 100.0 * coherent / comparable if comparable else None
-        lines.append(
-            "%s\t%s\t%d\t%d\t%d" % (name, _fmt(pct), coherent, comparable, ties)
-        )
-    lines.append(COHERENCE_NOTE)
-    emit(os.path.join("tables", "coherence.tsv"), "\n".join(lines) + "\n")
+        coherence.append((name, _fmt(pct), str(coherent), str(comparable), str(ties)))
+    coherence.append((COHERENCE_NOTE,))  # the last line: a row of one field
+    header = ("metric", "coherent_pct", "coherent", "comparable", "uas_ties")
+    emit(os.path.join("tables", "coherence.tsv"), _tsv(header, coherence))
 
     bins = _histogram([r.diff for r in report.rows if not r.excluded])
-    lines = ["bin_lo\tbin_hi\tcount"]
-    for lo, hi, count in bins:
-        lines.append("%.1f\t%.1f\t%d" % (lo, hi, count))
-    emit("hist.tsv", "\n".join(lines) + "\n")
+    counts = [("%.1f" % lo, "%.1f" % hi, str(count)) for lo, hi, count in bins]
+    emit("hist.tsv", _tsv(("bin_lo", "bin_hi", "count"), counts))
     emit("hist.svg", _histogram_svg(bins))
 
     emit(

@@ -282,11 +282,20 @@ def _action_name(a: Action) -> str:
     return a.kind if a.label is None else a.kind + ":" + a.label
 
 
-def save_model(model: Model, path: str) -> None:
-    for label in model.labels:
+def _check_labels(labels: list[str]) -> None:
+    """Raise ValueError unless a model file's labels line can hold `labels`."""
+    if not labels:
+        raise ValueError("no labels")
+    for i, label in enumerate(labels):
         # the labels line is comma-separated and the file is read line by line
-        if "," in label or "\t" in label or label.splitlines() != [label]:
+        if not label or "," in label or "\t" in label or label.splitlines() != [label]:
             raise ValueError("label %r cannot be stored in a model file" % label)
+        if label in labels[:i]:  # its actions would share a name in the file
+            raise ValueError("label %r is listed twice" % label)
+
+
+def save_model(model: Model, path: str) -> None:
+    _check_labels(model.labels)
     lines = [_MODEL_HEADER, "labels\t" + ",".join(model.labels)]
     entries = []
     for f, row in model.weights.items():
@@ -307,7 +316,12 @@ def load_model(path: str) -> Model:
         raise ValueError("%s:1: not a udscheme model file" % path)
     if len(lines) < 2 or not lines[1].startswith("labels\t"):
         raise ValueError("%s:2: missing labels line" % path)
-    model = Model(labels=lines[1][len("labels\t"):].split(","))
+    labels = lines[1][len("labels\t"):].split(",")
+    try:
+        _check_labels(labels)
+    except ValueError as e:
+        raise ValueError("%s:2: %s" % (path, e)) from None
+    model = Model(labels=labels)
     index = {_action_name(a): i for i, a in enumerate(model.actions)}
     for lineno, line in enumerate(lines[2:], start=3):
         fields = line.split("\t")

@@ -155,6 +155,20 @@ def test_truncated_model_file_is_one_line_error(tmp_path, capsys):
     assert err == "udscheme: %s:2: missing labels line\n" % model_p
 
 
+def test_repeated_model_label_is_one_line_error(tmp_path, capsys):
+    model_p = str(tmp_path / "model.txt")
+    src = str(tmp_path / "in.conllu")
+    write_conllu_file(src, synth_corpus(2))
+    with open(model_p, "w", encoding="utf-8") as f:
+        f.write("# udscheme-model v1\nlabels\tdet,det\n")
+    code, err = run_failing(
+        capsys, "parse", "--model", model_p, "--input", src,
+        "--output", str(tmp_path / "out.conllu"),
+    )
+    assert code == 2
+    assert err == "udscheme: %s:2: label 'det' is listed twice\n" % model_p
+
+
 def test_malformed_conllu_input_is_one_line_error(tmp_path, capsys):
     src = str(tmp_path / "bad.conllu")
     with open(src, "w", encoding="utf-8") as f:

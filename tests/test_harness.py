@@ -312,15 +312,42 @@ def test_unchanged_rerun_trains_nothing_and_keeps_cache(tmp_path):
     assert read_all(os.path.join(out_dir, "cache")) == cache
 
 
+def test_one_cache_entry_per_scheme(tmp_path, monkeypatch):
+    paths = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
+    out_dir = str(tmp_path / "out")
+    names = " ".join(t.value for t in Transformation)
+    cfg = load_config(write_config(tmp_path, paths, out_dir, seeds="1", transformations=names))
+    report = run_experiment(cfg)
+    assert any(r.excluded for r in report.rows)
+    schemes = ["ud"] + [t.value for t in Transformation]
+    entries = sorted(os.listdir(os.path.join(out_dir, "cache")))
+    assert [e.split(".")[1] for e in entries] == sorted(schemes)  # excluded ones too
+    trained = report.trainings_executed
+
+    lookups = []
+    real_get = _Cache.get
+    monkeypatch.setattr(_Cache, "get", lambda self, *a: lookups.append(a[0]) or real_get(self, *a))
+    assert run_experiment(cfg).trainings_executed == 0
+    assert len(lookups) == len(schemes)
+
+    # every entry is named by the seed list, so a new one retrains every scheme
+    cfg = load_config(write_config(tmp_path, paths, out_dir, seeds="1 2", transformations=names))
+    assert run_experiment(cfg).trainings_executed == 2 * trained
+
+
 @pytest.mark.parametrize(
     "entry, content, retrained",
     [
         ("xx.det", "[]", 1),
         ("xx.det", '{"uas": {"1": 90.0}}', 1),  # no "excluded"
-        ("xx.ud.seed1", "{}", 1),
-        ("xx.ud.seed1", "[90.0]", 1),
-        ("xx.ud.metrics", '"distance"', 0),
-        ("xx.ud.metrics", '{"distance": 2.0}', 0),
+        ("xx.det", '{"excluded": false}', 1),  # no "uas", no "metrics"
+        ("xx.det", '{"excluded": false, "uas": {}, "metrics": {}}', 1),  # no seed 1
+        ("xx.det", '{"excluded": 0, "uas": {"1": "x"}, "metrics": {}}', 1),
+        ("xx.ud", "{}", 1),
+        ("xx.ud", "[90.0]", 1),
+        ("xx.ud", '"distance"', 1),
+        ("xx.ud", '{"distance": 2.0}', 1),
+        ("xx.ud", '{"excluded": true}', 1),  # the UD scheme is never excluded
     ],
 )
 def test_wrong_shape_cache_entry_is_recomputed(tmp_path, entry, content, retrained):

@@ -276,6 +276,9 @@ LABELS = "labels\tdep,root\n"
         (HEADER + LABELS + "17\tSHIFT\tabc\n", 3),
         (HEADER + LABELS + "123\tLEFT_ARC\t1.0\n", 3),  # arc action without a label
         (HEADER + LABELS + "17\tSHIFT:det\t1.0\n", 3),  # labelled SHIFT
+        (HEADER + "labels\t\n", 2),  # an empty label
+        (HEADER + "labels\tdet,,nsubj\n", 2),
+        (HEADER + "labels\tdet,det\n", 2),  # a label listed twice
     ],
 )
 def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
@@ -286,7 +289,7 @@ def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
     assert str(err.value).startswith("%s:%d:" % (path, line))
 
 
-@pytest.mark.parametrize("label", ["a,b", "a\tb", "a\nb"])
+@pytest.mark.parametrize("label", ["a,b", "a\tb", "a\nb", "", "dep"])
 def test_save_rejects_unstorable_labels(tmp_path, label):
     model = Model(labels=["dep", label])
     with pytest.raises(ValueError):
