@@ -114,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an arc-eager parser")
     p.add_argument("--train", required=True)
     p.add_argument("--dev")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=int, default=Hyperparameters.epochs)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--explore-k", type=int, default=1)
-    p.add_argument("--explore-p", type=float, default=0.9)
+    p.add_argument("--explore-k", type=int, default=Hyperparameters.explore_k)
+    p.add_argument("--explore-p", type=float, default=Hyperparameters.explore_p)
     p.add_argument("--model", required=True)
     p.set_defaults(func=_cmd_train)
 

@@ -1,15 +1,19 @@
 """CoNLL-U (UD v1) reading and writing, plus tree validation and projectivity.
 
-Tokens and sentences are immutable; all operations here are pure functions.
+Tokens and sentences are immutable; all operations on them are pure functions.
 A `Token` is a named tuple of the ten CoNLL-U columns, in column order, so
 it is built, copied and formatted at C level; like any named tuple it
 compares equal to a plain tuple of the same fields. Columns that carry no
 structure (feats, deps, misc, xpos) are kept verbatim so that a parse ->
 write round trip reproduces the input byte for byte.
+
+`write_atomic` writes a file aside and renames it into place, so no file is
+left half-written; the model and report writers use it too.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,8 +211,30 @@ def read_conllu_file(path: str) -> list[Sentence]:
 
 
 def write_conllu_file(path: str, sentences: list[Sentence]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(write_conllu(sentences))
+    write_atomic(path, write_conllu(sentences))
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write `text` as UTF-8 aside and rename, so no file is ever left
+    half-written. A file that already holds `text` is left alone: a cached
+    rerun rewrites every report unchanged, and renaming over a file just
+    written makes ext4 flush it (auto_da_alloc)."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as f:
+            if f.read() == data:
+                return
+    except FileNotFoundError:
+        pass
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # the states of a token in validate_tree's walk along head chains

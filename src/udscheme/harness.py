@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .conllu import read_conllu_file
+from .conllu import read_conllu_file, write_atomic
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
@@ -118,14 +118,16 @@ def load_config(path: str) -> ExperimentConfig:
     ]
     listed_once("transformations", transformations, lambda t: repr(t.value))
 
-    def hyper(key: str, default, kind, what: str):
+    def hyper(key: str, kind, what: str):
         text = cp.get("parser", key, fallback=None)
-        return default if text is None else convert("parser", key, text, kind, what)
+        if text is None:
+            return getattr(Hyperparameters, key)  # the field's default
+        return convert("parser", key, text, kind, what)
 
     hp = Hyperparameters(
-        epochs=hyper("epochs", 10, int, "an integer"),
-        explore_k=hyper("explore_k", 1, int, "an integer"),
-        explore_p=hyper("explore_p", 0.9, float, "a number"),
+        epochs=hyper("epochs", int, "an integer"),
+        explore_k=hyper("explore_k", int, "an integer"),
+        explore_p=hyper("explore_p", float, "a number"),
     )
     if hp.epochs < 1:
         raise bad("parser", "epochs", "must be at least 1")
@@ -170,29 +172,6 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write aside and rename, so no file is ever left half-written. A file
-    that already holds `text` is left alone: a cached rerun rewrites every
-    report unchanged, and renaming over a file just written makes ext4 flush
-    it (auto_da_alloc)."""
-    data = text.encode("utf-8")
-    try:
-        with open(path, "rb") as f:
-            if f.read() == data:
-                return
-    except FileNotFoundError:
-        pass
-    tmp = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 class _Cache:
     def __init__(self, root: str):
         self.dir = os.path.join(root, "cache")
@@ -213,7 +192,7 @@ class _Cache:
         return value if valid is None or valid(value) else None
 
     def put(self, name: str, value) -> None:
-        _write_atomic(self.path(name), json.dumps(value, sort_keys=True))
+        write_atomic(self.path(name), json.dumps(value, sort_keys=True))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -362,7 +341,7 @@ def emit_reports(report: ExperimentReport, output_dir: str) -> list[str]:
 
     def emit(relpath: str, text: str) -> None:
         path = os.path.join(output_dir, relpath)
-        _write_atomic(path, text)
+        write_atomic(path, text)
         written.append(path)
 
     header = ("language", "transformation", "uas_ud", "uas_transformed", "diff", "excluded")

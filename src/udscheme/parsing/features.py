@@ -1,13 +1,25 @@
-"""Rich feature templates over an arc-eager configuration.
+"""Rich feature templates over an arc-eager configuration, as one table.
 
-The template set covers the stack top (S0) and the first three buffer items
-(N0, N1, N2) with word forms, POS tags and arc labels, plus distance,
-valence, head/child and label-set conjunctions. Every template is total:
-absent positions produce a distinguished null value, so the feature list has
-a fixed length for every configuration.
+The Zhang & Nivre (2011) templates read 12 positions: the stack top S0, the
+buffer items N0, N1, N2, S0's head S0h and grandhead S0h2, S0's two leftmost
+and two rightmost children S0l, S0l2, S0r, S0r2, and N0's two leftmost
+children N0l, N0l2. Each call computes 39 atom values once: each position's
+word (`w`) and POS (`p`), the label (`l`) of the arc by which each head or
+child position is reached, the S0-N0 distance `d` (capped at 10), the
+valences (`vl`, `vr`) and the label sets (`sl`, `sr`). An absent position
+gives a null value, so every configuration has one feature per template.
+
+`_TABLE` writes each template once, as its atoms. A feature is the
+template's name, `=`, and its atom values joined by `|`. The name comes from
+the atoms: a position is written once for each run of atoms on it, so
+`S0w S0p N0w` is named `S0wpN0w` and `S0w d` is `S0wd`. One `%` format
+builds all features of a call, split at tabs, which no value holds: CoNLL-U
+columns are tab-separated, and a model file refuses labels with a tab.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from ..conllu import Sentence
 from .transitions import Configuration
@@ -16,153 +28,80 @@ NULL = "<NULL>"
 ROOT_WORD = "<ROOT>"
 ROOT_POS = "<ROOT>"
 
+_HEADS_AND_KIDS = ("S0h", "S0h2", "S0l", "S0l2", "S0r", "S0r2", "N0l", "N0l2")
 
-def _node(s: Sentence, i: int | None):
-    """(word, pos) for a token id; the artificial root and absent positions
-    get sentinel values."""
-    if i is None:
-        return NULL, NULL
-    if i == 0:
-        return ROOT_WORD, ROOT_POS
-    t = s.token(i)
-    return t.form, t.upos
+# every atom as (position, suffix), in the order extract_features computes them
+_ATOMS = (
+    [(p, x) for p in ("S0", "N0", "N1", "N2") + _HEADS_AND_KIDS for x in "wp"]
+    + [(p, "l") for p in _HEADS_AND_KIDS]
+    + [("", "d"), ("S0", "vl"), ("S0", "vr"), ("N0", "vl")]
+    + [("S0", "sl"), ("S0", "sr"), ("N0", "sl")]
+)
+
+# the templates in feature order, comma-separated, each as its atoms; in groups:
+# unigrams, word pairs, triples, distance, valence, head and child unigrams,
+# third order, label sets
+_TABLE = """
+    S0w, S0p, S0w S0p, N0w, N0p, N0w N0p, N1w, N1p, N2w, N2p,
+    S0w S0p N0w N0p, S0w S0p N0w, S0w N0w N0p, S0w S0p N0p, S0p N0w N0p, S0w N0w,
+    S0p N0p, N0p N1p,
+    N0p N1p N2p, S0p N0p N1p, S0hp S0p N0p, S0p S0lp N0p, S0p S0rp N0p, S0p N0p N0lp,
+    S0w d, S0p d, N0w d, N0p d, S0w N0w d, S0p N0p d,
+    S0w S0vl, S0p S0vl, S0w S0vr, S0p S0vr, N0w N0vl, N0p N0vl,
+    S0hw, S0hp, S0hl, S0lw, S0lp, S0ll, S0rw, S0rp, S0rl, N0lw, N0lp, N0ll,
+    S0h2w, S0h2p, S0h2l, S0l2w, S0l2p, S0l2l, S0r2w, S0r2p, S0r2l, N0l2w, N0l2p, N0l2l,
+    S0p S0lp S0l2p, S0p S0rp S0r2p, S0p S0hp S0h2p, N0p N0lp N0l2p,
+    S0w S0sl, S0p S0sl, S0w S0sr, S0p S0sr, N0w N0sl, N0p N0sl
+"""
+
+
+def _compile():
+    """The `%` format of all features, tab-separated, and the getter of its
+    atom values."""
+    index = {p + x: i for i, (p, x) in enumerate(_ATOMS)}
+    formats, picks = [], []
+    for template in _TABLE.split(","):
+        atoms = [index[a] for a in template.split()]
+        name, last = "", None
+        for p, x in map(_ATOMS.__getitem__, atoms):
+            name += x if p == last else p + x
+            last = p
+        formats.append(name + "=" + "|".join(["%s"] * len(atoms)))
+        picks += atoms
+    return "\t".join(formats).__mod__, itemgetter(*picks)
+
+
+_format, _pick = _compile()
 
 
 def extract_features(c: Configuration, s: Sentence) -> list[str]:
+    head, label, lefts = c.head, c.label, c.lefts
     s0 = c.stack[-1]
     b, n = c.b, c.n
-    n0 = b if b <= n else None
-    n1 = b + 1 if b + 1 <= n else None
-    n2 = b + 2 if b + 2 <= n else None
+    n0, n1, n2 = [i if i <= n else None for i in (b, b + 1, b + 2)]
+    s0h = head[s0]  # also None for the root: head[0] is None
+    s0h2 = None if s0h is None else head[s0h]
+    s0_left, s0_right = lefts[s0], c.rights[s0]
+    n0_left = lefts[n0] if n0 is not None else []
+    # S0l, S0l2, S0r, S0r2, N0l, N0l2: outermost first, None where absent
+    kids = (*s0_left[:2], None, None)[:2] + (*s0_right[:-3:-1], None, None)[:2]
+    kids += (*n0_left[:2], None, None)[:2]
 
-    s0w, s0p = _node(s, s0)
-    n0w, n0p = _node(s, n0)
-    n1w, n1p = _node(s, n1)
-    n2w, n2p = _node(s, n2)
-
-    label = c.label
-
-    def head_of(i):
-        if i is None or i == 0:
-            return None, NULL
-        h = c.head[i]
-        return (h, label[i]) if h is not None else (None, NULL)
-
-    s0h, s0hl = head_of(s0)
-    s0h2, s0h2l = head_of(s0h)
-    s0hw, s0hp = _node(s, s0h)
-    s0h2w, s0h2p = _node(s, s0h2)
-
-    s0_left, s0_right = c.lefts[s0], c.rights[s0]
-    n0_left = c.lefts[n0] if n0 is not None else []
-
-    def pick(kids, idx):
-        # the idx-th of kids (counting from the end for idx < 0):
-        # (token id, label) or null
-        if not -len(kids) <= idx < len(kids):
-            return None, NULL
-        d = kids[idx]
-        return d, label[d]
-
-    s0l, s0ll = pick(s0_left, 0)
-    s0l2, s0l2l = pick(s0_left, 1)
-    s0r, s0rl = pick(s0_right, -1)
-    s0r2, s0r2l = pick(s0_right, -2)
-    n0l, n0ll = pick(n0_left, 0)
-    n0l2, n0l2l = pick(n0_left, 1)
-
-    s0lw, s0lp = _node(s, s0l)
-    s0l2w, s0l2p = _node(s, s0l2)
-    s0rw, s0rp = _node(s, s0r)
-    s0r2w, s0r2p = _node(s, s0r2)
-    n0lw, n0lp = _node(s, n0l)
-    n0l2w, n0l2p = _node(s, n0l2)
-
-    d = str(min(n0 - s0, 10)) if n0 is not None else NULL
-    s0vl, s0vr = str(len(s0_left)), str(len(s0_right))
-    n0vl = str(len(n0_left))
-    s0sl = "|".join(sorted({label[k] for k in s0_left})) or NULL
-    s0sr = "|".join(sorted({label[k] for k in s0_right})) or NULL
-    n0sl = "|".join(sorted({label[k] for k in n0_left})) or NULL
-
-    f = [
-        # unigrams
-        "S0w=" + s0w,
-        "S0p=" + s0p,
-        "S0wp=" + s0w + "|" + s0p,
-        "N0w=" + n0w,
-        "N0p=" + n0p,
-        "N0wp=" + n0w + "|" + n0p,
-        "N1w=" + n1w,
-        "N1p=" + n1p,
-        "N2w=" + n2w,
-        "N2p=" + n2p,
-        # word pairs
-        "S0wpN0wp=" + s0w + "|" + s0p + "|" + n0w + "|" + n0p,
-        "S0wpN0w=" + s0w + "|" + s0p + "|" + n0w,
-        "S0wN0wp=" + s0w + "|" + n0w + "|" + n0p,
-        "S0wpN0p=" + s0w + "|" + s0p + "|" + n0p,
-        "S0pN0wp=" + s0p + "|" + n0w + "|" + n0p,
-        "S0wN0w=" + s0w + "|" + n0w,
-        "S0pN0p=" + s0p + "|" + n0p,
-        "N0pN1p=" + n0p + "|" + n1p,
-        # triples
-        "N0pN1pN2p=" + n0p + "|" + n1p + "|" + n2p,
-        "S0pN0pN1p=" + s0p + "|" + n0p + "|" + n1p,
-        "S0hpS0pN0p=" + s0hp + "|" + s0p + "|" + n0p,
-        "S0pS0lpN0p=" + s0p + "|" + s0lp + "|" + n0p,
-        "S0pS0rpN0p=" + s0p + "|" + s0rp + "|" + n0p,
-        "S0pN0pN0lp=" + s0p + "|" + n0p + "|" + n0lp,
-        # distance
-        "S0wd=" + s0w + "|" + d,
-        "S0pd=" + s0p + "|" + d,
-        "N0wd=" + n0w + "|" + d,
-        "N0pd=" + n0p + "|" + d,
-        "S0wN0wd=" + s0w + "|" + n0w + "|" + d,
-        "S0pN0pd=" + s0p + "|" + n0p + "|" + d,
-        # valence
-        "S0wvl=" + s0w + "|" + s0vl,
-        "S0pvl=" + s0p + "|" + s0vl,
-        "S0wvr=" + s0w + "|" + s0vr,
-        "S0pvr=" + s0p + "|" + s0vr,
-        "N0wvl=" + n0w + "|" + n0vl,
-        "N0pvl=" + n0p + "|" + n0vl,
-        # head and child unigrams
-        "S0hw=" + s0hw,
-        "S0hp=" + s0hp,
-        "S0hl=" + s0hl,
-        "S0lw=" + s0lw,
-        "S0lp=" + s0lp,
-        "S0ll=" + s0ll,
-        "S0rw=" + s0rw,
-        "S0rp=" + s0rp,
-        "S0rl=" + s0rl,
-        "N0lw=" + n0lw,
-        "N0lp=" + n0lp,
-        "N0ll=" + n0ll,
-        # third order
-        "S0h2w=" + s0h2w,
-        "S0h2p=" + s0h2p,
-        "S0h2l=" + s0h2l,
-        "S0l2w=" + s0l2w,
-        "S0l2p=" + s0l2p,
-        "S0l2l=" + s0l2l,
-        "S0r2w=" + s0r2w,
-        "S0r2p=" + s0r2p,
-        "S0r2l=" + s0r2l,
-        "N0l2w=" + n0l2w,
-        "N0l2p=" + n0l2p,
-        "N0l2l=" + n0l2l,
-        "S0pS0lpS0l2p=" + s0p + "|" + s0lp + "|" + s0l2p,
-        "S0pS0rpS0r2p=" + s0p + "|" + s0rp + "|" + s0r2p,
-        "S0pS0hpS0h2p=" + s0p + "|" + s0hp + "|" + s0h2p,
-        "N0pN0lpN0l2p=" + n0p + "|" + n0lp + "|" + n0l2p,
-        # label sets
-        "S0wsl=" + s0w + "|" + s0sl,
-        "S0psl=" + s0p + "|" + s0sl,
-        "S0wsr=" + s0w + "|" + s0sr,
-        "S0psr=" + s0p + "|" + s0sr,
-        "N0wsl=" + n0w + "|" + n0sl,
-        "N0psl=" + n0p + "|" + n0sl,
-    ]
-    return f
+    tokens = s.tokens
+    atoms = []
+    for i in (s0, n0, n1, n2, s0h, s0h2, *kids):
+        if i is None:
+            atoms += (NULL, NULL)
+        elif i == 0:
+            atoms += (ROOT_WORD, ROOT_POS)
+        else:
+            t = tokens[i - 1]
+            atoms += (t.form, t.upos)
+    # S0h is reached by S0's arc, S0h2 by S0h's, a child by its own
+    atoms += (NULL if s0h is None else label[s0], NULL if s0h2 is None else label[s0h])
+    atoms += [NULL if k is None else label[k] for k in kids]
+    d = NULL if n0 is None else min(n0 - s0, 10)  # ints: %s writes str(int)
+    atoms += (d, len(s0_left), len(s0_right), len(n0_left))
+    for deps in (s0_left, s0_right, n0_left):
+        atoms.append("|".join(sorted({label[k] for k in deps})) or NULL)
+    return _format(_pick(atoms)).split("\t")

@@ -19,7 +19,7 @@ import random
 from collections.abc import Set
 from dataclasses import dataclass, field
 
-from ..conllu import Sentence, validate_tree
+from ..conllu import Sentence, validate_tree, write_atomic
 from ..evaluate import corpus_uas
 from .features import extract_features
 from .transitions import (
@@ -303,8 +303,7 @@ def save_model(model: Model, path: str) -> None:
             entries.append((f, _action_name(model.actions[a]), w))
     entries.sort()
     lines += ["%d\t%s\t%r" % e for e in entries]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str) -> Model:

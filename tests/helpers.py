@@ -315,8 +315,9 @@ def _ref_node(s: Sentence, i: int | None):
 
 
 def ref_extract_features(c: RefConfig, s: Sentence) -> list[str]:
-    """The feature extraction that scanned `c.arcs` for children, kept as
-    the reference for `extract_features` over the child lists."""
+    """The 70 templates written out by hand, with children found by scanning
+    `c.arcs`: the reference for `extract_features`, which builds the same
+    strings from its template table over the child lists."""
     s0 = c.stack[-1]
     n0 = c.buffer[0] if len(c.buffer) > 0 else None
     n1 = c.buffer[1] if len(c.buffer) > 1 else None

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from udscheme.conllu import (
     parse_conllu,
     validate_tree,
     write_conllu,
+    write_conllu_file,
 )
+from udscheme.parsing.perceptron import Hyperparameters, save_model, train
 
 from helpers import (
     SHAPES,
@@ -259,3 +262,27 @@ def test_with_arcs_matches_replace_and_keeps_unchanged_tokens():
             assert type(new) is Token
             unchanged = (old.head, old.deprel) == (heads[old.id], deprels[old.id])
             assert (new is old) == unchanged
+
+
+def test_file_writers_keep_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    """save_model and write_conllu_file write aside and rename: a failure
+    before the rename leaves the old file whole and no temporary behind."""
+    sents = parse_conllu(THE_BOOK)
+    model_p, conllu_p = tmp_path / "model.txt", tmp_path / "out.conllu"
+    save_model(train(sents, None, Hyperparameters(epochs=1), 1), str(model_p))
+    write_conllu_file(str(conllu_p), sents)
+    old_model, old_conllu = model_p.read_bytes(), conllu_p.read_bytes()
+    relabeled = parse_conllu(THE_BOOK.replace("det", "amod"))
+    other = train(relabeled, None, Hyperparameters(epochs=1), 1)
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_model(other, str(model_p))
+    with pytest.raises(OSError):
+        write_conllu_file(str(conllu_p), [make_sentence([0, 1])])
+    assert model_p.read_bytes() == old_model
+    assert conllu_p.read_bytes() == old_conllu
+    assert sorted(os.listdir(tmp_path)) == ["model.txt", "out.conllu"]

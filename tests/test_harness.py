@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from udscheme import harness
+from udscheme import conllu, harness
 from udscheme.conllu import write_conllu_file
 from udscheme.harness import (
     ExperimentConfig,
@@ -273,7 +273,8 @@ def test_interrupted_report_write_keeps_previous_summary(tmp_path, monkeypatch):
             return _HalfWriter(f)
         return f
 
-    monkeypatch.setattr(harness, "open", open_failing_summary, raising=False)
+    # reports are written by conllu.write_atomic
+    monkeypatch.setattr(conllu, "open", open_failing_summary, raising=False)
     report.summary = {"rows": 1}
     with pytest.raises(OSError):
         emit_reports(report, out_dir)
