@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 
-from .conllu import read_conllu_file, write_conllu_file
+from .conllu import format_conllu, read_conllu_file, write_atomic
 from .evaluate import corpus_score
 from .harness import emit_reports, load_config, run_experiment
 from .metrics import compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, load_model, parse, save_model, train
-from .transform import COPULA_NOUN_LABELS, Transformation, apply_transformation
+from .transform import COPULA_NOUN_LABELS, Transformation, apply_transformation, check_trees
 
 
 def _cmd_transform(args) -> int:
@@ -26,10 +26,11 @@ def _cmd_transform(args) -> int:
         if args.copula_noun_labels
         else COPULA_NOUN_LABELS
     )
-    result = apply_transformation(
-        sentences, Transformation(args.transformation), noun_labels
-    )
-    write_conllu_file(args.output, result.sentences)
+    transformation = Transformation(args.transformation)
+    result = apply_transformation(sentences, transformation, noun_labels)
+    # each tree is checked once, here, so it is written unchecked
+    check_trees(result.sentences, transformation)
+    write_atomic(args.output, format_conllu(result.sentences))
     print(
         json.dumps(
             {
@@ -57,7 +58,8 @@ def _cmd_parse(args) -> int:
     model = load_model(args.model)
     sentences = read_conllu_file(args.input)
     memo: dict[str, int] = {}  # one feature-hash memo for the whole input
-    write_conllu_file(args.output, [parse(model, s, memo) for s in sentences])
+    # parse() checks each tree it returns, so they are written unchecked
+    write_atomic(args.output, format_conllu([parse(model, s, memo) for s in sentences]))
     return 0
 
 

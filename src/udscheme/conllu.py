@@ -172,13 +172,20 @@ _token_line = "\t".join(["%s"] * len(Token._fields)).__mod__
 
 def write_conllu(sentences: list[Sentence]) -> str:
     """Serialize sentences back to CoNLL-U. Refuses invalid trees."""
-    out: list[str] = []
     for idx, s in enumerate(sentences):
         report = validate_tree(s)
         if not report.ok:
             raise ValueError(
                 "sentence %d is not a valid tree: %s" % (idx, report.violations[0][2])
             )
+    return format_conllu(sentences)
+
+
+def format_conllu(sentences: list[Sentence]) -> str:
+    """Serialize sentences whose trees are already checked (by `parse` or
+    `transform.check_trees`) to CoNLL-U; `write_conllu` checks them first."""
+    out: list[str] = []
+    for s in sentences:
         out.extend(s.comments)
         mwt_by_start = {m[0]: m for m in s.mwt_ranges}
         for t in s.tokens:

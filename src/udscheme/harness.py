@@ -35,7 +35,7 @@ from .conllu import read_conllu_file, write_atomic
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
-from .transform import Transformation, apply_transformation
+from .transform import Transformation, apply_transformation, check_trees
 
 COHERENCE_NOTE = (
     "# coherence = the metric's preferred scheme (lower value) is the scheme "
@@ -249,6 +249,8 @@ def _run_scheme(language, transfo, corpora, cfg, report, memo) -> dict:
     splits is excluded and trains nothing."""
     if transfo is not None:
         results = [apply_transformation(c, transfo) for c in corpora]
+        for r in results:
+            check_trees(r.sentences, transfo)
         if not any(r.changed for r in results):
             return {"excluded": True}
         corpora = [r.sentences for r in results]

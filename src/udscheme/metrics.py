@@ -132,7 +132,8 @@ def derivation_complexity(
     """Distinct substrings over the gold derivations.
 
     scope='global' counts the distinct set across all derivations with one
-    generalized suffix tree; scope='per-sentence' sums per-derivation counts.
+    generalized suffix automaton; scope='per-sentence' sums per-derivation
+    counts.
     `derivations` as for `derivation_perplexity`.
     """
     if derivations is None:

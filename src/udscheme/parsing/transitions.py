@@ -3,7 +3,11 @@
 `Configuration` is one mutable state per sentence that `apply_action`
 advances in place in O(1): a stack list, the buffer front `b` (the buffer is
 always the range b..n), each token's head and label, and each token's left
-and right dependents in id order.
+and right dependents in id order. The kinds valid in a configuration depend
+only on whether the buffer is empty and on what the stack top is, so
+`valid_actions` and `apply_action` read them from a table built once, and
+the oracle returns shared actions, one object per (kind, label): an oracle
+step builds no set and no action.
 
 The cost of an action is the number of gold arcs it makes unreachable.
 `reachable_gold_count` counts the gold arcs still obtainable (built ones
@@ -30,6 +34,7 @@ taken (`check_lost`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..conllu import Sentence
@@ -104,30 +109,33 @@ def initial_config(s: Sentence) -> Configuration:
     return Configuration(len(s.tokens))
 
 
-def valid_actions(c: Configuration) -> set[str]:
-    kinds: set[str] = set()
+# The validity rules, as the kinds valid in each case:
+# _VALID[buffer non-empty][stack top is the root 0, headless 1, headed 2]
+_VALID = (
+    (frozenset(), frozenset(), frozenset({REDUCE})),
+    (frozenset({SHIFT, RIGHT_ARC}), frozenset({SHIFT, RIGHT_ARC, LEFT_ARC}),
+     frozenset({SHIFT, RIGHT_ARC, REDUCE})),
+)
+
+
+def valid_actions(c: Configuration) -> frozenset[str]:
+    """The kinds valid in c, as one of the shared sets in _VALID."""
     top = c.stack[-1]
-    if c.b <= c.n:
-        kinds.add(SHIFT)
-        kinds.add(RIGHT_ARC)
-        if top != 0 and c.head[top] is None:
-            kinds.add(LEFT_ARC)
-    if top != 0 and c.head[top] is not None:
-        kinds.add(REDUCE)
-    return kinds
+    return _VALID[c.b <= c.n][0 if top == 0 else 1 if c.head[top] is None else 2]
 
 
 def apply_action(c: Configuration, a: Action) -> None:
     """Advance c by `a` in place; an action invalid in c raises ValueError."""
-    if a.kind not in valid_actions(c):
+    kind = a.kind
+    if kind not in valid_actions(c):
         raise ValueError("action %r is not valid in %r" % (a, c))
-    if a.kind == SHIFT:
+    if kind == SHIFT:
         c.stack.append(c.b)
         c.stacked[c.b] = True
         c.b += 1
-    elif a.kind == REDUCE:
+    elif kind == REDUCE:
         c.stacked[c.stack.pop()] = False
-    elif a.kind == LEFT_ARC:
+    elif kind == LEFT_ARC:
         d = c.stack.pop()
         c.stacked[d] = False
         c.head[d] = c.b
@@ -143,6 +151,13 @@ def apply_action(c: Configuration, a: Action) -> None:
         c.stack.append(d)
         c.stacked[d] = True
         c.b += 1
+
+
+@functools.cache
+def _action(kind: str, label: str | None) -> Action:
+    """The one shared action of this kind and label, so that an oracle step
+    builds none; there are at most two per label, and SHIFT and REDUCE."""
+    return Action(kind, label)
 
 
 class Gold:
@@ -230,12 +245,20 @@ def kind_costs(c: Configuration, gold: Gold) -> dict[str, int]:
 def oracle_step(c: Configuration, gold: Gold) -> tuple[dict[str, int], list[Action]]:
     """One dynamic-oracle step from a configuration with a non-empty buffer:
     the cost of each valid kind, and the min-cost actions in KIND_ORDER, arc
-    actions with the gold label of the token they attach."""
+    actions with the gold label of the token they attach. The actions are
+    shared objects: equal actions are the same object."""
     costs = kind_costs(c, gold)
     best = min(costs.values())
-    labels = {LEFT_ARC: gold.deprels[c.stack[-1]], RIGHT_ARC: gold.deprels[c.b]}
-    kinds = sorted((k for k in costs if costs[k] == best), key=KIND_ORDER.get)
-    return costs, [Action(k, labels.get(k)) for k in kinds]
+    actions = []
+    for kind in KIND_ORDER:
+        if costs.get(kind) == best:
+            if kind == LEFT_ARC:
+                actions.append(_action(kind, gold.deprels[c.stack[-1]]))
+            elif kind == RIGHT_ARC:
+                actions.append(_action(kind, gold.deprels[c.b]))
+            else:
+                actions.append(_action(kind, None))
+    return costs, actions
 
 
 def static_oracle_derivation(gold: Sentence) -> Derivation:

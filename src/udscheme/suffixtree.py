@@ -1,116 +1,51 @@
-"""Generalized suffix tree over symbol sequences (Ukkonen's construction).
+"""Distinct substrings of a collection of strings, from a generalized suffix
+automaton (Blumer et al. 1985, "The smallest automaton recognizing the
+subwords of a text").
 
-Used to count distinct non-empty substrings across a collection of strings
-in time linear in the total input length. The input strings are joined with
-per-string unique terminator symbols; substrings that would span a
-terminator are excluded from the count.
+One automaton is built over all the strings, each read from the initial
+state, so no terminator symbols are needed. A state v stands for the
+substrings of lengths len(link(v)) + 1 .. len(v) that end at one set of
+positions, and every distinct substring belongs to exactly one state; the
+count is the sum of len(v) - len(link(v)) over the states other than the
+initial one. The construction is linear in the total input length.
 """
 
 from __future__ import annotations
 
 
-class _Node:
-    __slots__ = ("start", "end", "children", "link")
-
-    def __init__(self, start: int, end):
-        # `end` is an int for internal nodes and a shared one-element list
-        # (the global end) for leaves
-        self.start = start
-        self.end = end
-        self.children: dict = {}
-        self.link = None
-
-    def edge_end(self) -> int:
-        return self.end if isinstance(self.end, int) else self.end[0]
-
-    def edge_length(self) -> int:
-        return self.edge_end() - self.start
-
-
-def build_suffix_tree(seq: list) -> _Node:
-    """Ukkonen's online construction; returns the root node."""
-    root = _Node(-1, -1)
-    root.link = root
-    leaf_end = [0]
-    active_node = root
-    active_edge = 0  # index into seq of the active edge's first symbol
-    active_length = 0
-    remaining = 0
-    n = len(seq)
-    for i in range(n):
-        leaf_end[0] = i + 1
-        remaining += 1
-        last_internal = None
-        while remaining > 0:
-            if active_length == 0:
-                active_edge = i
-            first = seq[active_edge]
-            nxt = active_node.children.get(first)
-            if nxt is None:
-                active_node.children[first] = _Node(i, leaf_end)
-                if last_internal is not None:
-                    last_internal.link = active_node
-                    last_internal = None
-            else:
-                edge_len = nxt.edge_length()
-                if active_length >= edge_len:
-                    active_edge += edge_len
-                    active_length -= edge_len
-                    active_node = nxt
-                    continue
-                if seq[nxt.start + active_length] == seq[i]:
-                    active_length += 1
-                    if last_internal is not None:
-                        last_internal.link = active_node
-                    break
-                split = _Node(nxt.start, nxt.start + active_length)
-                active_node.children[first] = split
-                split.children[seq[i]] = _Node(i, leaf_end)
-                nxt.start += active_length
-                split.children[seq[nxt.start]] = nxt
-                if last_internal is not None:
-                    last_internal.link = split
-                last_internal = split
-            remaining -= 1
-            if active_node is root and active_length > 0:
-                active_length -= 1
-                active_edge = i - remaining + 1
-            elif active_node is not root:
-                active_node = active_node.link if active_node.link is not None else root
-    return root
-
-
 def count_distinct_substrings(strings: list) -> int:
     """Distinct non-empty substrings occurring in any of the strings.
 
-    Accepts any sequences of hashable symbols. Terminators contribute
-    nothing: each edge is counted only up to (excluding) its first
-    terminator, and traversal stops there.
-    """
-    seq: list = []
-    terminators = set()
-    for i, s in enumerate(strings):
-        seq.extend(s)
-        term = ("$", i)
-        terminators.add(term)
-        seq.append(term)
-    if not seq:
-        return 0
-    root = build_suffix_tree(seq)
-    # next_term[k] = position of the first terminator at or after k, so each
-    # edge is cut in O(1) and the whole count stays linear
-    n = len(seq)
-    next_term = [n] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        next_term[k] = k if seq[k] in terminators else next_term[k + 1]
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in node.children.values():
-            end = child.edge_end()
-            cut = min(end, next_term[child.start])
-            count += cut - child.start
-            if cut == end:
-                stack.append(child)
-    return count
+    Accepts any sequences of hashable symbols."""
+    # state -> length of its longest substring, its suffix link, its moves
+    length, link, move = [0], [-1], [{}]
+    for s in strings:
+        last = 0
+        for x in s:
+            # where the prefix read so far is already known (a string that
+            # starts like an earlier one), the new state is never reached
+            # and ends with len(v) == len(link(v)), so it adds nothing
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            move.append({})
+            p = last
+            while p != -1 and x not in move[p]:
+                move[p][x] = cur
+                p = link[p]
+            if p != -1:
+                q = move[p][x]
+                if length[q] == length[p] + 1:
+                    link[cur] = q
+                else:
+                    # split q: its shorter substrings get a state of their own
+                    clone = len(length)
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    move.append(dict(move[q]))
+                    while p != -1 and move[p].get(x) == q:
+                        move[p][x] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+    return sum(n - length[v] for n, v in zip(length[1:], link[1:]))

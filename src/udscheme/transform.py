@@ -197,21 +197,30 @@ def apply_transformation(
     t: Transformation,
     noun_labels: frozenset[str] = COPULA_NOUN_LABELS,
 ) -> TransformResult:
-    """Apply one transformation to a corpus and validate every output tree."""
+    """Apply one transformation to a corpus. The output trees are checked
+    once, where they are used: by `write_conllu`, or by `check_trees`, which
+    `udscheme transform` and the harness run before writing, training on or
+    measuring a transformed split."""
     out: list[Sentence] = []
     changed = False
     rewritten = repairs = 0
-    for idx, s in enumerate(sentences):
+    for s in sentences:
         new, r, p = _dispatch(s, t, noun_labels)
-        report = validate_tree(new)
-        if not report.ok:
-            raise TransformError(
-                "sentence %d: %s left an invalid tree: %s"
-                % (idx, t.value, report.violations[0][2])
-            )
         if not new.same_tree(s):
             changed = True
         rewritten += r
         repairs += p
         out.append(new)
     return TransformResult(out, changed, rewritten, repairs)
+
+
+def check_trees(sentences: list[Sentence], t: Transformation) -> None:
+    """Raise TransformError at the first sentence, output of `t`, that is not
+    a valid tree."""
+    for idx, s in enumerate(sentences):
+        report = validate_tree(s)
+        if not report.ok:
+            raise TransformError(
+                "sentence %d: %s left an invalid tree: %s"
+                % (idx, t.value, report.violations[0][2])
+            )

@@ -137,37 +137,80 @@ def state_key(c: Configuration, gold_heads: list[int]) -> tuple:
     )
 
 
+def _successor_key(key: tuple, kind: str, gold_heads: list[int]) -> tuple:
+    """The state key after `kind`, computed on the key itself."""
+    stack, b, ok = key
+    if kind == SHIFT:
+        return stack + (b,), b + 1, ok
+    if kind == REDUCE:
+        return stack[:-1], b, ok
+    if kind == LEFT_ARC:
+        s = stack[-1]
+        return stack[:-1], b, ok[:s] + (gold_heads[s] == b,) + ok[s + 1:]
+    return stack + (b,), b + 1, ok[:b] + (gold_heads[b] == stack[-1],) + ok[b + 1:]
+
+
+def _successor(c: Configuration, kind: str) -> Configuration:
+    """A new configuration: c after `kind`. It shares with c the child lists
+    that `apply_action` leaves alone (all but the one an arc action adds
+    to), so no one may change them in place."""
+    new = object.__new__(Configuration)
+    new.n, new.b = c.n, c.b
+    new.stack, new.stacked = c.stack[:], c.stacked[:]
+    new.head, new.label = c.head[:], c.label[:]
+    new.lefts, new.rights = c.lefts[:], c.rights[:]
+    if kind == LEFT_ARC:
+        new.lefts[c.b] = c.lefts[c.b][:]
+    elif kind == RIGHT_ARC:
+        new.rights[c.stack[-1]] = c.rights[c.stack[-1]][:]
+    apply_action(new, UNLABELED[kind])
+    return new
+
+
+def _correct_mask(key: tuple) -> int:
+    """The tokens whose built arc is the gold one, as a bit set."""
+    return sum(1 << d for d, ok in enumerate(key[2]) if ok)
+
+
 class ConfigGraph:
     """Every configuration reachable from the initial one of a sentence,
     deduplicated by `state_key`, with the successor of each valid kind: the
     search space the brute-force oracles expand exhaustively."""
 
     def __init__(self, s: Sentence):
-        self.gold_heads = s.heads()
-        # state key -> (configuration, {kind: successor's state key})
-        self.nodes: dict[tuple, tuple[Configuration, dict[str, tuple]]] = {}
+        gold_heads = self.gold_heads = s.heads()
+        # state key -> (configuration, {kind: successor's state key}); a
+        # successor's key is derived from its predecessor's, and its
+        # configuration is built only the first time the key is reached
         c = initial_config(s)
-        todo = [(state_key(c, self.gold_heads), c)]
+        key = state_key(c, gold_heads)
+        self.nodes: dict[tuple, tuple[Configuration, dict[str, tuple]]] = {key: (c, {})}
+        todo = [key]
         while todo:
-            key, c = todo.pop()
-            if key in self.nodes:
-                continue
-            succ = {}
+            key = todo.pop()
+            c, succ = self.nodes[key]
             for k in valid_actions(c):
-                c2 = copy_config(c)
-                apply_action(c2, UNLABELED[k])
-                succ[k] = state_key(c2, self.gold_heads)
-                todo.append((succ[k], c2))
-            self.nodes[key] = (c, succ)
+                key2 = succ[k] = _successor_key(key, k, gold_heads)
+                if key2 not in self.nodes:
+                    self.nodes[key2] = (_successor(c, k), {})
+                    todo.append(key2)
+        # gold dependents whose arc appears in some configuration reachable
+        # from each one, as a bit set. Every action raises 2 * b - len(stack)
+        # by one, so visiting the keys by that measure, highest first, visits
+        # each successor before its predecessors.
+        self._reach: dict[tuple, int] = {}
+        for key in sorted(self.nodes, key=lambda k: len(k[0]) - 2 * k[1]):
+            mask = _correct_mask(key)
+            for key2 in self.nodes[key][1].values():
+                mask |= self._reach[key2]
+            self._reach[key] = mask
         self._joint: dict[tuple, int] = {}
-        self._per_arc: dict[tuple, frozenset] = {}
 
     def configs(self):
-        """(state key, configuration) pairs, each configuration once."""
+        """(state key, configuration) pairs, each configuration once. The
+        configurations share child lists (see `_successor`): read them, do
+        not advance them."""
         return ((key, c) for key, (c, _) in self.nodes.items())
-
-    def _correct(self, key) -> set[int]:
-        return {d for d, ok in enumerate(key[2]) if ok}
 
     def max_reachable(self, key) -> int:
         """Max gold arcs obtainable jointly from the configuration, by
@@ -175,7 +218,7 @@ class ConfigGraph:
         if key not in self._joint:
             succ = self.nodes[key][1]
             if not succ:
-                self._joint[key] = len(self._correct(key))
+                self._joint[key] = _correct_mask(key).bit_count()
             else:
                 self._joint[key] = max(self.max_reachable(k2) for k2 in succ.values())
         return self._joint[key]
@@ -183,12 +226,8 @@ class ConfigGraph:
     def reachable_gold(self, key) -> frozenset:
         """Gold dependents whose arc appears in some configuration reachable
         from the configuration (each arc checked independently)."""
-        if key not in self._per_arc:
-            acc = self._correct(key)
-            for k2 in self.nodes[key][1].values():
-                acc |= self.reachable_gold(k2)
-            self._per_arc[key] = frozenset(acc)
-        return self._per_arc[key]
+        mask = self._reach[key]
+        return frozenset(d for d in range(mask.bit_length()) if mask >> d & 1)
 
     def action_cost(self, key, kind: str) -> int:
         """Drop in the jointly obtainable gold arcs by taking `kind`."""
@@ -196,8 +235,8 @@ class ConfigGraph:
 
     def arc_cost(self, key, kind: str) -> int:
         """Gold arcs no longer individually reachable after taking `kind`."""
-        after = self.reachable_gold(self.nodes[key][1][kind])
-        return len(self.reachable_gold(key)) - len(after)
+        after = self._reach[self.nodes[key][1][kind]]
+        return self._reach[key].bit_count() - after.bit_count()
 
 
 def replay_arcs(s: Sentence, d: Derivation) -> list[tuple[int, int, str]]:
@@ -467,6 +506,116 @@ def brute_force_substring_count(strings) -> int:
             for j in range(i + 1, len(t) + 1):
                 subs.add(t[i:j])
     return len(subs)
+
+
+# ---- Ukkonen's generalized suffix tree, which the suffix automaton in
+# `udscheme.suffixtree` replaced: the linear-time reference it must match
+
+
+class _SuffixNode:
+    __slots__ = ("start", "end", "children", "link")
+
+    def __init__(self, start: int, end):
+        # `end` is an int for internal nodes and a shared one-element list
+        # (the global end) for leaves
+        self.start = start
+        self.end = end
+        self.children: dict = {}
+        self.link = None
+
+    def edge_end(self) -> int:
+        return self.end if isinstance(self.end, int) else self.end[0]
+
+    def edge_length(self) -> int:
+        return self.edge_end() - self.start
+
+
+def _ukkonen_tree(seq: list) -> _SuffixNode:
+    """Ukkonen's online construction; returns the root node."""
+    root = _SuffixNode(-1, -1)
+    root.link = root
+    leaf_end = [0]
+    active_node = root
+    active_edge = 0  # index into seq of the active edge's first symbol
+    active_length = 0
+    remaining = 0
+    n = len(seq)
+    for i in range(n):
+        leaf_end[0] = i + 1
+        remaining += 1
+        last_internal = None
+        while remaining > 0:
+            if active_length == 0:
+                active_edge = i
+            first = seq[active_edge]
+            nxt = active_node.children.get(first)
+            if nxt is None:
+                active_node.children[first] = _SuffixNode(i, leaf_end)
+                if last_internal is not None:
+                    last_internal.link = active_node
+                    last_internal = None
+            else:
+                edge_len = nxt.edge_length()
+                if active_length >= edge_len:
+                    active_edge += edge_len
+                    active_length -= edge_len
+                    active_node = nxt
+                    continue
+                if seq[nxt.start + active_length] == seq[i]:
+                    active_length += 1
+                    if last_internal is not None:
+                        last_internal.link = active_node
+                    break
+                split = _SuffixNode(nxt.start, nxt.start + active_length)
+                active_node.children[first] = split
+                split.children[seq[i]] = _SuffixNode(i, leaf_end)
+                nxt.start += active_length
+                split.children[seq[nxt.start]] = nxt
+                if last_internal is not None:
+                    last_internal.link = split
+                last_internal = split
+            remaining -= 1
+            if active_node is root and active_length > 0:
+                active_length -= 1
+                active_edge = i - remaining + 1
+            elif active_node is not root:
+                active_node = active_node.link if active_node.link is not None else root
+    return root
+
+
+def ref_count_distinct_substrings(strings: list) -> int:
+    """Distinct non-empty substrings occurring in any of the strings, from
+    a generalized suffix tree over the strings joined with per-string
+    terminator symbols. Terminators contribute nothing: each edge is counted
+    only up to (excluding) its first terminator, and traversal stops there.
+    """
+    seq: list = []
+    terminators = set()
+    for i, s in enumerate(strings):
+        seq.extend(s)
+        term = ("$", i)
+        terminators.add(term)
+        seq.append(term)
+    if not seq:
+        return 0
+    root = _ukkonen_tree(seq)
+    # next_term[k] = position of the first terminator at or after k, so each
+    # edge is cut in O(1) and the whole count stays linear
+    n = len(seq)
+    next_term = [n] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        next_term[k] = k if seq[k] in terminators else next_term[k + 1]
+    count = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children.values():
+            end = child.edge_end()
+            cut = min(end, next_term[child.start])
+            count += cut - child.start
+            if cut == end:
+                stack.append(child)
+    return count
 
 
 class ReferenceAveragedWeights:

@@ -7,6 +7,7 @@ from udscheme.parsing import transitions
 from udscheme.parsing.features import extract_features
 from udscheme.parsing.perceptron import Hyperparameters, train
 from udscheme.parsing.transitions import (
+    KIND_ORDER,
     Action,
     Gold,
     LEFT_ARC,
@@ -25,6 +26,7 @@ from udscheme.parsing.transitions import (
 from helpers import (
     ConfigGraph,
     all_trees,
+    copy_config,
     make_sentence,
     random_projective_tree,
     random_tree,
@@ -136,6 +138,8 @@ def test_cost_matches_bruteforce_exhaustive_small():
             s = make_sentence(heads)
             graph = ConfigGraph(s)
             for key, c in graph.configs():
+                # the graph derives each key from its predecessor's
+                assert state_key(c, s.heads()) == key
                 for kind in valid_actions(c):
                     assert kind_costs(c, Gold(s))[kind] == graph.arc_cost(key, kind), (heads, c, kind)
 
@@ -269,3 +273,71 @@ def test_check_lost_catches_wrong_costs(monkeypatch):
         static_oracle_derivation(s)
     with pytest.raises(RuntimeError, match="oracle costs sum to"):
         train([s], None, Hyperparameters(epochs=1), seed=1)
+
+
+def _snapshot(c):
+    return (c.stack[:], c.b, c.head[:], c.label[:], c.stacked[:],
+            [k[:] for k in c.lefts], [k[:] for k in c.rights])
+
+
+def test_apply_refuses_exactly_the_invalid_kinds_on_random_paths():
+    # every kind at every configuration of random valid paths over random
+    # projective and non-projective trees: apply_action raises ValueError
+    # exactly when the kind is not in valid_actions(c) (which must agree
+    # with the functional reference), and a refused action changes nothing
+    rng = random.Random(1111)
+    checks = 0
+    for i in range(200):
+        s = _random_sentence(rng, rng.randint(1, 30), projective=i % 2 == 0)
+        c, r = initial_config(s), ref_initial(s)
+        while True:
+            valid = valid_actions(c)
+            assert valid == ref_valid_actions(r)
+            for kind in KIND_ORDER:
+                a = Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, rng.choice(LABELS))
+                c2 = copy_config(c)
+                before = _snapshot(c2)
+                if kind in valid:
+                    apply_action(c2, a)
+                    r2 = ref_apply(r, a)
+                    assert (c2.stack, tuple(c2.buffer), sorted(c2.arcs)) == (
+                        list(r2.stack), r2.buffer, sorted(r2.arcs)
+                    )
+                else:
+                    with pytest.raises(ValueError, match="is not valid in"):
+                        apply_action(c2, a)
+                    assert _snapshot(c2) == before
+                checks += 1
+            if not valid:
+                break
+            kind = rng.choice(sorted(valid))
+            a = Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, rng.choice(LABELS))
+            apply_action(c, a)
+            r = ref_apply(r, a)
+    with pytest.raises(ValueError, match="is not valid in"):
+        apply_action(initial_config(THE_BOOK), Action("UNKNOWN"))
+    assert checks > 15_000
+
+
+def test_oracle_step_returns_the_same_action_objects():
+    # two consecutive steps (and a step with a new Gold of the same
+    # sentence) return the very same objects, equal to freshly built ones
+    rng = random.Random(2222)
+    for i in range(100):
+        s = _random_sentence(rng, rng.randint(1, 30), projective=i % 2 == 0)
+        gold = Gold(s)
+        c = initial_config(s)
+        while c.b <= c.n:
+            costs, first = oracle_step(c, gold)
+            again_costs, again = oracle_step(c, gold)
+            _, other_gold = oracle_step(c, Gold(s))
+            assert again_costs == costs
+            assert len(first) == len(again) == len(other_gold) >= 1
+            for a, b, o in zip(first, again, other_gold):
+                assert a is b and a is o
+            labels = {LEFT_ARC: gold.deprels[c.stack[-1]], RIGHT_ARC: gold.deprels[c.b]}
+            assert first == [Action(a.kind, labels.get(a.kind)) for a in first]
+            assert [a.kind for a in first] == sorted(
+                (k for k in costs if costs[k] == min(costs.values())), key=KIND_ORDER.get
+            )
+            apply_action(c, rng.choice(first))
