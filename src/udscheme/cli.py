@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .conllu import format_conllu, read_conllu_file, write_atomic
+from .conllu import Sentence, check_read_trees, format_conllu, read_conllu_file, write_atomic
 from .evaluate import corpus_score
 from .harness import emit_reports, load_config, run_experiment
 from .metrics import compute_report, metric_dict
@@ -43,9 +43,16 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+def _read_trees(path: str) -> list[Sentence]:
+    """The sentences of a CoNLL-U file, each checked to be a tree."""
+    sentences = read_conllu_file(path)
+    check_read_trees(path, sentences)
+    return sentences
+
+
 def _cmd_train(args) -> int:
-    train_set = read_conllu_file(args.train)
-    dev_set = read_conllu_file(args.dev) if args.dev else None
+    train_set = _read_trees(args.train)
+    dev_set = _read_trees(args.dev) if args.dev else None
     hp = Hyperparameters(
         epochs=args.epochs, explore_k=args.explore_k, explore_p=args.explore_p
     )
@@ -64,7 +71,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    corpus = read_conllu_file(args.input)
+    corpus = _read_trees(args.input)
     report = compute_report(
         corpus,
         corpus_id=args.input,

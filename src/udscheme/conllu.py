@@ -202,19 +202,56 @@ def format_conllu(sentences: list[Sentence]) -> str:
 def read_conllu_file(path: str) -> list[Sentence]:
     """Read and parse a UTF-8 CoNLL-U file, taking \\r\\n and \\r as line
     breaks like text mode does. A ConlluError names the file; bytes that are
-    not UTF-8 raise one at the line of the first of them."""
-    with open(path, "rb") as f:
-        data = f.read()
+    not UTF-8 raise one at the line of the first of them. The trees are not
+    checked: `check_read_trees` does that where they are first used."""
     try:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line = data.count(b"\n", 0, e.start) + 1
-            raise ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start]) from None
-        return parse_conllu(text.replace("\r\n", "\n").replace("\r", "\n"))
+        return parse_conllu(_read_text(path))
     except ConlluError as e:
         e.path = path
         raise
+
+
+def _read_text(path: str) -> str:
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start]) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def check_read_trees(path: str, sentences: list[Sentence]) -> None:
+    """Raise a ConlluError naming `path` and a line at the first of the
+    sentences `read_conllu_file(path)` returned that is not a valid tree:
+    the line of the token its first violation names (of its first token
+    when none is named). Only then is the file read again, for that line."""
+    for idx, s in enumerate(sentences):
+        report = validate_tree(s)
+        if not report.ok:
+            tid, _, message = report.violations[0]
+            e = ConlluError(_token_line_no(path, idx, tid or 1), message)
+            e.path = path
+            raise e
+
+
+def _token_line_no(path: str, sentence_idx: int, tid: int) -> int:
+    """The line of token `tid` of sentence `sentence_idx` in a file that
+    `read_conllu_file` reads without error: each sentence is one block of
+    non-empty lines, and every such block is a sentence."""
+    sentence = -1
+    in_block = False
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        if line == "":
+            in_block = False
+            continue
+        if not in_block:
+            in_block = True
+            sentence += 1
+        if sentence == sentence_idx and line.split("\t", 1)[0] == str(tid):
+            return line_no
+    raise ValueError("%s: sentence %d has no token %d" % (path, sentence_idx, tid))
 
 
 def write_conllu_file(path: str, sentences: list[Sentence]) -> None:

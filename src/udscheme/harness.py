@@ -6,6 +6,9 @@ parsed and scored on the scheme's own test split, and the scheme's training
 split is measured. A transformation that changes no split is excluded and
 trains nothing. A failing scheme is recorded and the rest of the grid runs;
 a failing UD scheme skips its treebank, whose cells are compared against it.
+A treebank's read trees are checked once, at its first cache miss (so a
+cached rerun checks none); a split with a tree that is not valid is recorded
+against the treebank and skips the rest of it.
 
 Each scheme's result is one JSON cache entry under <output_dir>/cache, named
 by a sha256 of the bytes of the three splits, the hyperparameters, the seed
@@ -31,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .conllu import read_conllu_file, write_atomic
+from .conllu import ConlluError, check_read_trees, read_conllu_file, write_atomic
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
@@ -210,6 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             report.errors.append((tb.language, "*", str(e)))
             continue
         memo: dict[str, int] = {}  # feature hashes, for this treebank only
+        checked = False  # whether the splits' trees have been checked
 
         for transfo in [None, *cfg.transformations]:
             scheme = "ud" if transfo is None else transfo.value
@@ -218,6 +222,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
             entry = cache.get(key, lambda value: _is_entry(value, transfo, cfg.seeds))
             if entry is None:
+                if not checked:
+                    try:
+                        for p, c in zip(paths, corpora):
+                            check_read_trees(p, c)
+                    except ConlluError as e:
+                        report.errors.append((tb.language, "*", str(e)))
+                        break
+                    checked = True
                 try:
                     entry = _run_scheme(tb.language, transfo, corpora, cfg, report, memo)
                 except Exception as e:

@@ -1,12 +1,20 @@
 """Averaged perceptron for greedy arc-eager parsing.
 
-Feature strings are hashed to 64-bit keys (FNV-1a); collisions are accepted.
+Training is keyed by feature string: the raw weights, their averaging sums
+and each epoch's averaged snapshot map a feature string to its row, and the
+dev set is decoded with the strings as they are. The model `train()` returns
+is hashed once, when it is frozen: each row is re-keyed by the 64-bit FNV-1a
+hash of its string, and the rows of strings that share a hash are summed
+into one, in the order their features were first updated. A saved or loaded
+model, and `parse()` on it, hash the features of every step.
+
 Hashes are memoized in a plain dict that maps a string to its hash, so
-sharing one never changes a result. `train()` and `parse()` take an optional
-memo from their caller (the experiment harness passes one per treebank to
-all of that treebank's trainings and parses). Without one, `train()` shares
-a memo across all its steps and dev-set decodes (which call `parse()`), and
-each `parse()` call starts a fresh one. Nothing is cached at module level.
+sharing one never changes a result; it serves decoding (and the one
+re-keying per training) only. `train()` and `parse()` take an optional memo
+from their caller (the experiment harness passes one per treebank to all of
+that treebank's trainings and parses); without one, each call starts a fresh
+one. Nothing is cached at module level.
+
 Training follows the dynamic-oracle recipe: predict with the current weights,
 update toward the best zero-cost action whenever the prediction has non-zero
 cost, and after the first `explore_k` epochs follow the model's own
@@ -70,8 +78,11 @@ class Hyperparameters:
 @dataclass
 class Model:
     labels: list[str]
-    # feature hash -> {action index -> weight}: averaged once trained, raw while training
-    weights: dict[int, dict[int, float]] = field(default_factory=dict)
+    # feature key -> {action index -> weight}: averaged once trained, raw while
+    # training. A key is the feature string's fnv1a64 hash, or, in the models
+    # that training scores and decodes its dev set with, the string itself.
+    weights: dict = field(default_factory=dict)
+    hashed: bool = True
 
     def __post_init__(self):
         self.actions = _action_inventory(self.labels)
@@ -101,45 +112,55 @@ def _action_inventory(labels: list[str]) -> list[Action]:
 class _AveragedWeights:
     """Perceptron weights with lazy averaging over update steps.
 
-    Each map is feature hash -> {action index -> value}: `w` holds the raw
-    weights (the rows `Model.score` reads during training), `total` the
-    weight summed over the steps before `stamp`, the step of its last change.
+    Each map is feature -> {action index -> value}. `w` holds the raw
+    weights, the rows `Model.score` reads during training; an entry that
+    returns to 0.0 is deleted, and so is a row left empty. `acc` holds, for
+    every entry ever changed, the sum of each change times the number of
+    steps before the one it was made in, so the average over `updates` steps
+    is `(w * updates - acc) / updates`. Raw weights are sums of +-1.0 and
+    steps are integers, so the numerator is the exact sum of the weight over
+    all steps, an integer in a float, and the average its rounded quotient.
     """
 
     def __init__(self):
-        self.w: dict[int, dict[int, float]] = {}
-        self.total: dict[int, dict[int, float]] = {}
-        self.stamp: dict[int, dict[int, int]] = {}
+        self.w: dict[str, dict[int, float]] = {}
+        self.acc: dict[str, dict[int, float]] = {}
         self.updates = 0
 
-    def update(self, feats: list[int], good: int, bad: int) -> None:
+    def update(self, feats: list[str], good: int, bad: int) -> None:
         """Add +1 to (f, good), then -1 to (f, bad), for each f in order.
         Called after `updates` has been advanced to the current step."""
-        prev = self.updates - 1
+        step = self.updates - 1  # the new weight counts from the current step on
+        raw, acc = self.w, self.acc
         deltas = ((good, 1.0), (bad, -1.0))
         for f in feats:
-            w = self.w.get(f)
+            w = raw.get(f)
             if w is None:
-                w = self.w[f] = {}
-                total = self.total[f] = {}
-                stamp = self.stamp[f] = {}
-            else:
-                total = self.total[f]
-                stamp = self.stamp[f]
+                w = raw[f] = {}
+            sums = acc.get(f)
+            if sums is None:
+                sums = acc[f] = {}
             for a, delta in deltas:
-                cur = w.get(a, 0.0)
-                total[a] = total.get(a, 0.0) + cur * (prev - stamp.get(a, 0))
-                stamp[a] = prev
-                w[a] = cur + delta
+                cur = w.get(a, 0.0) + delta
+                if cur:
+                    w[a] = cur
+                else:
+                    del w[a]
+                sums[a] = sums.get(a, 0.0) + delta * step
+            if not w:
+                del raw[f]
 
-    def averaged(self) -> dict[int, dict[int, float]]:
+    def averaged(self) -> dict[str, dict[int, float]]:
+        """The averaged weights without zero entries or empty rows, rows and
+        entries in the order they were first changed."""
         u = self.updates
-        out: dict[int, dict[int, float]] = {}
-        for f, w in self.w.items():
-            total, stamp = self.total[f], self.stamp[f]
+        out: dict[str, dict[int, float]] = {}
+        empty: dict[int, float] = {}
+        for f, sums in self.acc.items():
+            w = self.w.get(f, empty)
             row = {}
-            for a, cur in w.items():
-                avg = (total[a] + cur * (u - stamp[a])) / u if u else cur
+            for a, s in sums.items():
+                avg = (w.get(a, 0.0) * u - s) / u
                 if avg != 0.0:
                     row[a] = avg
             if row:
@@ -157,7 +178,8 @@ def _argmax(scores: list[float], allowed: list[int]) -> int:
 
 def _allowed_indices(model: Model, kinds: Set[str]) -> list[int]:
     """Indices of the actions of the given kinds, in inventory order; one
-    shared list per set of kinds, which callers must not change."""
+    shared list per set of kinds, which callers must not change. The sets
+    `valid_actions` returns are frozensets already, so they key it as they are."""
     key = frozenset(kinds)
     allowed = model._allowed.get(key)
     if allowed is None:
@@ -165,6 +187,22 @@ def _allowed_indices(model: Model, kinds: Set[str]) -> list[int]:
             i for i, a in enumerate(model.actions) if a.kind in key
         ]
     return allowed
+
+
+def _hash_rows(
+    weights: dict[str, dict[int, float]], memo: dict[str, int]
+) -> dict[int, dict[int, float]]:
+    """The rows re-keyed by the fnv1a64 hash of their feature string. Rows
+    whose strings share a hash are summed into one, in `weights` order."""
+    out: dict[int, dict[int, float]] = {}
+    for h, row in zip(_hash_features(list(weights), memo), weights.values()):
+        have = out.get(h)
+        if have is None:
+            out[h] = dict(row)
+        else:
+            for a, w in row.items():
+                have[a] = have.get(a, 0.0) + w
+    return out
 
 
 def train(
@@ -175,8 +213,9 @@ def train(
     memo: dict[str, int] | None = None,
 ) -> Model:
     """Train an arc-eager model; returns averaged weights (best dev-UAS epoch
-    snapshot when a dev set is given). `memo` is a feature-hash memo to read
-    and fill (a fresh one when None)."""
+    snapshot when a dev set is given). Training is keyed by feature string;
+    the returned model is keyed by hash, through `memo`, a feature-hash memo
+    to read and fill (a fresh one when None)."""
     if not train_set:
         raise ValueError("empty training set")
     if hp.epochs < 1:
@@ -186,17 +225,15 @@ def train(
         raise ValueError("empty label inventory")
     acc = _AveragedWeights()
     # training scores the raw weights; the averaged ones replace them at the end
-    model = Model(labels=labels, weights=acc.w)
+    model = Model(labels=labels, weights=acc.w, hashed=False)
     actions, index = model.actions, model._index
-    if memo is None:
-        memo = {}
     golds = [Gold(s) for s in train_set]
     rng = random.Random(seed)
     # a dev set without scorable tokens scores 0 every epoch: epoch 1 is kept
     dev_scorable = any(t.upos != "PUNCT" for s in dev_set or () for t in s.tokens)
 
     best_dev = -1.0
-    best_weights: dict[int, dict[int, float]] | None = None
+    best_weights: dict[str, dict[int, float]] | None = None
     order = list(range(len(train_set)))
     for epoch in range(1, hp.epochs + 1):
         rng.shuffle(order)
@@ -209,8 +246,8 @@ def train(
                 # so converged passes keep weighting the final weights in
                 acc.updates += 1
                 costs, oracle_actions = oracle_step(c, gold)
-                feats = _hash_features(extract_features(c, sent), memo)
-                allowed = _allowed_indices(model, costs.keys())
+                feats = extract_features(c, sent)
+                allowed = _allowed_indices(model, valid_actions(c))
                 scores = model.score(feats)
                 pred_i = _argmax(scores, allowed)
                 oracle_i = _argmax(scores, [index[a] for a in oracle_actions])
@@ -227,21 +264,23 @@ def train(
             snapshot = acc.averaged()
             dev_uas = 0.0
             if dev_scorable:
-                dev_model = Model(labels=labels, weights=snapshot)
-                predicted = [parse(dev_model, s, memo) for s in dev_set]
+                dev_model = Model(labels=labels, weights=snapshot, hashed=False)
+                predicted = [parse(dev_model, s) for s in dev_set]
                 dev_uas = corpus_uas(dev_set, predicted)
             if dev_uas > best_dev:
                 best_dev = dev_uas
                 best_weights = snapshot
-    model.weights = best_weights if best_weights is not None else acc.averaged()
-    return model
+    if best_weights is None:
+        best_weights = acc.averaged()
+    return Model(labels=labels, weights=_hash_rows(best_weights, {} if memo is None else memo))
 
 
 def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sentence:
     """Greedy decoding. The output is always a valid single-rooted tree:
     at most one arc leaves the artificial root during decoding, and any
-    token left headless is attached afterwards. `memo` is a feature-hash
-    memo to read and fill (a fresh one when None)."""
+    token left headless is attached afterwards. A hashed model's features
+    are hashed through `memo`, a feature-hash memo to read and fill (a fresh
+    one when None); a string-keyed model reads the strings as they are."""
     if memo is None:
         memo = {}
     c = initial_config(s)
@@ -252,7 +291,9 @@ def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sent
         # further right-arcs from the root (SHIFT is always available here)
         if c.stack[-1] == 0 and c.rights[0]:
             kinds = kinds - {RIGHT_ARC} or kinds
-        feats = _hash_features(extract_features(c, s), memo)
+        feats = extract_features(c, s)
+        if model.hashed:
+            feats = _hash_features(feats, memo)
         allowed = _allowed_indices(model, kinds)
         scores = model.score(feats)
         apply_action(c, model.actions[_argmax(scores, allowed)])

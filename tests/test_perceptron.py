@@ -55,27 +55,75 @@ def test_lazy_averaging_matches_naive_snapshots():
             assert abs(got - expect) < 1e-9, (f, a)
 
 
+def _nonzero_rows(ref: ReferenceAveragedWeights) -> dict:
+    """The reference's raw weights as rows, without zero entries or empty rows."""
+    rows: dict = {}
+    for (f, a), w in ref.w.items():
+        if w != 0.0:
+            rows.setdefault(f, {})[a] = w
+    return rows
+
+
+def _assert_same_store(acc: _AveragedWeights, ref: ReferenceAveragedWeights) -> None:
+    assert acc.w == _nonzero_rows(ref)
+    averaged, expected = acc.averaged(), ref.averaged()
+    assert averaged == expected
+    # rows in the order their feature was first changed, entries in the order
+    # they were first changed: the order a hash collision's rows are summed in
+    first_changed: dict = {}
+    for f, a in ref.w:  # the reference keeps every entry, in first-change order
+        first_changed.setdefault(f, []).append(a)
+    assert [(f, list(row)) for f, row in averaged.items()] == [
+        (f, [a for a in actions if a in expected[f]])
+        for f, actions in first_changed.items()
+        if f in expected
+    ]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_row_store_matches_tuple_keyed_reference(seed):
     rng = random.Random(seed)
     acc = _AveragedWeights()
     ref = ReferenceAveragedWeights()
+    same_action = changed_from_zero = 0
     for step in range(400):
         acc.updates += 1
         ref.updates += 1
         if rng.random() < 0.6:  # steps without an update still tick the clock
-            feats = [rng.randrange(12) for _ in range(rng.randint(1, 6))]
+            feats = ["f%d" % rng.randrange(12) for _ in range(rng.randint(1, 6))]
             feats.insert(rng.randrange(len(feats) + 1), rng.choice(feats))
             good, bad = rng.randrange(4), rng.randrange(4)
+            same_action += good == bad
+            # entries that were changed before and are back at 0.0
+            changed_from_zero += sum(
+                ref.w.get((f, a)) == 0.0 for f in set(feats) for a in {good, bad}
+            )
             acc.update(feats, good, bad)
             ref.update(feats, good, bad)
         if step % 50 == 0:
-            assert acc.averaged() == ref.averaged()
-    assert acc.averaged() == ref.averaged()
-    raw: dict = {}
-    for (f, a), w in ref.w.items():
-        raw.setdefault(f, {})[a] = w
-    assert acc.w == raw
+            _assert_same_store(acc, ref)
+    _assert_same_store(acc, ref)
+    assert same_action > 0 and changed_from_zero > 0
+
+
+def test_entry_back_at_zero_is_deleted_and_still_averaged():
+    acc = _AveragedWeights()
+    ref = ReferenceAveragedWeights()
+    for good, bad, raw in [
+        (0, 1, {"x": {0: 1.0, 1: -1.0}}),
+        (1, 0, {}),  # both entries back at 0.0: deleted, and the empty row too
+        (2, 2, {}),  # good == bad changes nothing
+        (None, None, {}),  # a step without an update
+        (0, 2, {"x": {0: 1.0, 2: -1.0}}),  # an entry deleted before changes again
+    ]:
+        acc.updates += 1
+        ref.updates += 1
+        if good is not None:
+            acc.update(["x"], good, bad)
+            ref.update(["x"], good, bad)
+        assert acc.w == raw
+        _assert_same_store(acc, ref)
+    assert acc.averaged() == {"x": {0: 0.4, 1: -0.2, 2: -0.2}}
 
 
 def test_memoized_hashing_equals_direct_hashing(monkeypatch):
@@ -137,6 +185,53 @@ def test_parse_with_a_memo_reads_and_fills_it(monkeypatch):
     assert len(calls) == len(memo) > 0
     assert parse(model, corpus[0], memo) == out == parse(model, corpus[0])
     assert len(calls) == 2 * len(memo)  # only the memo-less call hashed again
+
+
+def counting_hashes(monkeypatch) -> list:
+    """Record every string perceptron.fnv1a64 hashes."""
+    calls = []
+    original = perceptron.fnv1a64
+    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
+    return calls
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_training_hashes_each_feature_of_the_model_once(monkeypatch, memo):
+    # training and its dev decodes are keyed by string: only the returned
+    # model is hashed, one call per feature it keeps
+    corpus, dev = synth_corpus(12), synth_corpus(5, seed=999)
+    calls = counting_hashes(monkeypatch)
+    model = train(corpus, dev, Hyperparameters(epochs=3), seed=2, memo=memo)
+    assert len(calls) == len(set(calls)) == len(model.weights) > 0
+    assert memo is None or list(memo) == calls
+
+
+def test_features_sharing_a_hash_have_their_rows_summed(monkeypatch):
+    corpus, dev = synth_corpus(12), synth_corpus(5, seed=999)
+    hp = Hyperparameters(epochs=2)
+    memo: dict = {}
+    plain = train(corpus, dev, hp, seed=2, memo=memo)
+    strings = list(memo)  # the model's features, in the order its rows were made
+    rows = [plain.weights[memo[x]] for x in strings]
+    # the first later feature whose row shares an action with the first row
+    j = next(j for j in range(1, len(rows)) if rows[0].keys() & rows[j].keys())
+    first, later = strings[0], strings[j]
+
+    original = perceptron.fnv1a64
+    monkeypatch.setattr(
+        perceptron, "fnv1a64", lambda x: original(first if x == later else x)
+    )
+    collided = train(corpus, dev, hp, seed=2)
+    # training is keyed by string, so it is unchanged; the re-keyed model sums
+    # the later row into the earlier one, entry by entry, in row order
+    summed = dict(rows[0])
+    for a, w in rows[j].items():
+        summed[a] = summed.get(a, 0.0) + w
+    expected = {h: row for h, row in plain.weights.items() if h != memo[later]}
+    expected[memo[first]] = summed
+    assert collided.weights == expected
+    assert list(collided.weights[memo[first]].items()) == list(summed.items())
+    assert list(collided.weights) == [h for h in plain.weights if h != memo[later]]
 
 
 def test_allowed_indices_match_the_inventory_scan_for_every_kind_set():

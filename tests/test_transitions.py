@@ -144,6 +144,19 @@ def test_cost_matches_bruteforce_exhaustive_small():
                     assert kind_costs(c, Gold(s))[kind] == graph.arc_cost(key, kind), (heads, c, kind)
 
 
+def test_costed_kinds_are_the_valid_kinds_while_the_buffer_is_not_empty():
+    # training keys its allowed actions on valid_actions(c) in place of the
+    # kinds kind_costs costs; every tree over 1..4 tokens, every reachable
+    # configuration
+    for n in range(1, 5):
+        for heads in all_trees(n):
+            s = make_sentence(heads)
+            gold = Gold(s)
+            for _, c in ConfigGraph(s).configs():
+                if c.b <= c.n:
+                    assert kind_costs(c, gold).keys() == valid_actions(c), (heads, c)
+
+
 def test_reachable_count_matches_bruteforce_joint_max_on_projective():
     # for projective gold the per-arc count equals the jointly achievable max
     rng = random.Random(5)

@@ -1,9 +1,12 @@
 """Every path that writes or trains on a tree checks it exactly once, and
 each of them still refuses a tree that is not valid: the transform-then-write
 path, the harness's transform-then-train path, `parse()` output, and the
-`udscheme transform` and `udscheme parse` commands."""
+`udscheme transform` and `udscheme parse` commands. Trees read from a file
+are checked where they are first used: by `udscheme train`, `udscheme
+metrics` and the harness's first cache miss of a treebank."""
 
 import collections
+import dataclasses
 import os
 import sys
 
@@ -149,11 +152,12 @@ def test_harness_checks_each_transformed_tree_once(tmp_path, monkeypatch):
     report = run_experiment(cfg)
     assert report.errors == [] and report.trainings_executed == 2
     assert checked_once(checked)
-    # the det scheme's splits (8 + 3 + 4) and every parse() output: the dev
-    # set decoded after each of 2 epochs and the test set, for both schemes
-    assert len(checked) == (8 + 3 + 4) + 2 * (2 * 3 + 4)
+    # the splits as read (8 + 3 + 4), the det scheme's splits (8 + 3 + 4) and
+    # every parse() output: the dev set decoded after each of 2 epochs and
+    # the test set, for both schemes
+    assert len(checked) == 2 * (8 + 3 + 4) + 2 * (2 * 3 + 4)
     ids = set(map(id, checked))
-    assert all(id(s) in ids for s in trained[1])
+    assert all(id(s) in ids for s in trained[0] + trained[1])
 
 
 def test_harness_refuses_an_invalid_transformed_tree(tmp_path, monkeypatch):
@@ -164,3 +168,63 @@ def test_harness_refuses_an_invalid_transformed_tree(tmp_path, monkeypatch):
     assert report.errors == [
         ("xx", "det", "sentence 0: det left an invalid tree: token 1 is caught in a head cycle")
     ]
+
+
+# heads 2, 1, 0: tokens 1 and 2 form a head cycle, token 3 is the root
+CYCLE = "".join(
+    "%d\tw%d\t_\tNOUN\t_\t_\t%d\t%s\t_\t_\n" % (i, i, h, "root" if h == 0 else "dep")
+    for i, h in ((1, 2), (2, 1), (3, 0))
+) + "\n"
+# a valid sentence, two blank lines, then a sentence with two roots, tokens 1 and 3
+TWO_ROOTS = (
+    "# sent_id = 1\n1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n\n\n"
+    "# sent_id = 2\n1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+    "3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n\n"
+)
+
+
+def write_text(tmp_path, name, text) -> str:
+    path = str(tmp_path / name)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (CYCLE, 1, "token 1 is caught in a head cycle"),
+        (TWO_ROOTS, 9, "tokens [1, 3] all have head 0"),
+    ],
+)
+def test_train_and_metrics_refuse_a_read_tree_with_line(tmp_path, capsys, text, line, message):
+    bad = write_text(tmp_path, "bad.conllu", text)
+    good = str(tmp_path / "good.conllu")
+    write_conllu_file(good, synth_corpus(5))
+    model_p = str(tmp_path / "model.txt")
+    for argv in (
+        ["metrics", "--input", bad],
+        ["train", "--train", bad, "--model", model_p, "--epochs", "1"],
+        ["train", "--train", good, "--dev", bad, "--model", model_p, "--epochs", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "udscheme: %s:%d: %s\n" % (bad, line, message)
+    assert not os.path.exists(model_p)
+
+
+def test_harness_refuses_a_read_tree_and_checks_only_on_a_miss(tmp_path, monkeypatch):
+    cfg = _grid(tmp_path)
+    checked = count_checks(monkeypatch)
+    assert run_experiment(cfg).errors == []
+    cold = len(checked)
+    # a fully cached rerun checks no tree: none is read for training
+    assert run_experiment(cfg).trainings_executed == 0 and len(checked) == cold
+
+    bad = write_text(tmp_path, "bad.conllu", CYCLE)
+    cfg.treebanks[0] = dataclasses.replace(cfg.treebanks[0], dev=bad)
+    report = run_experiment(cfg)
+    assert report.trainings_executed == 0 and report.rows == []
+    assert report.errors == [("xx", "*", "%s:1: token 1 is caught in a head cycle" % bad)]
