@@ -11,48 +11,28 @@ import argparse
 import json
 import sys
 
-from .conllu import Sentence, check_read_trees, format_conllu, read_conllu_file, write_atomic
+from .conllu import format_conllu, read_conllu_file, read_trees, write_atomic, write_conllu_file
 from .evaluate import corpus_score
 from .harness import emit_reports, load_config, run_experiment
 from .metrics import compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, load_model, parse, save_model, train
-from .transform import COPULA_NOUN_LABELS, Transformation, apply_transformation, check_trees
+from .transform import COPULA_NOUN_LABELS, Transformation, apply_transformation
 
 
 def _cmd_transform(args) -> int:
-    sentences = read_conllu_file(args.input)
-    noun_labels = (
-        frozenset(args.copula_noun_labels.split(","))
-        if args.copula_noun_labels
-        else COPULA_NOUN_LABELS
-    )
-    transformation = Transformation(args.transformation)
-    result = apply_transformation(sentences, transformation, noun_labels)
-    # each tree is checked once, here, so it is written unchecked
-    check_trees(result.sentences, transformation)
-    write_atomic(args.output, format_conllu(result.sentences))
-    print(
-        json.dumps(
-            {
-                "changed": result.changed,
-                "arcs_rewritten": result.arcs_rewritten,
-                "repairs_applied": result.repairs_applied,
-            }
-        )
-    )
+    sentences = read_trees(args.input)
+    labels = args.copula_noun_labels
+    noun_labels = frozenset(labels.split(",")) if labels else COPULA_NOUN_LABELS
+    result = apply_transformation(sentences, Transformation(args.transformation), noun_labels)
+    write_conllu_file(args.output, result.sentences)
+    print(json.dumps({"changed": result.changed, "arcs_rewritten": result.arcs_rewritten,
+                      "repairs_applied": result.repairs_applied}))
     return 0
 
 
-def _read_trees(path: str) -> list[Sentence]:
-    """The sentences of a CoNLL-U file, each checked to be a tree."""
-    sentences = read_conllu_file(path)
-    check_read_trees(path, sentences)
-    return sentences
-
-
 def _cmd_train(args) -> int:
-    train_set = _read_trees(args.train)
-    dev_set = _read_trees(args.dev) if args.dev else None
+    train_set = read_trees(args.train)
+    dev_set = read_trees(args.dev) if args.dev else None
     hp = Hyperparameters(
         epochs=args.epochs, explore_k=args.explore_k, explore_p=args.explore_p
     )
@@ -65,13 +45,12 @@ def _cmd_parse(args) -> int:
     model = load_model(args.model)
     sentences = read_conllu_file(args.input)
     memo: dict[str, int] = {}  # one feature-hash memo for the whole input
-    # parse() checks each tree it returns, so they are written unchecked
     write_atomic(args.output, format_conllu([parse(model, s, memo) for s in sentences]))
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    corpus = _read_trees(args.input)
+    corpus = read_trees(args.input)
     report = compute_report(
         corpus,
         corpus_id=args.input,
@@ -88,7 +67,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    gold = read_conllu_file(args.gold)
+    gold = read_trees(args.gold)
     pred = read_conllu_file(args.pred)
     score, correct, total = corpus_score(gold, pred)
     print(json.dumps({"uas": score, "correct": correct, "total": total}))

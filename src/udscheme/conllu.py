@@ -9,6 +9,19 @@ write round trip reproduces the input byte for byte.
 
 `write_atomic` writes a file aside and renames it into place, so no file is
 left half-written; the model and report writers use it too.
+
+The tree contract lives here. `parse_conllu` checks only the format;
+`validate_tree` checks the tree (ids 1..n, one root, heads in range, no
+self-loop, a label on every non-root arc, no cycle). Each tree is checked
+once, where it is first used, and refused at its first violation:
+- read trees by `check_read_trees`: ConlluError `<path>:<line>: <violation>`.
+  `read_trees` reads and checks gold input for every command; the harness
+  checks at a treebank's first cache miss, so a cached rerun checks none.
+  `udscheme parse` input and `evaluate --pred` are not gold: not checked.
+- produced trees by `check_trees`: ValueError `sentence N is not a valid
+  tree: <violation>`, run by `write_conllu` and on each transformed split.
+- `parse()` checks its own output (RuntimeError). Checked trees are written
+  with `format_conllu`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -108,6 +121,7 @@ def parse_conllu(text: str) -> list[Sentence]:
     tokens: list[Token] = []
     mwt: list[tuple[int, int, str, str]] = []
     token_lines: list[int] = []  # line number per token, for late errors
+    mwt_line = 0  # line number of the last multiword range
 
     def flush(line_no: int) -> None:
         if not tokens and not comments and not mwt:
@@ -115,6 +129,9 @@ def parse_conllu(text: str) -> list[Sentence]:
         if not tokens:
             raise ConlluError(line_no, "sentence block contains no token lines")
         n = len(tokens)
+        if mwt and mwt[-1][1] > n:  # ranges are in order, so the last ends last
+            a, b = mwt[-1][:2]
+            raise ConlluError(mwt_line, "multiword range %d-%d ends past token %d" % (a, b, n))
         for t, ln in zip(tokens, token_lines):
             if not 0 <= t.head <= n:
                 raise ConlluError(ln, "head %d out of range [0, %d]" % (t.head, n))
@@ -141,7 +158,17 @@ def parse_conllu(text: str) -> list[Sentence]:
             a, sep, b = tid.partition("-")
             if not (a.isdigit() and b.isdigit()):
                 raise ConlluError(line_no, "malformed multiword id %r" % tid)
-            mwt.append((int(a), int(b), cols[1], cols[9]))
+            a, b = int(a), int(b)
+            # a range precedes its first token and overlaps no other, so
+            # `format_conllu` writes each line back where it was read
+            if a != len(tokens) + 1:
+                message = "does not start at token %d" % (len(tokens) + 1)
+                raise ConlluError(line_no, "multiword range %r %s" % (tid, message))
+            if a >= b or (mwt and mwt[-1][1] >= a):
+                message = "is shorter than 2 or overlaps another"
+                raise ConlluError(line_no, "multiword range %r %s" % (tid, message))
+            mwt.append((a, b, cols[1], cols[9]))
+            mwt_line = line_no
             continue
         if not tid.isdigit():
             raise ConlluError(line_no, "non-integer token id %r" % tid)
@@ -170,20 +197,24 @@ def parse_conllu(text: str) -> list[Sentence]:
 _token_line = "\t".join(["%s"] * len(Token._fields)).__mod__
 
 
-def write_conllu(sentences: list[Sentence]) -> str:
-    """Serialize sentences back to CoNLL-U. Refuses invalid trees."""
+def check_trees(sentences: list[Sentence]) -> None:
+    """Raise a ValueError at the first sentence that is not a valid tree."""
     for idx, s in enumerate(sentences):
         report = validate_tree(s)
         if not report.ok:
             raise ValueError(
                 "sentence %d is not a valid tree: %s" % (idx, report.violations[0][2])
             )
+
+
+def write_conllu(sentences: list[Sentence]) -> str:
+    """Serialize sentences to CoNLL-U. Refuses invalid trees."""
+    check_trees(sentences)
     return format_conllu(sentences)
 
 
 def format_conllu(sentences: list[Sentence]) -> str:
-    """Serialize sentences whose trees are already checked (by `parse` or
-    `transform.check_trees`) to CoNLL-U; `write_conllu` checks them first."""
+    """Serialize sentences to CoNLL-U without checking their trees."""
     out: list[str] = []
     for s in sentences:
         out.extend(s.comments)
@@ -203,12 +234,19 @@ def read_conllu_file(path: str) -> list[Sentence]:
     """Read and parse a UTF-8 CoNLL-U file, taking \\r\\n and \\r as line
     breaks like text mode does. A ConlluError names the file; bytes that are
     not UTF-8 raise one at the line of the first of them. The trees are not
-    checked: `check_read_trees` does that where they are first used."""
+    checked."""
     try:
         return parse_conllu(_read_text(path))
     except ConlluError as e:
         e.path = path
         raise
+
+
+def read_trees(path: str) -> list[Sentence]:
+    """The sentences of a CoNLL-U file, each checked to be a tree."""
+    sentences = read_conllu_file(path)
+    check_read_trees(path, sentences)
+    return sentences
 
 
 def _read_text(path: str) -> str:

@@ -6,9 +6,8 @@ parsed and scored on the scheme's own test split, and the scheme's training
 split is measured. A transformation that changes no split is excluded and
 trains nothing. A failing scheme is recorded and the rest of the grid runs;
 a failing UD scheme skips its treebank, whose cells are compared against it.
-A treebank's read trees are checked once, at its first cache miss (so a
-cached rerun checks none); a split with a tree that is not valid is recorded
-against the treebank and skips the rest of it.
+A read split with a tree that is not valid (`conllu` says where trees are
+checked) is recorded against the treebank and skips the rest of it.
 
 Each scheme's result is one JSON cache entry under <output_dir>/cache, named
 by a sha256 of the bytes of the three splits, the hyperparameters, the seed
@@ -34,11 +33,11 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .conllu import ConlluError, check_read_trees, read_conllu_file, write_atomic
+from .conllu import ConlluError, check_read_trees, check_trees, read_conllu_file, write_atomic
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
-from .transform import Transformation, apply_transformation, check_trees
+from .transform import Transformation, apply_transformation
 
 COHERENCE_NOTE = (
     "# coherence = the metric's preferred scheme (lower value) is the scheme "
@@ -262,7 +261,7 @@ def _run_scheme(language, transfo, corpora, cfg, report, memo) -> dict:
     if transfo is not None:
         results = [apply_transformation(c, transfo) for c in corpora]
         for r in results:
-            check_trees(r.sentences, transfo)
+            check_trees(r.sentences)
         if not any(r.changed for r in results):
             return {"excluded": True}
         corpora = [r.sentences for r in results]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .conllu import Sentence, validate_tree
+from .conllu import Sentence
 
 
 class Transformation(Enum):
@@ -42,10 +42,6 @@ TRIGGER_LABELS: dict[Transformation, frozenset[str]] = {
 # Children bearing these labels stay on the demoted word in the copula
 # rewrite; everything else moves to the promoted word.
 COPULA_NOUN_LABELS = frozenset({"det", "amod", "nmod", "case", "nummod", "acl", "appos"})
-
-
-class TransformError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,7 @@ def _dispatch(
         return _chain(s, TRIGGER_LABELS[t])
     if t is Transformation.COPULA:
         return _invert(s, TRIGGER_LABELS[t], noun_labels)
-    if t is Transformation.COORDINATION:
-        return _rehead(s)
-    raise TransformError("unknown transformation %r" % t)
+    return _rehead(s)  # Transformation.COORDINATION
 
 
 def apply_transformation(
@@ -197,10 +191,8 @@ def apply_transformation(
     t: Transformation,
     noun_labels: frozenset[str] = COPULA_NOUN_LABELS,
 ) -> TransformResult:
-    """Apply one transformation to a corpus. The output trees are checked
-    once, where they are used: by `write_conllu`, or by `check_trees`, which
-    `udscheme transform` and the harness run before writing, training on or
-    measuring a transformed split."""
+    """Apply one transformation to a corpus. The output trees are not
+    checked (`conllu.check_trees` does that)."""
     out: list[Sentence] = []
     changed = False
     rewritten = repairs = 0
@@ -212,15 +204,3 @@ def apply_transformation(
         repairs += p
         out.append(new)
     return TransformResult(out, changed, rewritten, repairs)
-
-
-def check_trees(sentences: list[Sentence], t: Transformation) -> None:
-    """Raise TransformError at the first sentence, output of `t`, that is not
-    a valid tree."""
-    for idx, s in enumerate(sentences):
-        report = validate_tree(s)
-        if not report.ok:
-            raise TransformError(
-                "sentence %d: %s left an invalid tree: %s"
-                % (idx, t.value, report.violations[0][2])
-            )

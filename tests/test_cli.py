@@ -33,6 +33,21 @@ def test_transform_command(tmp_path, capsys):
     assert len(read_conllu_file(dst)) == 10
 
 
+def test_transform_refuses_a_multiword_line_out_of_place(tmp_path, capsys):
+    src, dst = str(tmp_path / "in.conllu"), str(tmp_path / "out.conllu")
+    with open(src, "w", encoding="utf-8") as f:
+        f.write(
+            "1\tA\t_\tX\t_\t_\t0\troot\t_\t_\n"
+            "5-6\tzz\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n\n"
+        )
+    code = main(["transform", "--input", src, "--output", dst, "--transformation", "det"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "udscheme: %s:2: multiword range '5-6' does not start at token 2\n" % src
+    assert not os.path.exists(dst)
+
+
 def test_transform_copula_label_override(tmp_path, capsys):
     src = str(tmp_path / "in.conllu")
     dst = str(tmp_path / "out.conllu")

@@ -122,6 +122,35 @@ def test_parse_malformed_fails_fast(bad, fragment):
     assert "line" in str(err.value)
 
 
+def mwt_text(*lines: str) -> str:
+    """A sentence block of the given `id form head` lines (a multiword line
+    when its head is `_`)."""
+    rows = []
+    for line in lines:
+        tid, form, head = line.split()
+        rel = "_" if head == "_" else "root" if head == "0" else "dep"
+        rows.append("\t".join((tid, form, "_", "X", "_", "_", head, rel, "_", "_")))
+    return "\n".join(rows) + "\n\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (mwt_text("1 A 0", "5-6 zz _", "2 b 1"), 2, "multiword range '5-6' does not start at token 2"),
+        (mwt_text("1-2 ab _", "1-2 ab _", "1 a 0", "2 b 1"), 2,
+         "multiword range '1-2' is shorter than 2 or overlaps another"),
+        (mwt_text("1-3 abc _", "1 a 0", "2-3 bc _", "2 b 1", "3 c 1"), 3,
+         "multiword range '2-3' is shorter than 2 or overlaps another"),
+        (mwt_text("1-1 a _", "1 a 0"), 1, "multiword range '1-1' is shorter than 2 or overlaps another"),
+        (mwt_text("1 a 0", "2-3 bc _", "2 b 1"), 2, "multiword range 2-3 ends past token 2"),
+    ],
+)
+def test_parse_refuses_a_multiword_line_it_could_not_write_back(text, line, message):
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(text)
+    assert str(err.value) == "line %d: %s" % (line, message)
+
+
 def test_write_refuses_invalid_tree():
     s = make_sentence([2, 1], ["dep", "dep"])  # cycle, no root
     with pytest.raises(ValueError):

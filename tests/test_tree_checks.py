@@ -2,13 +2,13 @@
 each of them still refuses a tree that is not valid: the transform-then-write
 path, the harness's transform-then-train path, `parse()` output, and the
 `udscheme transform` and `udscheme parse` commands. Trees read from a file
-are checked where they are first used: by `udscheme train`, `udscheme
-metrics` and the harness's first cache miss of a treebank."""
+are checked where they are first used: by `udscheme train`, `metrics`,
+`evaluate` (its gold file) and `transform`, and the harness's first cache
+miss of a treebank."""
 
 import collections
 import dataclasses
 import os
-import sys
 
 import pytest
 
@@ -24,8 +24,8 @@ from test_harness import write_config, write_treebank
 
 
 def count_checks(monkeypatch) -> list:
-    """Wrap validate_tree wherever udscheme binds it; returns the list of
-    sentences it is called on (kept alive, so their ids stay distinct)."""
+    """Wrap validate_tree in the two modules that call it; returns the list
+    of sentences it is called on (kept alive, so their ids stay distinct)."""
     checked = []
     real = conllu.validate_tree
 
@@ -33,9 +33,8 @@ def count_checks(monkeypatch) -> list:
         checked.append(s)
         return real(s)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("udscheme") and getattr(module, "validate_tree", None) is real:
-            monkeypatch.setattr(module, "validate_tree", counting)
+    for module in (conllu, perceptron):
+        monkeypatch.setattr(module, "validate_tree", counting)
     return checked
 
 
@@ -71,7 +70,8 @@ def test_transform_command_checks_each_tree_once(tmp_path, capsys, monkeypatch):
     checked = count_checks(monkeypatch)
     code, _, dst = transform_command(tmp_path, capsys, src)
     assert code == 0
-    assert len(checked) == 10 and checked_once(checked)
+    # the 10 trees read and the 10 transformed ones
+    assert len(checked) == 20 and checked_once(checked)
     assert len(read_conllu_file(dst)) == 10
 
 
@@ -81,7 +81,7 @@ def test_transform_command_refuses_an_invalid_tree(tmp_path, capsys, monkeypatch
     code, captured, dst = transform_command(tmp_path, capsys, src)
     assert code == 2 and captured.out == ""
     assert captured.err == (
-        "udscheme: sentence 0: det left an invalid tree: token 1 is caught in a head cycle\n"
+        "udscheme: sentence 0 is not a valid tree: token 1 is caught in a head cycle\n"
     )
     assert not os.path.exists(dst)
 
@@ -93,10 +93,11 @@ def test_transform_then_write_checks_once_and_refuses(monkeypatch):
     assert len(checked) == 10 and checked_once(checked)
     break_transformations(monkeypatch)
     out = apply_transformation(corpus, Transformation.DET).sentences
-    with pytest.raises(ValueError, match="sentence 0 is not a valid tree"):
-        conllu.write_conllu(out)
-    with pytest.raises(transform.TransformError, match="sentence 0: det left an invalid tree"):
-        transform.check_trees(out, Transformation.DET)
+    message = "sentence 0 is not a valid tree: token 1 is caught in a head cycle"
+    for refuse in (conllu.write_conllu, conllu.check_trees):
+        with pytest.raises(ValueError) as err:
+            refuse(out)
+        assert str(err.value) == message
 
 
 def parse_inputs(tmp_path):
@@ -166,7 +167,7 @@ def test_harness_refuses_an_invalid_transformed_tree(tmp_path, monkeypatch):
     report = run_experiment(cfg)
     assert report.trainings_executed == 1  # the UD scheme only
     assert report.errors == [
-        ("xx", "det", "sentence 0: det left an invalid tree: token 1 is caught in a head cycle")
+        ("xx", "det", "sentence 0 is not a valid tree: token 1 is caught in a head cycle")
     ]
 
 
@@ -198,21 +199,23 @@ def write_text(tmp_path, name, text) -> str:
         (TWO_ROOTS, 9, "tokens [1, 3] all have head 0"),
     ],
 )
-def test_train_and_metrics_refuse_a_read_tree_with_line(tmp_path, capsys, text, line, message):
+def test_commands_refuse_a_read_tree_with_line(tmp_path, capsys, text, line, message):
     bad = write_text(tmp_path, "bad.conllu", text)
     good = str(tmp_path / "good.conllu")
     write_conllu_file(good, synth_corpus(5))
-    model_p = str(tmp_path / "model.txt")
+    model_p, out_p = str(tmp_path / "model.txt"), str(tmp_path / "out.conllu")
     for argv in (
         ["metrics", "--input", bad],
         ["train", "--train", bad, "--model", model_p, "--epochs", "1"],
         ["train", "--train", good, "--dev", bad, "--model", model_p, "--epochs", "1"],
+        ["evaluate", "--gold", bad, "--pred", good],
+        ["transform", "--input", bad, "--output", out_p, "--transformation", "det"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "udscheme: %s:%d: %s\n" % (bad, line, message)
-    assert not os.path.exists(model_p)
+    assert not os.path.exists(model_p) and not os.path.exists(out_p)
 
 
 def test_harness_refuses_a_read_tree_and_checks_only_on_a_miss(tmp_path, monkeypatch):
