@@ -19,7 +19,8 @@ once, where it is first used, and refused at its first violation:
   checks at a treebank's first cache miss, so a cached rerun checks none.
   `udscheme parse` input and `evaluate --pred` are not gold: not checked.
 - produced trees by `check_trees`: ValueError `sentence N is not a valid
-  tree: <violation>`, run by `write_conllu` and on each transformed split.
+  tree: <violation>`, run by `write_conllu` and on each transformed split
+  (the harness prefixes the split's file: `<path>: sentence N ...`).
 - `parse()` checks its own output (RuntimeError). Checked trees are written
   with `format_conllu`, which checks nothing.
 """
@@ -153,10 +154,11 @@ def parse_conllu(text: str) -> list[Sentence]:
         cols = line.split("\t")
         if len(cols) != 10:
             raise ConlluError(line_no, "expected 10 columns, got %d" % len(cols))
+        # ids and heads are ASCII digits: `str.isdigit` also takes "²" and "١"
         tid = cols[0]
         if "-" in tid:
             a, sep, b = tid.partition("-")
-            if not (a.isdigit() and b.isdigit()):
+            if not (tid.isascii() and a.isdigit() and b.isdigit()):
                 raise ConlluError(line_no, "malformed multiword id %r" % tid)
             a, b = int(a), int(b)
             # a range precedes its first token and overlaps no other, so
@@ -170,7 +172,7 @@ def parse_conllu(text: str) -> list[Sentence]:
             mwt.append((a, b, cols[1], cols[9]))
             mwt_line = line_no
             continue
-        if not tid.isdigit():
+        if not (tid.isascii() and tid.isdigit()):
             raise ConlluError(line_no, "non-integer token id %r" % tid)
         tid = int(tid)
         if tid != len(tokens) + 1:
@@ -180,7 +182,9 @@ def parse_conllu(text: str) -> list[Sentence]:
                 line_no, "token id %d breaks the 1..n sequence" % tid
             )
         head = cols[6]
-        if not (head.isdigit() or (head.startswith("-") and head[1:].isdigit())):
+        if not head.isascii() or not (
+            head.isdigit() or (head.startswith("-") and head[1:].isdigit())
+        ):
             raise ConlluError(line_no, "non-integer head %r" % head)
         head = int(head)
         if head < 0:

@@ -230,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         break
                     checked = True
                 try:
-                    entry = _run_scheme(tb.language, transfo, corpora, cfg, report, memo)
+                    entry = _run_scheme(tb, transfo, corpora, cfg, report, memo)
                 except Exception as e:
                     report.errors.append((tb.language, scheme, str(e)))
                     if transfo is None:
@@ -253,15 +253,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _run_scheme(language, transfo, corpora, cfg, report, memo) -> dict:
-    """The cache entry of one scheme of a treebank: its test UAS for every
+def _run_scheme(tb, transfo, corpora, cfg, report, memo) -> dict:
+    """The cache entry of one scheme of treebank `tb`: its test UAS for every
     seed and the four measures of its training split. `transfo` None is the
     UD scheme, used as read; a transformation that changes none of the
-    splits is excluded and trains nothing."""
+    splits is excluded and trains nothing. A transformed split that is not
+    a valid tree is refused with a ValueError naming the split's file."""
     if transfo is not None:
         results = [apply_transformation(c, transfo) for c in corpora]
-        for r in results:
-            check_trees(r.sentences)
+        for path, r in zip((tb.train, tb.dev, tb.test), results):
+            try:
+                check_trees(r.sentences)
+            except ValueError as e:
+                raise ValueError("%s: %s" % (path, e)) from None
         if not any(r.changed for r in results):
             return {"excluded": True}
         corpora = [r.sentences for r in results]
@@ -274,7 +278,7 @@ def _run_scheme(language, transfo, corpora, cfg, report, memo) -> dict:
         scores[str(seed)] = corpus_uas(test_c, predicted)
         report.trainings_executed += 1
     scheme = "ud" if transfo is None else transfo.value
-    metrics = metric_dict(compute_report(train_c, "%s/%s" % (language, scheme)))
+    metrics = metric_dict(compute_report(train_c, "%s/%s" % (tb.language, scheme)))
     return {"excluded": False, "uas": scores, "metrics": metrics}
 
 

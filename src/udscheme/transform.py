@@ -1,10 +1,16 @@
 """Rewrites between the UD v1 annotation scheme and its "standard" alternatives.
 
 Seven transformations are supported, identified by the relation labels that
-trigger them. Simple ones invert a single function-word dependency (case,
-mark, det); the others re-head noun sequences, copulas and coordinations.
-Every inversion-style rewrite is followed by a positional repair that keeps
-the output projective when the inversion would introduce crossing arcs.
+trigger them. The noun-sequence rewrites (mwe, name) chain a head's trigger
+children left to right. The other five take one promote step: word p, promoted
+over its head i, takes i's head and deprel; i hangs from p; followers move from
+i to p; then the repair reattaches to p each child of i left with p strictly
+between it and i, so inverting a leaf keeps a projective tree projective.
+Inversions (case, mark, det) and copula promote the trigger child nearest i,
+whose label i takes, and i's other trigger children follow it (in the copula
+rewrite, so do i's children not labelled as noun modifiers). Coordination
+promotes the first cc child of a head with cc and conj children; the head
+becomes its conj, and its other cc and conj children follow.
 
 All functions are pure: they take sentences and return new sentences; only
 head and deprel fields ever change.
@@ -56,66 +62,47 @@ def _children(heads: list[int], h: int) -> list[int]:
     return [d for d in range(1, len(heads)) if heads[d] == h]
 
 
-def _repair(heads: list[int], i: int, j: int, skip: set[int]) -> int:
-    """Reattach to j every child k of i with j strictly between k and i.
-
-    Children listed in `skip` were already moved by the calling rewrite.
-    Returns the number of reattachments.
-    """
-    moved = 0
-    for k in _children(heads, i):
-        if k != j and k not in skip and (k < j < i or i < j < k):
-            heads[k] = j
-            moved += 1
-    return moved
+def _promote(
+    heads: list[int], deprels: list[str], i: int, p: int, label: str, followers: list[int]
+) -> int:
+    """Promote p over i (i hangs from p as `label`) with its followers, then
+    repair; returns the number of children of i the repair reattached."""
+    heads[p], deprels[p] = heads[i], deprels[i]
+    heads[i], deprels[i] = p, label
+    for d in followers:
+        heads[d] = p
+    repairs = 0
+    for k in range(1, p) if p < i else range(p + 1, len(heads)):
+        if heads[k] == i:
+            heads[k] = p
+            repairs += 1
+    return repairs
 
 
 def _invert(
     s: Sentence, labels: frozenset[str], noun_labels: frozenset[str] | None = None
 ) -> tuple[Sentence, int, int]:
     """Invert each trigger dependency. With `noun_labels` (the copula
-    rewrite), the demoted word's children not labelled in it also move to
-    the promoted word."""
+    rewrite), the demoted word's children not labelled in it follow too."""
     heads, deprels = s.heads(), s.deprels()
-    orig_heads, orig_deprels = list(heads), list(deprels)
-    n = len(s.tokens)
     rewritten = repairs = 0
-    done_heads: set[int] = set()
-    for j in range(1, n + 1):
-        if orig_deprels[j] not in labels:
-            continue
-        i = orig_heads[j]
-        if i == 0 or i in done_heads:
-            continue
-        done_heads.add(i)
-        # among the trigger children of i, only the nearest one is promoted
-        trig = [
-            d
-            for d in range(1, n + 1)
-            if orig_heads[d] == i
-            and orig_deprels[d] in labels
-            and heads[d] == i  # still attached; earlier rewrites may have moved it
-        ]
+    # trigger children by head, heads in order of their first trigger child
+    groups: dict[int, list[int]] = {}
+    for d in range(1, len(heads)):
+        if deprels[d] in labels and heads[d] != 0:
+            groups.setdefault(heads[d], []).append(d)
+    for i, group in groups.items():
+        trig = [d for d in group if heads[d] == i]  # earlier rewrites may move some
         if not trig:
             continue
-        promoted = min(trig, key=lambda d: (abs(d - i), d))
-        label = deprels[promoted]
-        heads[promoted], deprels[promoted] = heads[i], deprels[i]
-        heads[i], deprels[i] = promoted, label
-        rewritten += 1
-        moved: set[int] = set()
-        for d in trig:
-            if d != promoted and heads[d] == i:
-                heads[d] = promoted
-                moved.add(d)
-                rewritten += 1
+        p = min(trig, key=lambda d: (abs(d - i), d))
+        followers = [d for d in trig if d != p]
         if noun_labels is not None:
-            # non-noun modifiers of the demoted word follow the promoted one
-            for c in _children(heads, i):
-                if c != promoted and c not in moved and deprels[c] not in noun_labels:
-                    heads[c] = promoted
-                    moved.add(c)
-        repairs += _repair(heads, i, promoted, moved)
+            followers += [
+                c for c in _children(heads, i) if c not in trig and deprels[c] not in noun_labels
+            ]
+        rewritten += len(trig)
+        repairs += _promote(heads, deprels, i, p, deprels[p], followers)
     return s.with_arcs(heads, deprels), rewritten, repairs
 
 
@@ -124,9 +111,7 @@ def _chain(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int, int]:
     n = len(s.tokens)
     rewritten = 0
     for f in range(0, n + 1):
-        seq = sorted(
-            d for d in range(1, n + 1) if heads[d] == f and deprels[d] in labels
-        )
+        seq = [d for d in range(1, n + 1) if heads[d] == f and deprels[d] in labels]
         for prev, d in zip(seq, seq[1:]):
             heads[d] = prev
             rewritten += 1
@@ -146,31 +131,20 @@ def _depths(heads: list[int]) -> list[int]:
 
 def _rehead(s: Sentence) -> tuple[Sentence, int, int]:
     heads, deprels = s.heads(), s.deprels()
-    orig_heads, orig_deprels = list(heads), list(deprels)
-    n = len(s.tokens)
     rewritten = repairs = 0
     # a head takes part iff it has both a cc child and a conj child;
     # nested coordinations are handled independently, outermost first
-    cc_heads = {orig_heads[d] for d in range(1, n + 1) if orig_deprels[d] == "cc"}
-    conj_heads = {orig_heads[d] for d in range(1, n + 1) if orig_deprels[d] == "conj"}
-    coord_heads = (cc_heads & conj_heads) - {0}
-    depth = _depths(orig_heads)
-    for w1 in sorted(coord_heads, key=lambda h: (depth[h], h)):
-        cc_kids = [d for d in _children(heads, w1) if deprels[d] == "cc"]
-        conj_kids = [d for d in _children(heads, w1) if deprels[d] == "conj"]
-        if not cc_kids or not conj_kids:
-            continue
-        conj = min(cc_kids)
-        heads[conj], deprels[conj] = heads[w1], deprels[w1]
-        heads[w1], deprels[w1] = conj, "conj"
-        rewritten += 1
-        moved: set[int] = set()
-        for d in conj_kids + cc_kids:
-            if d != conj:
-                heads[d] = conj
-                moved.add(d)
-                rewritten += 1
-        repairs += _repair(heads, w1, conj, moved)
+    cc_heads = {heads[d] for d in range(1, len(heads)) if deprels[d] == "cc"}
+    conj_heads = {heads[d] for d in range(1, len(heads)) if deprels[d] == "conj"}
+    depth = _depths(heads)
+    for w1 in sorted((cc_heads & conj_heads) - {0}, key=lambda h: (depth[h], h)):
+        kids = _children(heads, w1)
+        cc = [d for d in kids if deprels[d] == "cc"]
+        conj = [d for d in kids if deprels[d] == "conj"]
+        if cc and conj:
+            # the first conjunction is promoted; the other cc and conj children follow it
+            rewritten += len(cc) + len(conj)
+            repairs += _promote(heads, deprels, w1, cc[0], "conj", cc[1:] + conj)
     return s.with_arcs(heads, deprels), rewritten, repairs
 
 

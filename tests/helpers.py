@@ -8,6 +8,12 @@ import random
 
 from udscheme.conllu import Sentence, Token, ValidationReport
 from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD
+from udscheme.transform import (
+    COPULA_NOUN_LABELS,
+    TRIGGER_LABELS,
+    Transformation,
+    TransformResult,
+)
 from udscheme.parsing.transitions import (
     KIND_ORDER,
     Action,
@@ -813,3 +819,137 @@ def random_conllu_sentence(rng: random.Random, n: int, shape: str) -> Sentence:
         start = end + 1
     comments = tuple("# %s = %s" % (_field(rng), _field(rng)) for _ in range(rng.randint(0, 2)))
     return Sentence(tuple(tokens), tuple(mwt), comments)
+
+
+# ---- the rewrites the one promote step replaced, where the inversions and
+# the coordination rewrite each swapped, moved followers and repaired on
+# their own: the reference `apply_transformation` must match
+
+
+def _ref_children(heads: list[int], h: int) -> list[int]:
+    return [d for d in range(1, len(heads)) if heads[d] == h]
+
+
+def _ref_repair(heads: list[int], i: int, j: int, skip: set[int]) -> int:
+    """Reattach to j every child k of i with j strictly between k and i,
+    except those in `skip`; returns the number of reattachments."""
+    moved = 0
+    for k in _ref_children(heads, i):
+        if k != j and k not in skip and (k < j < i or i < j < k):
+            heads[k] = j
+            moved += 1
+    return moved
+
+
+def _ref_invert(s: Sentence, labels, noun_labels=None) -> tuple[Sentence, int, int]:
+    heads, deprels = s.heads(), s.deprels()
+    orig_heads, orig_deprels = list(heads), list(deprels)
+    n = len(s.tokens)
+    rewritten = repairs = 0
+    done_heads: set[int] = set()
+    for j in range(1, n + 1):
+        if orig_deprels[j] not in labels:
+            continue
+        i = orig_heads[j]
+        if i == 0 or i in done_heads:
+            continue
+        done_heads.add(i)
+        trig = [
+            d
+            for d in range(1, n + 1)
+            if orig_heads[d] == i and orig_deprels[d] in labels and heads[d] == i
+        ]
+        if not trig:
+            continue
+        promoted = min(trig, key=lambda d: (abs(d - i), d))
+        label = deprels[promoted]
+        heads[promoted], deprels[promoted] = heads[i], deprels[i]
+        heads[i], deprels[i] = promoted, label
+        rewritten += 1
+        moved: set[int] = set()
+        for d in trig:
+            if d != promoted and heads[d] == i:
+                heads[d] = promoted
+                moved.add(d)
+                rewritten += 1
+        if noun_labels is not None:
+            for c in _ref_children(heads, i):
+                if c != promoted and c not in moved and deprels[c] not in noun_labels:
+                    heads[c] = promoted
+                    moved.add(c)
+        repairs += _ref_repair(heads, i, promoted, moved)
+    return s.with_arcs(heads, deprels), rewritten, repairs
+
+
+def _ref_chain(s: Sentence, labels) -> tuple[Sentence, int, int]:
+    heads, deprels = s.heads(), s.deprels()
+    n = len(s.tokens)
+    rewritten = 0
+    for f in range(0, n + 1):
+        seq = sorted(d for d in range(1, n + 1) if heads[d] == f and deprels[d] in labels)
+        for prev, d in zip(seq, seq[1:]):
+            heads[d] = prev
+            rewritten += 1
+    return s.with_arcs(heads, deprels), rewritten, 0
+
+
+def _ref_depths(heads: list[int]) -> list[int]:
+    depth = [0] * len(heads)
+    for d in range(1, len(heads)):
+        a, k = d, 0
+        while a != 0 and k <= len(heads):
+            a = heads[a]
+            k += 1
+        depth[d] = k
+    return depth
+
+
+def _ref_rehead(s: Sentence) -> tuple[Sentence, int, int]:
+    heads, deprels = s.heads(), s.deprels()
+    orig_heads, orig_deprels = list(heads), list(deprels)
+    n = len(s.tokens)
+    rewritten = repairs = 0
+    cc_heads = {orig_heads[d] for d in range(1, n + 1) if orig_deprels[d] == "cc"}
+    conj_heads = {orig_heads[d] for d in range(1, n + 1) if orig_deprels[d] == "conj"}
+    depth = _ref_depths(orig_heads)
+    for w1 in sorted((cc_heads & conj_heads) - {0}, key=lambda h: (depth[h], h)):
+        cc_kids = [d for d in _ref_children(heads, w1) if deprels[d] == "cc"]
+        conj_kids = [d for d in _ref_children(heads, w1) if deprels[d] == "conj"]
+        if not cc_kids or not conj_kids:
+            continue
+        conj = min(cc_kids)
+        heads[conj], deprels[conj] = heads[w1], deprels[w1]
+        heads[w1], deprels[w1] = conj, "conj"
+        rewritten += 1
+        moved: set[int] = set()
+        for d in conj_kids + cc_kids:
+            if d != conj:
+                heads[d] = conj
+                moved.add(d)
+                rewritten += 1
+        repairs += _ref_repair(heads, w1, conj, moved)
+    return s.with_arcs(heads, deprels), rewritten, repairs
+
+
+def ref_apply_transformation(
+    sentences: list[Sentence], t: Transformation, noun_labels=COPULA_NOUN_LABELS
+) -> TransformResult:
+    out: list[Sentence] = []
+    changed = False
+    rewritten = repairs = 0
+    for s in sentences:
+        labels = TRIGGER_LABELS[t]
+        if t in (Transformation.CASE, Transformation.MARK, Transformation.DET):
+            new, r, p = _ref_invert(s, labels)
+        elif t in (Transformation.MWE, Transformation.NAME):
+            new, r, p = _ref_chain(s, labels)
+        elif t is Transformation.COPULA:
+            new, r, p = _ref_invert(s, labels, noun_labels)
+        else:
+            new, r, p = _ref_rehead(s)
+        if not new.same_tree(s):
+            changed = True
+        rewritten += r
+        repairs += p
+        out.append(new)
+    return TransformResult(out, changed, rewritten, repairs)

@@ -151,6 +151,24 @@ def test_parse_refuses_a_multiword_line_it_could_not_write_back(text, line, mess
     assert str(err.value) == "line %d: %s" % (line, message)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (mwt_text("1 a 0", "2 b ²"), 2, "non-integer head '²'"),
+        (mwt_text("1 a 0", "2 b -²"), 2, "non-integer head '-²'"),
+        (mwt_text("1 a 0", "١ b 1"), 2, "non-integer token id '١'"),
+        (mwt_text("1-٢ ab _", "1 a 0", "2 b 1"), 1, "malformed multiword id '1-٢'"),
+        (mwt_text("¹-2 ab _", "1 a 0", "2 b 1"), 1, "malformed multiword id '¹-2'"),
+    ],
+    ids=["head", "negative-head", "token-id", "multiword-end", "multiword-start"],
+)
+def test_parse_refuses_digits_that_are_not_ascii(text, line, message):
+    # str.isdigit takes these, and int() reads "١" as 1 but cannot read "²"
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(text)
+    assert str(err.value) == "line %d: %s" % (line, message)
+
+
 def test_write_refuses_invalid_tree():
     s = make_sentence([2, 1], ["dep", "dep"])  # cycle, no root
     with pytest.raises(ValueError):

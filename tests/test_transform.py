@@ -10,7 +10,12 @@ from udscheme.transform import (
     apply_transformation,
 )
 
-from helpers import make_sentence, random_projective_tree, random_tree
+from helpers import (
+    make_sentence,
+    random_projective_tree,
+    random_tree,
+    ref_apply_transformation,
+)
 
 
 def rewrite(s: Sentence, t: Transformation) -> Sentence:
@@ -312,3 +317,40 @@ def test_property_repair_keeps_leaf_inversions_projective():
         assert is_projective(s)
         out = rewrite(s, Transformation.CASE)
         assert is_projective(out), (arcs_of(s), arcs_of(out))
+
+
+# the copula override keeps a trigger label and clause-level labels on the
+# demoted word, so followers and kept children overlap the trigger children
+NOUN_LABEL_SETS = (COPULA_NOUN_LABELS, frozenset({"cop", "nsubj", "punct", "conj"}))
+
+
+@pytest.mark.parametrize("noun_labels", NOUN_LABEL_SETS, ids=["default", "override"])
+@pytest.mark.parametrize("transfo", list(Transformation))
+def test_differential_against_reference_rewrites(transfo, noun_labels):
+    """Heads, deprels and all three counts equal those of the rewrites the
+    one promote step replaced, on projective and non-projective trees where
+    about half of the arcs carry one of the transformation's trigger labels."""
+    rng = random.Random("%s/%d" % (transfo.value, len(noun_labels)))
+    triggers = sorted(TRIGGER_LABELS[transfo])
+    pool = ALL_TRIGGERS + OTHER + sorted(COPULA_NOUN_LABELS)
+    for _ in range(300):
+        corpus = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 16)
+            tree = random_projective_tree if rng.random() < 0.5 else random_tree
+            heads = tree(rng, n)
+            deprels = [
+                "root"
+                if h == 0
+                else (rng.choice(triggers) if rng.random() < 0.5 else rng.choice(pool))
+                for h in heads
+            ]
+            corpus.append(make_sentence(heads, deprels))
+        got = apply_transformation(corpus, transfo, noun_labels)
+        want = ref_apply_transformation(corpus, transfo, noun_labels)
+        assert [arcs_of(s) for s in got.sentences] == [arcs_of(s) for s in want.sentences]
+        assert (got.changed, got.arcs_rewritten, got.repairs_applied) == (
+            want.changed,
+            want.arcs_rewritten,
+            want.repairs_applied,
+        )

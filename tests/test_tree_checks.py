@@ -42,10 +42,13 @@ def checked_once(checked) -> bool:
     return set(collections.Counter(map(id, checked)).values()) == {1}
 
 
-def break_transformations(monkeypatch):
-    """Make every transformation leave a head cycle between tokens 1 and 2."""
+def break_transformations(monkeypatch, only=None):
+    """Make every transformation leave a head cycle between tokens 1 and 2,
+    of every sentence or of those with the comment `only`."""
 
     def broken(s, t, noun_labels):
+        if only is not None and only not in s.comments:
+            return s, 0, 0
         heads = s.heads()
         heads[1], heads[2] = 2, 1
         return s.with_arcs(heads, s.deprels()), 1, 0
@@ -166,9 +169,24 @@ def test_harness_refuses_an_invalid_transformed_tree(tmp_path, monkeypatch):
     break_transformations(monkeypatch)
     report = run_experiment(cfg)
     assert report.trainings_executed == 1  # the UD scheme only
-    assert report.errors == [
-        ("xx", "det", "sentence 0 is not a valid tree: token 1 is caught in a head cycle")
+    message = "sentence 0 is not a valid tree: token 1 is caught in a head cycle"
+    assert report.errors == [("xx", "det", "%s: %s" % (cfg.treebanks[0].train, message))]
+
+
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_harness_names_the_split_whose_transformed_tree_is_invalid(tmp_path, monkeypatch, split):
+    cfg = _grid(tmp_path)
+    path = getattr(cfg.treebanks[0], split)
+    marked = [
+        dataclasses.replace(s, comments=("# broken",)) if i == 1 else s
+        for i, s in enumerate(read_conllu_file(path))
     ]
+    write_conllu_file(path, marked)
+    break_transformations(monkeypatch, only="# broken")
+    report = run_experiment(cfg)
+    assert report.trainings_executed == 1
+    message = "sentence 1 is not a valid tree: token 1 is caught in a head cycle"
+    assert report.errors == [("xx", "det", "%s: %s" % (path, message))]
 
 
 # heads 2, 1, 0: tokens 1 and 2 form a head cycle, token 3 is the root
