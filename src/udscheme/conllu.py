@@ -4,8 +4,10 @@ Tokens and sentences are immutable; all operations on them are pure functions.
 A `Token` is a named tuple of the ten CoNLL-U columns, in column order, so
 it is built, copied and formatted at C level; like any named tuple it
 compares equal to a plain tuple of the same fields. Columns that carry no
-structure (feats, deps, misc, xpos) are kept verbatim so that a parse ->
-write round trip reproduces the input byte for byte.
+structure (feats, deps, misc, xpos) are kept verbatim, and so is every line
+of a block outside the tree (comments, multiword ranges, v2 empty nodes), in
+its place among the token lines, so a parse -> write round trip reproduces
+the input byte for byte.
 
 `write_atomic` writes a file aside and renames it into place, so no file is
 left half-written; the model and report writers use it too.
@@ -69,9 +71,9 @@ _make_token = Token._make
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
-    # multiword-token lines, excluded from the tree: (start id, end id, form, misc)
-    mwt_ranges: tuple[tuple[int, int, str, str], ...] = ()
-    comments: tuple[str, ...] = ()
+    # the block's lines outside the tree (comments, multiword ranges, empty
+    # nodes) as read, each with the number of token lines before it
+    other_lines: tuple[tuple[int, str], ...] = ()
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -96,7 +98,7 @@ class Sentence:
             if h != t.head or r != t.deprel:
                 t = _make_token(t[:6] + (h, r) + t[8:])  # fields 6, 7: head, deprel
             toks.append(t)
-        return Sentence(tuple(toks), self.mwt_ranges, self.comments)
+        return Sentence(tuple(toks), self.other_lines)
 
     def same_tree(self, other: "Sentence") -> bool:
         return all(
@@ -114,33 +116,33 @@ class ValidationReport:
 def parse_conllu(text: str) -> list[Sentence]:
     """Parse CoNLL-U text into sentences.
 
-    Multiword-token lines (id `a-b`) go to mwt_ranges; `#` comments are kept
-    in order. Empty nodes (v2 ids like `1.1`) are rejected as malformed.
+    Comments, multiword-token lines (id `a-b`) and empty nodes (v2 id `N.M`,
+    after token N) go to other_lines verbatim; they are not part of the tree.
     """
     sentences = []
-    comments: list[str] = []
     tokens: list[Token] = []
-    mwt: list[tuple[int, int, str, str]] = []
+    other: list[tuple[int, str]] = []
+    mwt: list[tuple[int, int]] = []  # the bounds of the multiword ranges
     token_lines: list[int] = []  # line number per token, for late errors
     mwt_line = 0  # line number of the last multiword range
 
     def flush(line_no: int) -> None:
-        if not tokens and not comments and not mwt:
+        if not tokens and not other:
             return
         if not tokens:
             raise ConlluError(line_no, "sentence block contains no token lines")
         n = len(tokens)
         if mwt and mwt[-1][1] > n:  # ranges are in order, so the last ends last
-            a, b = mwt[-1][:2]
+            a, b = mwt[-1]
             raise ConlluError(mwt_line, "multiword range %d-%d ends past token %d" % (a, b, n))
         for t, ln in zip(tokens, token_lines):
             if not 0 <= t.head <= n:
                 raise ConlluError(ln, "head %d out of range [0, %d]" % (t.head, n))
             if t.head == t.id:
                 raise ConlluError(ln, "token %d is its own head" % t.id)
-        sentences.append(Sentence(tuple(tokens), tuple(mwt), tuple(comments)))
-        comments.clear()
+        sentences.append(Sentence(tuple(tokens), tuple(other)))
         tokens.clear()
+        other.clear()
         mwt.clear()
         token_lines.clear()
 
@@ -149,7 +151,7 @@ def parse_conllu(text: str) -> list[Sentence]:
             flush(line_no)
             continue
         if line.startswith("#"):
-            comments.append(line)
+            other.append((len(tokens), line))
             continue
         cols = line.split("\t")
         if len(cols) != 10:
@@ -169,8 +171,15 @@ def parse_conllu(text: str) -> list[Sentence]:
             if a >= b or (mwt and mwt[-1][1] >= a):
                 message = "is shorter than 2 or overlaps another"
                 raise ConlluError(line_no, "multiword range %r %s" % (tid, message))
-            mwt.append((a, b, cols[1], cols[9]))
+            mwt.append((a, b))
             mwt_line = line_no
+            other.append((len(tokens), line))
+            continue
+        if "." in tid:
+            a, sep, b = tid.partition(".")
+            if not (tid.isascii() and a.isdigit() and b.isdigit() and int(a) == len(tokens)):
+                raise ConlluError(line_no, "empty node id %r is not %d.M" % (tid, len(tokens)))
+            other.append((len(tokens), line))
             continue
         if not (tid.isascii() and tid.isdigit()):
             raise ConlluError(line_no, "non-integer token id %r" % tid)
@@ -221,15 +230,10 @@ def format_conllu(sentences: list[Sentence]) -> str:
     """Serialize sentences to CoNLL-U without checking their trees."""
     out: list[str] = []
     for s in sentences:
-        out.extend(s.comments)
-        mwt_by_start = {m[0]: m for m in s.mwt_ranges}
-        for t in s.tokens:
-            if t.id in mwt_by_start:
-                a, b, form, misc = mwt_by_start[t.id]
-                out.append(
-                    "\t".join(("%d-%d" % (a, b), form, "_", "_", "_", "_", "_", "_", "_", misc))
-                )
-            out.append(_token_line(t))
+        lines = list(map(_token_line, s.tokens))
+        for pos, line in reversed(s.other_lines):  # from the end: positions stay valid
+            lines.insert(pos, line)
+        out.extend(lines)
         out.append("")
     return "\n".join(out) + "\n" if out else ""
 

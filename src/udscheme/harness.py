@@ -133,6 +133,10 @@ def load_config(path: str) -> ExperimentConfig:
     )
     if hp.epochs < 1:
         raise bad("parser", "epochs", "must be at least 1")
+    if hp.explore_k < 0:
+        raise bad("parser", "explore_k", "must be at least 0")
+    if not 0 <= hp.explore_p <= 1:  # nan included
+        raise bad("parser", "explore_p", "must be between 0 and 1")
 
     treebanks = []
     for section in cp.sections():

@@ -220,6 +220,10 @@ def train(
         raise ValueError("empty training set")
     if hp.epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if hp.explore_k < 0:
+        raise ValueError("explore_k must be >= 0")
+    if not 0 <= hp.explore_p <= 1:  # nan included
+        raise ValueError("explore_p must be in [0, 1]")
     labels = sorted({t.deprel for s in train_set for t in s.tokens})
     if not labels:
         raise ValueError("empty label inventory")

@@ -18,6 +18,7 @@ head and deprel fields ever change.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -107,14 +108,22 @@ def _invert(
 
 
 def _chain(s: Sentence, labels: frozenset[str]) -> tuple[Sentence, int, int]:
+    """Chain each head's trigger children left to right, heads in id order.
+    A child chained under a later head joins that head's group in id order,
+    so it is chained again there."""
     heads, deprels = s.heads(), s.deprels()
-    n = len(s.tokens)
+    groups: dict[int, list[int]] = {}
+    for d in range(1, len(heads)):
+        if deprels[d] in labels:
+            groups.setdefault(heads[d], []).append(d)
     rewritten = 0
-    for f in range(0, n + 1):
-        seq = [d for d in range(1, n + 1) if heads[d] == f and deprels[d] in labels]
+    for f in range(len(heads)):
+        seq = groups.get(f, ())
         for prev, d in zip(seq, seq[1:]):
             heads[d] = prev
             rewritten += 1
+            if prev > f:
+                insort(groups.setdefault(prev, []), d)
     return s.with_arcs(heads, deprels), rewritten, 0
 
 

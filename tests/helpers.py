@@ -720,7 +720,8 @@ def ref_token_line(t: Token) -> str:
 
 
 def ref_write_conllu(sentences: list[Sentence]) -> str:
-    """write_conllu over the reference validator and token-line formatter."""
+    """write_conllu over the reference validator and token-line formatter,
+    with each kept line written before the token at its position."""
     out: list[str] = []
     for idx, s in enumerate(sentences):
         report = ref_validate_tree(s)
@@ -728,15 +729,13 @@ def ref_write_conllu(sentences: list[Sentence]) -> str:
             raise ValueError(
                 "sentence %d is not a valid tree: %s" % (idx, report.violations[0][2])
             )
-        out.extend(s.comments)
-        mwt_by_start = {m[0]: m for m in s.mwt_ranges}
-        for t in s.tokens:
-            if t.id in mwt_by_start:
-                a, b, form, misc = mwt_by_start[t.id]
-                out.append(
-                    "\t".join(("%d-%d" % (a, b), form, "_", "_", "_", "_", "_", "_", "_", misc))
-                )
+        kept: dict[int, list[str]] = {}
+        for pos, line in s.other_lines:
+            kept.setdefault(pos, []).append(line)
+        for pos, t in enumerate(s.tokens):
+            out.extend(kept.get(pos, ()))
             out.append(ref_token_line(t))
+        out.extend(kept.get(len(s.tokens), ()))
         out.append("")
     return "\n".join(out) + "\n" if out else ""
 
@@ -744,7 +743,7 @@ def ref_write_conllu(sentences: list[Sentence]) -> str:
 def ref_with_arcs(s: Sentence, heads: list[int], deprels: list[str]) -> Sentence:
     """with_arcs that replaces head and deprel in a new copy of every token."""
     toks = tuple(t._replace(head=heads[t.id], deprel=deprels[t.id]) for t in s.tokens)
-    return Sentence(toks, s.mwt_ranges, s.comments)
+    return Sentence(toks, s.other_lines)
 
 
 SHAPES = (
@@ -795,8 +794,9 @@ def random_head_graph(rng: random.Random, n: int, shape: str) -> list[int]:
 
 
 def random_conllu_sentence(rng: random.Random, n: int, shape: str) -> Sentence:
-    """A sentence of n tokens with random text columns, comments and
-    multiword ranges, over a head graph of the given shape."""
+    """A sentence of n tokens with random text columns, over a head graph of
+    the given shape, and lines outside the tree at random places: comments,
+    multiword ranges and empty nodes, each with random columns."""
     heads = random_head_graph(rng, n, shape)
     tokens = []
     for i, h in enumerate(heads, start=1):
@@ -810,15 +810,23 @@ def random_conllu_sentence(rng: random.Random, n: int, shape: str) -> Sentence:
     if shape == "id-sequence" and n >= 2:
         i = rng.randrange(n)
         tokens[i] = tokens[i]._replace(id=tokens[i].id + rng.choice([1, n]))
-    mwt = []
+    other = []
     start = 1
     while start < n and rng.random() < 0.5:
         start = rng.randint(start, n - 1)
         end = rng.randint(start + 1, min(n, start + 2))
-        mwt.append((start, end, _field(rng), _field(rng)))
+        columns = [_field(rng) for _ in range(9)]
+        other.append((start - 1, "\t".join(["%d-%d" % (start, end)] + columns)))
         start = end + 1
-    comments = tuple("# %s = %s" % (_field(rng), _field(rng)) for _ in range(rng.randint(0, 2)))
-    return Sentence(tuple(tokens), tuple(mwt), comments)
+    for pos in rng.sample(range(n + 1), rng.randint(0, 2)):
+        columns = [_field(rng) for _ in range(9)]
+        other.append((pos, "\t".join(["%d.%d" % (pos, rng.randint(1, 3))] + columns)))
+    for _ in range(rng.randint(0, 3)):
+        other.append((rng.randint(0, n), "# %s = %s" % (_field(rng), _field(rng))))
+    # lines at one position come in any order
+    rng.shuffle(other)
+    other.sort(key=lambda line: line[0])
+    return Sentence(tuple(tokens), tuple(other))
 
 
 # ---- the rewrites the one promote step replaced, where the inversions and

@@ -9,6 +9,7 @@ from udscheme.parsing import perceptron
 from udscheme.parsing.perceptron import load_model, parse
 
 from synth import synth_corpus
+from test_conllu import OUTSIDE_THE_TREE
 from test_harness import write_config, write_treebank
 
 
@@ -58,6 +59,30 @@ def test_transform_copula_label_override(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["changed"] is True
+
+
+def test_commands_keep_the_lines_outside_the_tree(tmp_path, capsys):
+    """A transformation that changes nothing writes the file back byte for
+    byte, and one that changes arcs, like a parse, keeps every comment,
+    multiword line and empty node in place; train and metrics read the file."""
+    src, dst = tmp_path / "in.conllu", tmp_path / "out.conllu"
+    model_p, pred_p = str(tmp_path / "model.txt"), str(tmp_path / "pred.conllu")
+    src.write_text(OUTSIDE_THE_TREE, encoding="utf-8")
+    code, out = run(capsys, "transform", "--input", str(src), "--output", str(dst),
+                    "--transformation", "name")
+    assert code == 0 and json.loads(out)["changed"] is False
+    assert dst.read_bytes() == src.read_bytes()
+    code, out = run(capsys, "transform", "--input", str(src), "--output", str(dst),
+                    "--transformation", "det")
+    assert code == 0 and json.loads(out)["changed"] is True
+    assert run(capsys, "train", "--train", str(src), "--model", model_p, "--epochs", "1")[0] == 0
+    assert run(capsys, "parse", "--model", model_p, "--input", str(src),
+               "--output", pred_p)[0] == 0
+    want = [s.other_lines for s in read_conllu_file(str(src))]
+    for path in (str(dst), pred_p):
+        assert [s.other_lines for s in read_conllu_file(path)] == want
+    code, out = run(capsys, "metrics", "--input", str(src))
+    assert code == 0 and json.loads(out)["distance"] > 0
 
 
 def test_train_parse_evaluate_roundtrip(tmp_path, capsys):
@@ -256,6 +281,10 @@ def test_treebank_section_without_split_is_one_line_error(tmp_path, capsys):
         ("", "epochs = 0", "[parser] epochs: must be at least 1"),
         ("", "explore_k = 1.5", "[parser] explore_k: '1.5' is not an integer"),
         ("", "explore_p = high", "[parser] explore_p: 'high' is not a number"),
+        ("", "explore_k = -2", "[parser] explore_k: must be at least 0"),
+        ("", "explore_p = 3", "[parser] explore_p: must be between 0 and 1"),
+        ("", "explore_p = -0.1", "[parser] explore_p: must be between 0 and 1"),
+        ("", "explore_p = nan", "[parser] explore_p: must be between 0 and 1"),
     ],
 )
 def test_bad_config_value_is_one_line_error(tmp_path, capsys, experiment, parser, message):
@@ -264,6 +293,23 @@ def test_bad_config_value_is_one_line_error(tmp_path, capsys, experiment, parser
     code, err = run_failing(capsys, "experiment", "--config", str(cfg))
     assert code == 2
     assert err == "udscheme: %s: %s\n" % (cfg, message)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epochs", "0"], "epochs must be >= 1"),
+        (["--explore-k", "-1"], "explore_k must be >= 0"),
+        (["--explore-p", "nan"], "explore_p must be in [0, 1]"),
+        (["--explore-p", "1.5"], "explore_p must be in [0, 1]"),
+    ],
+)
+def test_train_refuses_out_of_range_hyperparameters(tmp_path, capsys, flags, message):
+    src, model_p = str(tmp_path / "in.conllu"), tmp_path / "model.txt"
+    write_conllu_file(src, synth_corpus(3))
+    code, err = run_failing(capsys, "train", "--train", src, "--model", str(model_p), *flags)
+    assert (code, err) == (2, "udscheme: %s\n" % message)
+    assert not model_p.exists()
 
 
 def test_evaluate_scores_and_counts(tmp_path, capsys):

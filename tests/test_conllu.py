@@ -63,7 +63,7 @@ def test_parse_multiword_line():
     sentences = parse_conllu(text)
     s = sentences[0]
     assert len(s.tokens) == 5
-    assert s.mwt_ranges == ((3, 4, "della", "_"),)
+    assert s.other_lines == ((2, "3-4\tdella\t_\t_\t_\t_\t_\t_\t_\t_"),)
     # round trip must reproduce the file byte for byte
     assert write_conllu(sentences) == text
 
@@ -77,10 +77,94 @@ def test_roundtrip_with_comments_and_opaque_columns():
         "\n"
     )
     sentences = parse_conllu(text)
-    assert sentences[0].comments == ("# sent_id = a-1", "# text = x y")
+    assert sentences[0].other_lines == ((0, "# sent_id = a-1"), (0, "# text = x y"))
     assert sentences[0].token(1).feats == "Case=Nom|Num=Sg"
     assert write_conllu(sentences) == text
     assert parse_conllu(write_conllu(sentences)) == sentences
+
+
+# one block with every kind of line outside the tree: comments at its top, in
+# its middle and at its end, the empty nodes 0.1 and 2.1, and a multiword
+# line whose LEMMA, FEATS and MISC are not `_`; then a plain block
+OUTSIDE_THE_TREE = (
+    "# sent_id = fr-1\n"
+    "# text = Il parle du livre.\n"
+    "0.1\ton\ton\tPRON\t_\t_\t_\t_\t2:nsubj\t_\n"
+    "1\tIl\til\tPRON\t_\tNumber=Sing\t2\tnsubj\t2:nsubj\t_\n"
+    "2\tparle\tparler\tVERB\t_\tMood=Ind\t0\troot\t0:root\t_\n"
+    "# between tokens 2 and 3\n"
+    "2.1\tparle\tparler\tVERB\t_\t_\t_\t_\t0:root\tCopyOf=2\n"
+    "3-4\tdu\tde+le\t_\t_\tDefinite=Def|Typo=Yes\t_\t_\t_\tSpaceAfter=No\n"
+    "3\tde\tde\tADP\t_\t_\t5\tcase\t5:case\t_\n"
+    "4\tle\tle\tDET\t_\tDefinite=Def\t5\tdet\t5:det\t_\n"
+    "5\tlivre\tlivre\tNOUN\t_\tGender=Masc\t2\tobj\t2:obj\tSpaceAfter=No\n"
+    "6\t.\t.\tPUNCT\t_\t_\t2\tpunct\t2:punct\t_\n"
+    "# at the end\n"
+    "\n"
+    "# sent_id = fr-2\n"
+    "1\tOui\toui\tINTJ\t_\t_\t0\troot\t0:root\t_\n"
+    "\n"
+)
+
+
+DU = "1-2\tdu\tde+le\t_\t_\tTypo=Yes\t_\t_\t_\tSpaceAfter=No"
+EMPTY_1 = "1.1\ty\t_\tX\t_\t_\t_\t_\t0:root|1:dep\t_"
+EMPTY_2 = "1.2\tz\t_\tX\t_\t_\t_\t_\t_\t_"
+_OUTSIDE = OUTSIDE_THE_TREE.split("\n")
+
+
+@pytest.mark.parametrize(
+    "text, other_lines",
+    [
+        (
+            OUTSIDE_THE_TREE,
+            ((0, _OUTSIDE[0]), (0, _OUTSIDE[1]), (0, _OUTSIDE[2]),
+             (2, _OUTSIDE[5]), (2, _OUTSIDE[6]), (2, _OUTSIDE[7]), (6, _OUTSIDE[12])),
+        ),
+        (
+            DU + "\n1\tde\t_\tADP\t_\t_\t2\tcase\t_\t_\n2\tle\t_\tDET\t_\t_\t0\troot\t_\t_\n\n",
+            ((0, DU),),
+        ),
+        (
+            "1\tthe\t_\tDET\t_\t_\t2\tdet\t_\t_\n# middle\n"
+            "2\tbook\t_\tNOUN\t_\t_\t0\troot\t_\t_\n# end\n\n",
+            ((1, "# middle"), (2, "# end")),
+        ),
+        (
+            "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n%s\n%s\n\n" % (EMPTY_1, EMPTY_2),
+            ((1, EMPTY_1), (1, EMPTY_2)),
+        ),
+    ],
+    ids=["every-kind", "multiword-columns", "comments-inside", "empty-nodes-at-the-end"],
+)
+def test_lines_outside_the_tree_are_kept_verbatim_in_place(text, other_lines):
+    sentences = parse_conllu(text)
+    assert sentences[0].other_lines == other_lines
+    assert write_conllu(sentences) == text
+
+
+@pytest.mark.parametrize(
+    "tid, message",
+    [
+        ("3.1", "empty node id '3.1' is not 2.M"),
+        ("1.1", "empty node id '1.1' is not 2.M"),
+        ("2.", "empty node id '2.' is not 2.M"),
+        (".1", "empty node id '.1' is not 2.M"),
+        ("2.x", "empty node id '2.x' is not 2.M"),
+        ("2.1.1", "empty node id '2.1.1' is not 2.M"),
+        ("٢.1", "empty node id '٢.1' is not 2.M"),
+    ],
+)
+def test_malformed_empty_node_id_is_refused_at_its_line(tmp_path, tid, message):
+    path = tmp_path / "bad.conllu"
+    path.write_text(
+        "# a\n1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+        "%s\tc\t_\tX\t_\t_\t_\t_\t_\t_\n\n" % tid,
+        encoding="utf-8",
+    )
+    with pytest.raises(ConlluError) as err:
+        conllu.read_conllu_file(str(path))
+    assert str(err.value) == "%s:4: %s" % (path, message)
 
 
 opaque = st.text(
@@ -107,7 +191,7 @@ def test_roundtrip_opaque_columns_fuzz(feats, deps, misc, xpos):
         ("x\ta\t_\tX\t_\t_\t0\troot\t_\t_\n\n", "non-integer token id"),
         ("1\ta\t_\tX\t_\t_\tz\troot\t_\t_\n\n", "non-integer head"),
         ("1\ta\t_\tX\t_\t_\t5\troot\t_\t_\n\n", "out of range"),
-        ("1.1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n\n", "non-integer token id"),
+        ("1.1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n\n", "empty node id '1.1' is not 0.M"),
         (
             "1\ta\t_\tX\t_\t_\t2\tdep\t_\t_\n1\tb\t_\tX\t_\t_\t0\troot\t_\t_\n\n",
             "duplicate token id",
@@ -276,7 +360,10 @@ def test_token_line_matches_field_by_field_join():
 def test_write_matches_reference_bytes_on_random_corpora():
     corpus = random_corpus(23, 2000)
     valid = [s for s in corpus if ref_validate_tree(s).ok]
-    assert valid and any(s.mwt_ranges for s in valid) and any(s.comments for s in valid)
+    lines = [line for s in valid for _, line in s.other_lines]
+    ids = [line.split("\t", 1)[0] for line in lines if not line.startswith("#")]
+    # the valid sentences hold comments, multiword ranges and empty nodes
+    assert len(ids) < len(lines) and any("-" in i for i in ids) and any("." in i for i in ids)
     text = write_conllu(valid)
     assert text == ref_write_conllu(valid)
     assert parse_conllu(text) == valid

@@ -263,6 +263,14 @@ def test_train_rejects_bad_input():
         train([], None, Hyperparameters(), seed=1)
     with pytest.raises(ValueError):
         train([s], None, Hyperparameters(epochs=0), seed=1)
+    for hp in (
+        Hyperparameters(explore_k=-1),
+        Hyperparameters(explore_p=-0.5),
+        Hyperparameters(explore_p=1.5),
+        Hyperparameters(explore_p=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            train([s], None, hp, seed=1)
 
 
 def test_memorizes_repeated_sentence():

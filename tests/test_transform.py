@@ -152,6 +152,28 @@ def test_repair_projectivity_operation():
     assert apply_transformation([s], Transformation.CASE).repairs_applied == 1
 
 
+def test_repair_after_the_promoted_word_starts_next_to_it():
+    # i = 2 with children 1 (before it), 3 (det, promoted), 4 and 5: the
+    # repair reattaches 4 and 5, next to and past p, and leaves 1 on i
+    s = make_sentence([2, 0, 2, 2, 2], ["amod", "root", "det", "nmod", "punct"])
+    result = apply_transformation([s], Transformation.DET)
+    assert arcs_of(result.sentences[0]) == [
+        (2, 1, "amod"), (3, 2, "det"), (0, 3, "root"), (3, 4, "nmod"), (3, 5, "punct"),
+    ]
+    assert (result.arcs_rewritten, result.repairs_applied) == (1, 2)
+
+
+def test_coordination_repair_reattaches_the_word_after_the_conjunction():
+    # the head 1 has cc 2, punct 3 and conj 4: 2 is promoted, conj 4
+    # follows it, and the repair reattaches 3, right after 2
+    s = make_sentence([0, 1, 1, 1], ["root", "cc", "punct", "conj"])
+    result = apply_transformation([s], Transformation.COORDINATION)
+    assert arcs_of(result.sentences[0]) == [
+        (2, 1, "conj"), (0, 2, "root"), (2, 3, "punct"), (2, 4, "conj"),
+    ]
+    assert (result.arcs_rewritten, result.repairs_applied) == (2, 1)
+
+
 # --- behavior details ------------------------------------------------------
 
 def test_invert_no_trigger_is_identity():
@@ -174,6 +196,22 @@ def test_chain_singleton_unchanged():
     s = make_sentence([0, 1], ["root", "mwe"])
     out = rewrite(s, Transformation.MWE)
     assert out.same_tree(s)
+
+
+def test_chain_of_four_name_children():
+    s = make_sentence([0, 1, 1, 1, 1], ["root", "name", "name", "name", "name"])
+    result = apply_transformation([s], Transformation.NAME)
+    assert result.sentences[0].heads() == [0, 0, 1, 2, 3, 4]
+    assert result.arcs_rewritten == 3
+
+
+def test_chain_under_a_later_head_is_chained_again_there():
+    # head 1 chains 2, 4, 5: 4 under 2 and 5 under 4. Head 2 then sees its
+    # own mwe child 3 and the chained 4, in id order, and chains 4 under 3
+    s = make_sentence([0, 1, 2, 1, 1], ["root", "mwe", "mwe", "mwe", "mwe"])
+    result = apply_transformation([s], Transformation.MWE)
+    assert result.sentences[0].heads() == [0, 0, 1, 2, 3, 4]
+    assert result.arcs_rewritten == 3
 
 
 def test_copula_noun_children_stay():

@@ -44,10 +44,10 @@ def checked_once(checked) -> bool:
 
 def break_transformations(monkeypatch, only=None):
     """Make every transformation leave a head cycle between tokens 1 and 2,
-    of every sentence or of those with the comment `only`."""
+    of every sentence or of those with the comment `only` before token 1."""
 
     def broken(s, t, noun_labels):
-        if only is not None and only not in s.comments:
+        if only is not None and (0, only) not in s.other_lines:
             return s, 0, 0
         heads = s.heads()
         heads[1], heads[2] = 2, 1
@@ -178,7 +178,7 @@ def test_harness_names_the_split_whose_transformed_tree_is_invalid(tmp_path, mon
     cfg = _grid(tmp_path)
     path = getattr(cfg.treebanks[0], split)
     marked = [
-        dataclasses.replace(s, comments=("# broken",)) if i == 1 else s
+        dataclasses.replace(s, other_lines=((0, "# broken"),)) if i == 1 else s
         for i, s in enumerate(read_conllu_file(path))
     ]
     write_conllu_file(path, marked)
