@@ -12,7 +12,7 @@ import json
 import sys
 
 from .conllu import format_conllu, read_conllu_file, read_trees, write_atomic, write_conllu_file
-from .evaluate import corpus_score
+from .evaluate import LineupError, corpus_score
 from .harness import emit_reports, load_config, run_experiment
 from .metrics import compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, load_model, parse, save_model, train
@@ -69,7 +69,10 @@ def _cmd_metrics(args) -> int:
 def _cmd_evaluate(args) -> int:
     gold = read_trees(args.gold)
     pred = read_conllu_file(args.pred)
-    score, correct, total = corpus_score(gold, pred)
+    try:
+        score, correct, total = corpus_score(gold, pred)
+    except LineupError as e:
+        raise ValueError("%s: %s in %s" % (args.pred, e, args.gold)) from None
     print(json.dumps({"uas": score, "correct": correct, "total": total}))
     return 0
 

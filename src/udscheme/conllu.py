@@ -35,8 +35,9 @@ from typing import NamedTuple
 
 
 class ConlluError(ValueError):
-    """Malformed CoNLL-U input. Reading is fail-fast: the first problem aborts.
-    `read_conllu_file` sets `path`, and the message then names the file."""
+    """Malformed CoNLL-U input, or an input file that is not UTF-8. Reading
+    is fail-fast: the first problem aborts. `read_text` and
+    `read_conllu_file` set `path`, and the message then names the file."""
 
     path: str | None = None
 
@@ -239,12 +240,10 @@ def format_conllu(sentences: list[Sentence]) -> str:
 
 
 def read_conllu_file(path: str) -> list[Sentence]:
-    """Read and parse a UTF-8 CoNLL-U file, taking \\r\\n and \\r as line
-    breaks like text mode does. A ConlluError names the file; bytes that are
-    not UTF-8 raise one at the line of the first of them. The trees are not
-    checked."""
+    """Read (through `read_text`) and parse a CoNLL-U file. A ConlluError
+    names the file. The trees are not checked."""
     try:
-        return parse_conllu(_read_text(path))
+        return parse_conllu(read_text(path))
     except ConlluError as e:
         e.path = path
         raise
@@ -257,14 +256,19 @@ def read_trees(path: str) -> list[Sentence]:
     return sentences
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, taking \\r\\n and \\r as line breaks like
+    text mode does. Every input file is read through here: a byte that is
+    not UTF-8 raises a ConlluError naming the file and its line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
-        raise ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start]) from None
+        err = ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start])
+        err.path = path
+        raise err from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -288,7 +292,7 @@ def _token_line_no(path: str, sentence_idx: int, tid: int) -> int:
     non-empty lines, and every such block is a sentence."""
     sentence = -1
     in_block = False
-    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if line == "":
             in_block = False
             continue

@@ -8,12 +8,19 @@ from .conllu import Sentence
 from .transform import Transformation
 
 
+class LineupError(ValueError):
+    """A predicted sentence or corpus that does not line up with its gold one.
+    The message says where, from the predicted side: `udscheme evaluate`
+    names the two files around it."""
+
+
 def uas(gold: Sentence, predicted: Sentence) -> tuple[int, int]:
     """(correct, total) over tokens whose gold UPOS is not PUNCT."""
-    if len(gold.tokens) != len(predicted.tokens) or any(
-        g.form != p.form for g, p in zip(gold.tokens, predicted.tokens)
-    ):
-        raise ValueError("gold/predicted sentences do not line up")
+    if len(gold.tokens) != len(predicted.tokens):
+        raise LineupError("%d tokens, against %d" % (len(predicted.tokens), len(gold.tokens)))
+    for g, p in zip(gold.tokens, predicted.tokens):
+        if g.form != p.form:
+            raise LineupError("token %d is %r, against %r" % (p.id, p.form, g.form))
     correct = total = 0
     for g, p in zip(gold.tokens, predicted.tokens):
         if g.upos == "PUNCT":
@@ -30,10 +37,13 @@ def corpus_score(
     """Corpus-level UAS as a percentage, with the (correct, total) counts
     it is computed from."""
     if len(gold) != len(predicted):
-        raise ValueError("corpora differ in sentence count")
+        raise LineupError("%d sentences, against %d" % (len(predicted), len(gold)))
     correct = total = 0
-    for g, p in zip(gold, predicted):
-        c, t = uas(g, p)
+    for i, (g, p) in enumerate(zip(gold, predicted), start=1):
+        try:
+            c, t = uas(g, p)
+        except LineupError as e:
+            raise LineupError("sentence %d: %s" % (i, e)) from None
         correct += c
         total += t
     if total == 0:

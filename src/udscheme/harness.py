@@ -33,7 +33,14 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .conllu import ConlluError, check_read_trees, check_trees, read_conllu_file, write_atomic
+from .conllu import (
+    ConlluError,
+    check_read_trees,
+    check_trees,
+    read_conllu_file,
+    read_text,
+    write_atomic,
+)
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
@@ -80,18 +87,55 @@ class ExperimentReport:
     trainings_executed: int = 0
 
 
+# the keys each section may hold; a [treebank:<language>] section needs all three
+CONFIG_KEYS = {
+    "experiment": ("seeds", "transformations", "output_dir"),
+    "parser": ("epochs", "explore_k", "explore_p"),
+    "treebank": ("train", "dev", "test"),
+}
+
+
+def _ini_error(path: str, e: configparser.Error) -> ValueError:
+    """One `path:line: message` error for an INI file configparser cannot read."""
+    if isinstance(e, configparser.DuplicateSectionError):
+        line, problem = e.lineno, "[%s] is given twice" % e.section
+    elif isinstance(e, configparser.DuplicateOptionError):
+        line, problem = e.lineno, "[%s] %s: given twice" % (e.section, e.option)
+    elif isinstance(e, configparser.MissingSectionHeaderError):
+        line, problem = e.lineno, "no [section] header before this line"
+    else:  # ParsingError
+        line, problem = e.errors[0][0], "expected [section] or key = value"
+    return ValueError("%s:%d: %s" % (path, line, problem))
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read an INI experiment config; a missing section or key, or a value
-    that does not parse, raises ValueError naming the file (and the section
-    and key)."""
-    cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as f:
-        cp.read_file(f)
+    """Read an INI experiment config. A line the INI reader cannot read
+    raises ValueError naming the file and the line; an unknown or missing
+    section or key, or a value that does not parse, one naming the file (and
+    the section and key). Values are literal: `%` interpolates nothing."""
+    # no header can name the empty section, so no section holds defaults that
+    # every other one inherits: `[DEFAULT]` is an unknown section like any other
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        cp.read_string(read_text(path), source=path)
+    except (configparser.ParsingError, configparser.DuplicateSectionError,
+            configparser.DuplicateOptionError) as e:
+        raise _ini_error(path, e) from None
+
+    def bad(section: str, key: str | None, problem: str) -> ValueError:
+        where = "[%s]" % section if key is None else "[%s] %s" % (section, key)
+        return ValueError("%s: %s: %s" % (path, where, problem))
+
+    for section in cp.sections():
+        keys = CONFIG_KEYS.get("treebank" if section.startswith("treebank:") else section)
+        if keys is None:
+            raise bad(section, None, "unknown section (one of: [experiment] [parser] "
+                      "[treebank:<language>])")
+        for key in cp[section]:
+            if key not in keys:
+                raise bad(section, key, "unknown key (one of: %s)" % " ".join(keys))
     if not cp.has_section("experiment"):
         raise ValueError("%s: no [experiment] section" % path)
-
-    def bad(section: str, key: str, problem: str) -> ValueError:
-        return ValueError("%s: [%s] %s: %s" % (path, section, key, problem))
 
     def convert(section: str, key: str, text: str, kind, what: str):
         try:
@@ -142,7 +186,7 @@ def load_config(path: str) -> ExperimentConfig:
     for section in cp.sections():
         if not section.startswith("treebank:"):
             continue
-        for key in ("train", "dev", "test"):
+        for key in CONFIG_KEYS["treebank"]:
             if not cp.has_option(section, key):
                 raise ValueError("%s: [%s] has no %r key" % (path, section, key))
         tb = TreebankSpec(

@@ -10,54 +10,54 @@ vocabulary plus one unseen slot, so unseen words always get non-zero mass.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 BOS = "<s>"
 EOS = "</s>"
 
 
+def _trigrams(sentences: list[list[str]]):
+    """(u, v, w) at each predicted position: each word, then the end marker;
+    the two begin markers are context only."""
+    for words in sentences:
+        padded = [BOS, BOS, *words, EOS]
+        yield from zip(padded, padded[1:], padded[2:])
+
+
 class WittenBellTrigram:
     def __init__(self, sentences: list[list[str]]):
-        """Estimate counts from sentences (plain word lists; padding with two
-        begin markers and one end marker happens here)."""
+        """Estimate counts from sentences (plain word lists, padded here)."""
         self.uni: Counter = Counter()
-        self.bi: dict[str, Counter] = {}
-        self.tri: dict[tuple[str, str], Counter] = {}
-        for words in sentences:
-            padded = [BOS, BOS] + list(words) + [EOS]
-            for k in range(2, len(padded)):
-                u, v, w = padded[k - 2], padded[k - 1], padded[k]
-                self.uni[w] += 1
-                self.bi.setdefault(v, Counter())[w] += 1
-                self.tri.setdefault((u, v), Counter())[w] += 1
+        bi, tri = defaultdict(Counter), defaultdict(Counter)
+        for u, v, w in _trigrams(sentences):
+            self.uni[w] += 1
+            bi[v][w] += 1
+            tri[u, v][w] += 1
         self.total = sum(self.uni.values())
         self.vocab_size = len(self.uni)
-
-    def _interp(self, counts: Counter | None, w: str, backoff: float) -> float:
-        if not counts:
-            return backoff
-        c = sum(counts.values())
-        lam = c / (c + len(counts))
-        return lam * counts[w] / c + (1 - lam) * backoff
+        # context -> (its continuation counts, c(ctx), lam(ctx))
+        for table in (bi, tri):
+            for ctx, counts in table.items():
+                c = sum(counts.values())
+                table[ctx] = counts, c, c / (c + len(counts))
+        self.bi, self.tri = dict(bi), dict(tri)
 
     def prob(self, w: str, u: str, v: str) -> float:
         """P(w | u, v); `w` need not be in the training vocabulary."""
         uniform = 1.0 / (self.vocab_size + 1)
         lam = self.total / (self.total + self.vocab_size)
-        p1 = lam * self.uni[w] / self.total + (1 - lam) * uniform
-        p2 = self._interp(self.bi.get(v), w, p1)
-        return self._interp(self.tri.get((u, v)), w, p2)
+        p = lam * self.uni.get(w, 0) / self.total + (1 - lam) * uniform
+        for ctx in (self.bi.get(v), self.tri.get((u, v))):
+            if ctx is not None:
+                counts, c, lam = ctx
+                p = lam * counts.get(w, 0) / c + (1 - lam) * p
+        return p
 
     def perplexity(self, sentences: list[list[str]]) -> float:
-        """2 ** cross-entropy; each word plus the end marker is one predicted
-        position, begin markers are context only."""
-        log_sum = 0.0
-        positions = 0
-        for words in sentences:
-            padded = [BOS, BOS] + list(words) + [EOS]
-            for k in range(2, len(padded)):
-                log_sum += math.log2(self.prob(padded[k], padded[k - 2], padded[k - 1]))
-                positions += 1
+        """2 ** cross-entropy over the predicted positions of `_trigrams`."""
+        log_sum, positions = 0.0, 0
+        for positions, (u, v, w) in enumerate(_trigrams(sentences), 1):
+            log_sum += math.log2(self.prob(w, u, v))
         if positions == 0:
             raise ValueError("no predicted positions")
         return 2.0 ** (-log_sum / positions)

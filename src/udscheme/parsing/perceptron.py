@@ -24,10 +24,9 @@ prediction with probability `explore_p`.
 from __future__ import annotations
 
 import random
-from collections.abc import Set
 from dataclasses import dataclass, field
 
-from ..conllu import Sentence, validate_tree, write_atomic
+from ..conllu import Sentence, read_text, validate_tree, write_atomic
 from ..evaluate import corpus_uas
 from .features import extract_features
 from .transitions import (
@@ -37,12 +36,17 @@ from .transitions import (
     REDUCE,
     RIGHT_ARC,
     SHIFT,
+    STEP_KINDS,
     apply_action,
     check_lost,
     initial_config,
     oracle_step,
     valid_actions,
 )
+
+# what parse() allows with the artificial root on top of the stack once it has
+# its one child (the buffer is non-empty in a step, so SHIFT is valid there)
+_SHIFT_ONLY = frozenset({SHIFT})
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -87,8 +91,12 @@ class Model:
     def __post_init__(self):
         self.actions = _action_inventory(self.labels)
         self._index = {a: i for i, a in enumerate(self.actions)}
-        # set of valid kinds -> indices of its actions (at most 16 sets)
-        self._allowed: dict[frozenset[str], list[int]] = {}
+        # each set of kinds a step chooses from -> the indices of its actions,
+        # in inventory order; shared lists, which callers must not change
+        self.allowed: dict[frozenset[str], list[int]] = {
+            kinds: [i for i, a in enumerate(self.actions) if a.kind in kinds]
+            for kinds in (*STEP_KINDS, _SHIFT_ONLY)
+        }
 
     def score(self, feats: list[int]) -> list[float]:
         scores = [0.0] * len(self.actions)
@@ -176,19 +184,6 @@ def _argmax(scores: list[float], allowed: list[int]) -> int:
     return best
 
 
-def _allowed_indices(model: Model, kinds: Set[str]) -> list[int]:
-    """Indices of the actions of the given kinds, in inventory order; one
-    shared list per set of kinds, which callers must not change. The sets
-    `valid_actions` returns are frozensets already, so they key it as they are."""
-    key = frozenset(kinds)
-    allowed = model._allowed.get(key)
-    if allowed is None:
-        allowed = model._allowed[key] = [
-            i for i, a in enumerate(model.actions) if a.kind in key
-        ]
-    return allowed
-
-
 def _hash_rows(
     weights: dict[str, dict[int, float]], memo: dict[str, int]
 ) -> dict[int, dict[int, float]]:
@@ -251,7 +246,7 @@ def train(
                 acc.updates += 1
                 costs, oracle_actions = oracle_step(c, gold)
                 feats = extract_features(c, sent)
-                allowed = _allowed_indices(model, valid_actions(c))
+                allowed = model.allowed[valid_actions(c)]
                 scores = model.score(feats)
                 pred_i = _argmax(scores, allowed)
                 oracle_i = _argmax(scores, [index[a] for a in oracle_actions])
@@ -290,15 +285,14 @@ def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sent
     c = initial_config(s)
     n = c.n
     while c.b <= n:
-        kinds = valid_actions(c)
-        # keep the output single-rooted: once the root has a child, block
-        # further right-arcs from the root (SHIFT is always available here)
+        # keep the output single-rooted: no second RIGHT_ARC from the root
         if c.stack[-1] == 0 and c.rights[0]:
-            kinds = kinds - {RIGHT_ARC} or kinds
+            allowed = model.allowed[_SHIFT_ONLY]
+        else:
+            allowed = model.allowed[valid_actions(c)]
         feats = extract_features(c, s)
         if model.hashed:
             feats = _hash_features(feats, memo)
-        allowed = _allowed_indices(model, kinds)
         scores = model.score(feats)
         apply_action(c, model.actions[_argmax(scores, allowed)])
     # tokens left headless become roots; every root but the first child of
@@ -354,8 +348,7 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     """Read a model written by `save_model`; a malformed file raises
     ValueError naming `path:line`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != _MODEL_HEADER:
         raise ValueError("%s:1: not a udscheme model file" % path)
     if len(lines) < 2 or not lines[1].startswith("labels\t"):

@@ -118,6 +118,11 @@ _VALID = (
 )
 
 
+# the sets `valid_actions` returns while the buffer is non-empty: the only ones
+# a step of the oracle or of a decoder chooses from
+STEP_KINDS = _VALID[True]
+
+
 def valid_actions(c: Configuration) -> frozenset[str]:
     """The kinds valid in c, as one of the shared sets in _VALID."""
     top = c.stack[-1]

@@ -8,6 +8,7 @@ from udscheme.conllu import read_conllu_file, write_conllu, write_conllu_file
 from udscheme.parsing import perceptron
 from udscheme.parsing.perceptron import load_model, parse
 
+from helpers import make_sentence
 from synth import synth_corpus
 from test_conllu import OUTSIDE_THE_TREE
 from test_harness import write_config, write_treebank
@@ -296,6 +297,61 @@ def test_bad_config_value_is_one_line_error(tmp_path, capsys, experiment, parser
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[experiment]\nseed = 5\n", "[experiment] seed: unknown key "
+         "(one of: seeds transformations output_dir)"),
+        ("[experiment]\ntransformation = det\n", "[experiment] transformation: "
+         "unknown key (one of: seeds transformations output_dir)"),
+        ("[experiment]\n[parser]\nepoch = 1\n",
+         "[parser] epoch: unknown key (one of: epochs explore_k explore_p)"),
+        ("[experiment]\n[treebank:fr]\ntrain = a\ntset = b\n",
+         "[treebank:fr] tset: unknown key (one of: train dev test)"),
+        ("[experiment]\n[treebnak:fr]\n", "[treebnak:fr]: unknown section "
+         "(one of: [experiment] [parser] [treebank:<language>])"),
+        # its keys would be inherited by every other section
+        ("[DEFAULT]\nepochs = 1\n[experiment]\n", "[DEFAULT]: unknown section "
+         "(one of: [experiment] [parser] [treebank:<language>])"),
+    ],
+)
+def test_unknown_config_section_or_key_is_one_line_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    code, err = run_failing(capsys, "experiment", "--config", str(cfg))
+    assert (code, err) == (2, "udscheme: %s: %s\n" % (cfg, message))
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[experiment]\nseeds 1 2\n", 2, "expected [section] or key = value"),
+        ("[experiment]\n[parser]\n[experiment]\n", 3, "[experiment] is given twice"),
+        ("seeds = 1\n[experiment]\n", 1, "no [section] header before this line"),
+        ("[experiment]\nseeds = 1\nseeds = 2\n", 3, "[experiment] seeds: given twice"),
+        (b"[experiment]\r\nseeds = 1\r\n# caf\xe9\n", 3, "byte 0xe9 is not UTF-8"),
+    ],
+)
+def test_unreadable_config_line_is_one_line_error(tmp_path, capsys, text, line, message):
+    cfg = tmp_path / "exp.ini"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
+    code, err = run_failing(capsys, "experiment", "--config", str(cfg))
+    assert (code, err) == (2, "udscheme: %s:%d: %s\n" % (cfg, line, message))
+
+
+def test_non_utf8_model_file_is_one_line_error(tmp_path, capsys):
+    src, model_p = str(tmp_path / "in.conllu"), tmp_path / "model.txt"
+    write_conllu_file(src, synth_corpus(2))
+    model_p.write_bytes(b"# udscheme-model v1\nlabels\troot\n\xff\tSHIFT\t1.0\n")
+    out = str(tmp_path / "out.conllu")
+    code, err = run_failing(capsys, "parse", "--model", str(model_p), "--input", src,
+                            "--output", out)
+    assert (code, err) == (2, "udscheme: %s:3: byte 0xff is not UTF-8\n" % model_p)
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--epochs", "0"], "epochs must be >= 1"),
@@ -335,6 +391,34 @@ def test_evaluate_scores_and_counts(tmp_path, capsys):
                 correct += gt.head == pt.head
     assert (scores["correct"], scores["total"]) == (correct, total)
     assert scores["uas"] == 100.0 * correct / total
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda pred: pred[:-1], "2 sentences, against 3"),
+        (lambda pred: pred + pred[:1], "4 sentences, against 3"),
+        (lambda pred: [pred[0], pred[2], pred[1]], "sentence 2: 6 tokens, against 3"),
+        (
+            lambda pred: [pred[0], make_sentence([2, 0, 2], ["det", "root", "punct"],
+                                                 ["the", "dogs", "."]), pred[2]],
+            "sentence 2: token 2 is 'dogs', against 'dog'",
+        ),
+    ],
+)
+def test_evaluate_names_the_files_and_sentence_that_do_not_line_up(
+    tmp_path, capsys, edit, message
+):
+    gold = [
+        make_sentence([0], ["root"], ["yes"]),
+        make_sentence([2, 0, 2], ["det", "root", "punct"], ["the", "dog", "."]),
+        make_sentence([2, 0, 4, 2, 2, 2], ["det", "root", "case", "nmod", "punct", "punct"]),
+    ]
+    gold_p, pred_p = str(tmp_path / "gold.conllu"), str(tmp_path / "pred.conllu")
+    write_conllu_file(gold_p, gold)
+    write_conllu_file(pred_p, edit(gold))
+    code, err = run_failing(capsys, "evaluate", "--gold", gold_p, "--pred", pred_p)
+    assert (code, err) == (2, "udscheme: %s: %s in %s\n" % (pred_p, message, gold_p))
 
 
 def test_evaluate_without_scorable_tokens_is_an_error(tmp_path, capsys):

@@ -64,6 +64,45 @@ def test_load_config(tmp_path):
     assert cfg.treebanks[0].language == "xx"
 
 
+def test_load_config_reads_percent_signs_literally(tmp_path):
+    d = tmp_path / "100%(x)s %"
+    d.mkdir()
+    paths = write_treebank(d)
+    cfg = load_config(write_config(tmp_path, paths, str(d / "out%")))
+    assert cfg.treebanks == [TreebankSpec("xx", paths["train"], paths["dev"], paths["test"])]
+    assert cfg.output_dir == str(d / "out%")
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The INI example in README.md, with its paths pointed at temp files."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    example = text.split("Experiment config format:", 1)[1].split("```ini\n", 1)[1]
+    example = example.split("```", 1)[0]
+    paths = write_treebank(tmp_path, lang="en")
+    for split, path in paths.items():
+        assert "/data/en-%s.conllu" % split in example
+        example = example.replace("/data/en-%s.conllu" % split, path)
+    assert "output_dir = out\n" in example
+    example = example.replace("output_dir = out\n", "output_dir = %s\n" % (tmp_path / "out"))
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(example)
+    cfg = load_config(str(cfg_path))
+    assert cfg == ExperimentConfig(
+        treebanks=[TreebankSpec("en", paths["train"], paths["dev"], paths["test"])],
+        transformations=list(Transformation),
+        seeds=[1, 2, 3],
+        hp=Hyperparameters(epochs=10, explore_k=1, explore_p=0.9),
+        output_dir=str(tmp_path / "out"),
+    )
+    # every key the loader knows is documented there
+    for section, keys in harness.CONFIG_KEYS.items():
+        assert "[%s" % section in example
+        for key in keys:
+            assert "\n%s " % key in example
+
+
 def test_load_config_rejects_duplicate_seeds(tmp_path):
     paths = write_treebank(tmp_path)
     cfg_path = write_config(tmp_path, paths, str(tmp_path / "out"), seeds="1 1")

@@ -38,10 +38,11 @@ def ref_prob(w, u, v, uni, bi, tri):
     return p2
 
 
-def ref_perplexity(sentences):
+def ref_perplexity(sentences, heldout=None):
+    """Perplexity of `heldout` (default: the training sentences themselves)."""
     uni, bi, tri = ref_counts(sentences)
     log_sum, m = 0.0, 0
-    for words in sentences:
+    for words in sentences if heldout is None else heldout:
         padded = [BOS, BOS] + list(words) + [EOS]
         for k in range(2, len(padded)):
             log_sum += math.log2(
@@ -71,6 +72,32 @@ def test_prob_matches_reference_pointwise():
     for u, v in contexts:
         for w in vocab:
             assert abs(model.prob(w, u, v) - ref_prob(w, u, v, uni, bi, tri)) < 1e-12
+
+
+def test_equals_reference_exactly_on_random_corpora():
+    # the model precomputes what the reference sums per call, in the same
+    # float expressions, so every value must be the same float
+    rng = random.Random(19)
+    for trial in range(40):
+        vocab = ["w%d" % i for i in range(rng.randint(1, 12))]
+        # many short sentences, so contexts repeat; empty sentences too
+        corpus = [
+            [rng.choice(vocab) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(1, 60))
+        ]
+        # held-out text adds unseen words, and with them unseen contexts
+        heldout = [
+            [rng.choice(vocab + ["new1", "new2"]) for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(1, 20))
+        ]
+        model = WittenBellTrigram(corpus)
+        assert model.perplexity(corpus) == ref_perplexity(corpus)
+        assert model.perplexity(heldout) == ref_perplexity(corpus, heldout)
+        uni, bi, tri = ref_counts(corpus)
+        words = vocab + [BOS, EOS, "new1"]
+        for _ in range(200):
+            w, u, v = rng.choice(words), rng.choice(words), rng.choice(words)
+            assert model.prob(w, u, v) == ref_prob(w, u, v, uni, bi, tri), (trial, w, u, v)
 
 
 def test_distribution_sums_to_one():

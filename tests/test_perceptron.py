@@ -4,12 +4,11 @@ import pytest
 
 from udscheme.conllu import ValidationReport, validate_tree
 from udscheme.parsing import perceptron
-from udscheme.parsing.transitions import KIND_ORDER
+from udscheme.parsing.transitions import STEP_KINDS
 from udscheme.transform import Transformation, apply_transformation
 from udscheme.parsing.perceptron import (
     Hyperparameters,
     Model,
-    _allowed_indices,
     _AveragedWeights,
     _hash_features,
     fnv1a64,
@@ -234,17 +233,20 @@ def test_features_sharing_a_hash_have_their_rows_summed(monkeypatch):
     assert list(collided.weights) == [h for h in plain.weights if h != memo[later]]
 
 
-def test_allowed_indices_match_the_inventory_scan_for_every_kind_set():
+def test_allowed_table_matches_the_inventory_scan_for_every_step_kind_set():
     model = Model(labels=["root", "nsubj", "det", "obj"])
-    kinds = list(KIND_ORDER)
-    for mask in range(16):
-        subset = {k for i, k in enumerate(kinds) if mask >> i & 1}
-        expected = [i for i, a in enumerate(model.actions) if a.kind in subset]
-        first = _allowed_indices(model, subset)
-        assert first == expected
-        # a dict's keys (as training passes them) hit the same cached list
-        assert _allowed_indices(model, dict.fromkeys(subset).keys()) is first
-    assert len(model._allowed) == 16
+    # the kind sets a step can choose from: what valid_actions returns with a
+    # non-empty buffer (root, headless or headed stack top), and the
+    # SHIFT-only set parse() keeps the root to
+    steps = {
+        frozenset({"SHIFT", "RIGHT_ARC"}),
+        frozenset({"SHIFT", "RIGHT_ARC", "LEFT_ARC"}),
+        frozenset({"SHIFT", "RIGHT_ARC", "REDUCE"}),
+    }
+    assert set(STEP_KINDS) == steps
+    assert set(model.allowed) == steps | {frozenset({"SHIFT"})}
+    for kinds, allowed in model.allowed.items():
+        assert allowed == [i for i, a in enumerate(model.actions) if a.kind in kinds]
 
 
 def test_dev_set_without_scorable_tokens_keeps_first_epoch():
