@@ -14,15 +14,19 @@ left half-written; the model and report writers use it too.
 
 The tree contract lives here. `parse_conllu` checks only the format;
 `validate_tree` checks the tree (ids 1..n, one root, heads in range, no
-self-loop, a label on every non-root arc, no cycle). Each tree is checked
-once, where it is first used, and refused at its first violation:
-- read trees by `check_read_trees`: ConlluError `<path>:<line>: <violation>`.
-  `read_trees` reads and checks gold input for every command; the harness
-  checks at a treebank's first cache miss, so a cached rerun checks none.
-  `udscheme parse` input and `evaluate --pred` are not gold: not checked.
-- produced trees by `check_trees`: ValueError `sentence N is not a valid
-  tree: <violation>`, run by `write_conllu` and on each transformed split
-  (the harness prefixes the split's file: `<path>: sentence N ...`).
+self-loop, a label on every non-root arc, no cycle). `check_trees` is the one
+tree check (besides `parse()`'s own), run once on each tree where it is first
+used, and it refuses the first violation:
+- with the path a tree was read from (as read, or rewritten from what was
+  read): ConlluError `<path>:<line>: <violation>`, at the line of the token
+  the violation names, found from the line `parse_conllu` keeps on each
+  sentence (`Sentence.line_no`), so no file is read twice. `read_trees`
+  reads and checks gold input for every command; the harness checks a
+  treebank's read splits at its first cache miss (a cached rerun checks
+  none) and each transformed split with the same call. `udscheme parse`
+  input and `evaluate --pred` are not gold: not checked.
+- without a path, as `write_conllu` runs it: ValueError `sentence N is not
+  a valid tree: <violation>`.
 - `parse()` checks its own output (RuntimeError). Checked trees are written
   with `format_conllu`, which checks nothing.
 """
@@ -30,21 +34,21 @@ once, where it is first used, and refused at its first violation:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
 class ConlluError(ValueError):
-    """Malformed CoNLL-U input, or an input file that is not UTF-8. Reading
-    is fail-fast: the first problem aborts. `read_text` and
-    `read_conllu_file` set `path`, and the message then names the file."""
+    """Malformed CoNLL-U input, an input file that is not UTF-8, or a read
+    tree that is not valid. Reading is fail-fast: the first problem aborts.
+    With a `path` (`read_text`, `read_conllu_file` and `check_trees` give
+    one), the message names the file."""
 
-    path: str | None = None
-
-    def __init__(self, line_no: int, message: str):
+    def __init__(self, line_no: int, message: str, path: str | None = None):
         super().__init__(line_no, message)
         self.line_no = line_no
         self.message = message
+        self.path = path
 
     def __str__(self) -> str:
         if self.path is None:
@@ -75,12 +79,19 @@ class Sentence:
     # the block's lines outside the tree (comments, multiword ranges, empty
     # nodes) as read, each with the number of token lines before it
     other_lines: tuple[tuple[int, str], ...] = ()
+    # the line the block starts on in the text it was read from (0 when the
+    # sentence was not read), carried by `with_arcs`; neither compared nor shown
+    line_no: int = field(default=0, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def token(self, tid: int) -> Token:
         return self.tokens[tid - 1]
+
+    def token_line(self, tid: int) -> int:
+        """The line of token `tid` in the text the sentence was read from."""
+        return self.line_no + tid - 1 + sum(1 for pos, _ in self.other_lines if pos < tid)
 
     def heads(self) -> list[int]:
         """Head array indexed by token id; index 0 is unused."""
@@ -99,7 +110,7 @@ class Sentence:
             if h != t.head or r != t.deprel:
                 t = _make_token(t[:6] + (h, r) + t[8:])  # fields 6, 7: head, deprel
             toks.append(t)
-        return Sentence(tuple(toks), self.other_lines)
+        return Sentence(tuple(toks), self.other_lines, self.line_no)
 
     def same_tree(self, other: "Sentence") -> bool:
         return all(
@@ -124,7 +135,6 @@ def parse_conllu(text: str) -> list[Sentence]:
     tokens: list[Token] = []
     other: list[tuple[int, str]] = []
     mwt: list[tuple[int, int]] = []  # the bounds of the multiword ranges
-    token_lines: list[int] = []  # line number per token, for late errors
     mwt_line = 0  # line number of the last multiword range
 
     def flush(line_no: int) -> None:
@@ -136,16 +146,18 @@ def parse_conllu(text: str) -> list[Sentence]:
         if mwt and mwt[-1][1] > n:  # ranges are in order, so the last ends last
             a, b = mwt[-1]
             raise ConlluError(mwt_line, "multiword range %d-%d ends past token %d" % (a, b, n))
-        for t, ln in zip(tokens, token_lines):
+        # the block's lines end on the line before `line_no`
+        s = Sentence(tuple(tokens), tuple(other), line_no - n - len(other))
+        for t in tokens:
             if not 0 <= t.head <= n:
-                raise ConlluError(ln, "head %d out of range [0, %d]" % (t.head, n))
+                message = "head %d out of range [0, %d]" % (t.head, n)
+                raise ConlluError(s.token_line(t.id), message)
             if t.head == t.id:
-                raise ConlluError(ln, "token %d is its own head" % t.id)
-        sentences.append(Sentence(tuple(tokens), tuple(other)))
+                raise ConlluError(s.token_line(t.id), "token %d is its own head" % t.id)
+        sentences.append(s)
         tokens.clear()
         other.clear()
         mwt.clear()
-        token_lines.clear()
 
     for line_no, line in enumerate(text.split("\n"), start=1):
         if line == "":
@@ -202,7 +214,6 @@ def parse_conllu(text: str) -> list[Sentence]:
         cols[0] = tid
         cols[6] = head
         tokens.append(_make_token(cols))
-        token_lines.append(line_no)
     flush(line_no + 1)
     return sentences
 
@@ -211,14 +222,19 @@ def parse_conllu(text: str) -> list[Sentence]:
 _token_line = "\t".join(["%s"] * len(Token._fields)).__mod__
 
 
-def check_trees(sentences: list[Sentence]) -> None:
-    """Raise a ValueError at the first sentence that is not a valid tree."""
+def check_trees(sentences: list[Sentence], path: str | None = None) -> None:
+    """Raise at the first sentence that is not a valid tree, naming its first
+    violation: a ValueError `sentence N is not a valid tree: <violation>`,
+    or, given the `path` the sentences were read from (as read, or rewritten
+    from what was read), a ConlluError `<path>:<line>: <violation>` at the
+    line of the token the violation names (of token 1 when none is named)."""
     for idx, s in enumerate(sentences):
         report = validate_tree(s)
         if not report.ok:
-            raise ValueError(
-                "sentence %d is not a valid tree: %s" % (idx, report.violations[0][2])
-            )
+            tid, _, message = report.violations[0]
+            if path is None:
+                raise ValueError("sentence %d is not a valid tree: %s" % (idx, message))
+            raise ConlluError(s.token_line(tid or 1), message, path)
 
 
 def write_conllu(sentences: list[Sentence]) -> str:
@@ -252,7 +268,7 @@ def read_conllu_file(path: str) -> list[Sentence]:
 def read_trees(path: str) -> list[Sentence]:
     """The sentences of a CoNLL-U file, each checked to be a tree."""
     sentences = read_conllu_file(path)
-    check_read_trees(path, sentences)
+    check_trees(sentences, path)
     return sentences
 
 
@@ -266,42 +282,8 @@ def read_text(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
-        err = ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start])
-        err.path = path
-        raise err from None
+        raise ConlluError(line, "byte 0x%02x is not UTF-8" % data[e.start], path) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def check_read_trees(path: str, sentences: list[Sentence]) -> None:
-    """Raise a ConlluError naming `path` and a line at the first of the
-    sentences `read_conllu_file(path)` returned that is not a valid tree:
-    the line of the token its first violation names (of its first token
-    when none is named). Only then is the file read again, for that line."""
-    for idx, s in enumerate(sentences):
-        report = validate_tree(s)
-        if not report.ok:
-            tid, _, message = report.violations[0]
-            e = ConlluError(_token_line_no(path, idx, tid or 1), message)
-            e.path = path
-            raise e
-
-
-def _token_line_no(path: str, sentence_idx: int, tid: int) -> int:
-    """The line of token `tid` of sentence `sentence_idx` in a file that
-    `read_conllu_file` reads without error: each sentence is one block of
-    non-empty lines, and every such block is a sentence."""
-    sentence = -1
-    in_block = False
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        if line == "":
-            in_block = False
-            continue
-        if not in_block:
-            in_block = True
-            sentence += 1
-        if sentence == sentence_idx and line.split("\t", 1)[0] == str(tid):
-            return line_no
-    raise ValueError("%s: sentence %d has no token %d" % (path, sentence_idx, tid))
 
 
 def write_conllu_file(path: str, sentences: list[Sentence]) -> None:

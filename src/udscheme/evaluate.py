@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conllu import Sentence
+from .conllu import Sentence, Token
 from .transform import Transformation
 
 
@@ -14,20 +14,24 @@ class LineupError(ValueError):
     names the two files around it."""
 
 
+def is_scored(t: Token) -> bool:
+    """The one rule for which gold tokens UAS counts: those whose UPOS is
+    not PUNCT."""
+    return t.upos != "PUNCT"
+
+
 def uas(gold: Sentence, predicted: Sentence) -> tuple[int, int]:
-    """(correct, total) over tokens whose gold UPOS is not PUNCT."""
+    """(correct, total) over the scored gold tokens (`is_scored`)."""
     if len(gold.tokens) != len(predicted.tokens):
         raise LineupError("%d tokens, against %d" % (len(predicted.tokens), len(gold.tokens)))
+    correct = total = 0
     for g, p in zip(gold.tokens, predicted.tokens):
         if g.form != p.form:
             raise LineupError("token %d is %r, against %r" % (p.id, p.form, g.form))
-    correct = total = 0
-    for g, p in zip(gold.tokens, predicted.tokens):
-        if g.upos == "PUNCT":
-            continue
-        total += 1
-        if g.head == p.head:
-            correct += 1
+        if is_scored(g):
+            total += 1
+            if g.head == p.head:
+                correct += 1
     return correct, total
 
 

@@ -7,7 +7,9 @@ split is measured. A transformation that changes no split is excluded and
 trains nothing. A failing scheme is recorded and the rest of the grid runs;
 a failing UD scheme skips its treebank, whose cells are compared against it.
 A read split with a tree that is not valid (`conllu` says where trees are
-checked) is recorded against the treebank and skips the rest of it.
+checked) is recorded against the treebank and skips the rest of it; a
+transformed split's is recorded against its scheme. Both are checked by one
+call and named by the split's file and the line of the tree's token.
 
 Each scheme's result is one JSON cache entry under <output_dir>/cache, named
 by a sha256 of the bytes of the three splits, the hyperparameters, the seed
@@ -33,14 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .conllu import (
-    ConlluError,
-    check_read_trees,
-    check_trees,
-    read_conllu_file,
-    read_text,
-    write_atomic,
-)
+from .conllu import ConlluError, check_trees, read_conllu_file, read_text, write_atomic
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
@@ -87,11 +82,17 @@ class ExperimentReport:
     trainings_executed: int = 0
 
 
+# what each [parser] key is read as; the bounds are Hyperparameters' own
+_PARSER_KINDS = {
+    "epochs": (int, "an integer"),
+    "explore_k": (int, "an integer"),
+    "explore_p": (float, "a number"),
+}
 # the keys each section may hold; a [treebank:<language>] section needs all three
 CONFIG_KEYS = {
     "experiment": ("seeds", "transformations", "output_dir"),
-    "parser": ("epochs", "explore_k", "explore_p"),
-    "treebank": ("train", "dev", "test"),
+    "parser": tuple(_PARSER_KINDS),
+    "treebank:": ("train", "dev", "test"),
 }
 
 
@@ -111,8 +112,10 @@ def _ini_error(path: str, e: configparser.Error) -> ValueError:
 def load_config(path: str) -> ExperimentConfig:
     """Read an INI experiment config. A line the INI reader cannot read
     raises ValueError naming the file and the line; an unknown or missing
-    section or key, or a value that does not parse, one naming the file (and
-    the section and key). Values are literal: `%` interpolates nothing."""
+    section or key, or a value that does not parse or is out of range, one
+    naming the file (and the section and key). Values are literal: `%`
+    interpolates nothing. A language names files in the cache and fills a
+    TSV field, so it must be non-empty, without a path separator or a tab."""
     # no header can name the empty section, so no section holds defaults that
     # every other one inherits: `[DEFAULT]` is an unknown section like any other
     cp = configparser.ConfigParser(interpolation=None, default_section="")
@@ -127,7 +130,7 @@ def load_config(path: str) -> ExperimentConfig:
         return ValueError("%s: %s: %s" % (path, where, problem))
 
     for section in cp.sections():
-        keys = CONFIG_KEYS.get("treebank" if section.startswith("treebank:") else section)
+        keys = CONFIG_KEYS.get("treebank:" if section.startswith("treebank:") else section)
         if keys is None:
             raise bad(section, None, "unknown section (one of: [experiment] [parser] "
                       "[treebank:<language>])")
@@ -164,33 +167,31 @@ def load_config(path: str) -> ExperimentConfig:
     ]
     listed_once("transformations", transformations, lambda t: repr(t.value))
 
-    def hyper(key: str, kind, what: str):
-        text = cp.get("parser", key, fallback=None)
-        if text is None:
-            return getattr(Hyperparameters, key)  # the field's default
-        return convert("parser", key, text, kind, what)
-
-    hp = Hyperparameters(
-        epochs=hyper("epochs", int, "an integer"),
-        explore_k=hyper("explore_k", int, "an integer"),
-        explore_p=hyper("explore_p", float, "a number"),
-    )
-    if hp.epochs < 1:
-        raise bad("parser", "epochs", "must be at least 1")
-    if hp.explore_k < 0:
-        raise bad("parser", "explore_k", "must be at least 0")
-    if not 0 <= hp.explore_p <= 1:  # nan included
-        raise bad("parser", "explore_p", "must be between 0 and 1")
+    given = {
+        key: convert("parser", key, cp.get("parser", key), kind, what)
+        for key, (kind, what) in _PARSER_KINDS.items()
+        if cp.has_option("parser", key)
+    }
+    try:
+        hp = Hyperparameters(**given)
+    except ValueError as e:  # Hyperparameters says `<key>: <bound>`
+        raise ValueError("%s: [parser] %s" % (path, e)) from None
+    output_dir = exp.get("output_dir", "out")
+    if not output_dir:
+        raise bad("experiment", "output_dir", "must not be empty")
 
     treebanks = []
     for section in cp.sections():
         if not section.startswith("treebank:"):
             continue
-        for key in CONFIG_KEYS["treebank"]:
+        language = section.split(":", 1)[1]
+        if not language or any(c in language for c in "/\\\t"):
+            raise bad(section, None, "the language must be non-empty, without '/', '\\' or a tab")
+        for key in CONFIG_KEYS["treebank:"]:
             if not cp.has_option(section, key):
                 raise ValueError("%s: [%s] has no %r key" % (path, section, key))
         tb = TreebankSpec(
-            language=section.split(":", 1)[1],
+            language=language,
             train=cp.get(section, "train"),
             dev=cp.get(section, "dev"),
             test=cp.get(section, "test"),
@@ -206,7 +207,7 @@ def load_config(path: str) -> ExperimentConfig:
         transformations=transformations,
         seeds=seeds,
         hp=hp,
-        output_dir=exp.get("output_dir", "out"),
+        output_dir=output_dir,
     )
 
 
@@ -272,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 if not checked:
                     try:
                         for p, c in zip(paths, corpora):
-                            check_read_trees(p, c)
+                            check_trees(c, p)
                     except ConlluError as e:
                         report.errors.append((tb.language, "*", str(e)))
                         break
@@ -306,14 +307,11 @@ def _run_scheme(tb, transfo, corpora, cfg, report, memo) -> dict:
     seed and the four measures of its training split. `transfo` None is the
     UD scheme, used as read; a transformation that changes none of the
     splits is excluded and trains nothing. A transformed split that is not
-    a valid tree is refused with a ValueError naming the split's file."""
+    a valid tree is refused as a read one is, at `<split file>:<line>`."""
     if transfo is not None:
         results = [apply_transformation(c, transfo) for c in corpora]
         for path, r in zip((tb.train, tb.dev, tb.test), results):
-            try:
-                check_trees(r.sentences)
-            except ValueError as e:
-                raise ValueError("%s: %s" % (path, e)) from None
+            check_trees(r.sentences, path)
         if not any(r.changed for r in results):
             return {"excluded": True}
         corpora = [r.sentences for r in results]

@@ -23,11 +23,12 @@ prediction with probability `explore_p`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from ..conllu import Sentence, read_text, validate_tree, write_atomic
-from ..evaluate import corpus_uas
+from ..evaluate import corpus_uas, is_scored
 from .features import extract_features
 from .transitions import (
     Action,
@@ -72,11 +73,23 @@ def _hash_features(strings: list[str], memo: dict[str, int]) -> list[int]:
     return hashes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparameters:
+    """Training settings, checked against their bounds when they are made:
+    an out-of-range value raises ValueError `<name>: <bound>`, and the
+    config loader puts `[parser]` in front."""
+
     epochs: int = 10
     explore_k: int = 1
     explore_p: float = 0.9
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs: must be at least 1")
+        if self.explore_k < 0:
+            raise ValueError("explore_k: must be at least 0")
+        if not 0 <= self.explore_p <= 1:  # nan included
+            raise ValueError("explore_p: must be between 0 and 1")
 
 
 @dataclass
@@ -213,12 +226,6 @@ def train(
     to read and fill (a fresh one when None)."""
     if not train_set:
         raise ValueError("empty training set")
-    if hp.epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if hp.explore_k < 0:
-        raise ValueError("explore_k must be >= 0")
-    if not 0 <= hp.explore_p <= 1:  # nan included
-        raise ValueError("explore_p must be in [0, 1]")
     labels = sorted({t.deprel for s in train_set for t in s.tokens})
     if not labels:
         raise ValueError("empty label inventory")
@@ -229,7 +236,7 @@ def train(
     golds = [Gold(s) for s in train_set]
     rng = random.Random(seed)
     # a dev set without scorable tokens scores 0 every epoch: epoch 1 is kept
-    dev_scorable = any(t.upos != "PUNCT" for s in dev_set or () for t in s.tokens)
+    dev_scorable = any(is_scored(t) for s in dev_set or () for t in s.tokens)
 
     best_dev = -1.0
     best_weights: dict[str, dict[int, float]] | None = None
@@ -346,7 +353,9 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
-    """Read a model written by `save_model`; a malformed file raises
+    """Read a model written by `save_model`; a malformed file, or one with
+    an entry `save_model` never writes (a key that is not a 64-bit hash, a
+    weight that is not finite, a (feature, action) pair given twice), raises
     ValueError naming `path:line`."""
     lines = read_text(path).splitlines()
     if not lines or lines[0] != _MODEL_HEADER:
@@ -371,7 +380,16 @@ def load_model(path: str) -> Model:
         if a is None:
             raise ValueError("%s:%d: unknown action %r" % (path, lineno, name))
         try:
-            model.weights.setdefault(int(f), {})[a] = float(w)
+            f, w = int(f), float(w)
         except ValueError as e:
             raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
+        if not 0 <= f <= _MASK:
+            raise ValueError("%s:%d: feature %d is not a 64-bit hash" % (path, lineno, f))
+        if not math.isfinite(w):
+            raise ValueError("%s:%d: weight %r is not finite" % (path, lineno, w))
+        row = model.weights.setdefault(f, {})
+        if a in row:
+            message = "feature %d, action %s is given twice" % (f, name)
+            raise ValueError("%s:%d: %s" % (path, lineno, message))
+        row[a] = w
     return model

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from udscheme.conllu import Sentence, Token, ValidationReport
+from udscheme.conllu import Sentence, Token, ValidationReport, read_text
 from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD
 from udscheme.transform import (
     COPULA_NOUN_LABELS,
@@ -658,8 +658,9 @@ class ReferenceAveragedWeights:
         return out
 
 
-# ---- the CoNLL-U code that tokens as named tuples replaced: the references
-# validate_tree, the token-line formatter, write_conllu and with_arcs must match
+# ---- the CoNLL-U code that tokens as named tuples and the line kept on each
+# sentence replaced: the references validate_tree, the token-line formatter,
+# write_conllu, with_arcs and check_trees' line of a read tree must match
 
 
 def ref_validate_tree(s: Sentence) -> ValidationReport:
@@ -744,6 +745,25 @@ def ref_with_arcs(s: Sentence, heads: list[int], deprels: list[str]) -> Sentence
     """with_arcs that replaces head and deprel in a new copy of every token."""
     toks = tuple(t._replace(head=heads[t.id], deprel=deprels[t.id]) for t in s.tokens)
     return Sentence(toks, s.other_lines)
+
+
+def ref_token_line_no(path: str, sentence_idx: int, tid: int) -> int:
+    """The line of token `tid` of sentence `sentence_idx` in a file that
+    `read_conllu_file` reads without error, found by reading the file again:
+    each sentence is one block of non-empty lines, and every such block is a
+    sentence. `check_trees` must place an invalid read tree at this line."""
+    sentence = -1
+    in_block = False
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if line == "":
+            in_block = False
+            continue
+        if not in_block:
+            in_block = True
+            sentence += 1
+        if sentence == sentence_idx and line.split("\t", 1)[0] == str(tid):
+            return line_no
+    raise ValueError("%s: sentence %d has no token %d" % (path, sentence_idx, tid))
 
 
 SHAPES = (

@@ -286,6 +286,7 @@ def test_treebank_section_without_split_is_one_line_error(tmp_path, capsys):
         ("", "explore_p = 3", "[parser] explore_p: must be between 0 and 1"),
         ("", "explore_p = -0.1", "[parser] explore_p: must be between 0 and 1"),
         ("", "explore_p = nan", "[parser] explore_p: must be between 0 and 1"),
+        ("output_dir =", "", "[experiment] output_dir: must not be empty"),
     ],
 )
 def test_bad_config_value_is_one_line_error(tmp_path, capsys, experiment, parser, message):
@@ -308,6 +309,9 @@ def test_bad_config_value_is_one_line_error(tmp_path, capsys, experiment, parser
         ("[experiment]\n[treebank:fr]\ntrain = a\ntset = b\n",
          "[treebank:fr] tset: unknown key (one of: train dev test)"),
         ("[experiment]\n[treebnak:fr]\n", "[treebnak:fr]: unknown section "
+         "(one of: [experiment] [parser] [treebank:<language>])"),
+        # it names no language
+        ("[experiment]\n[treebank]\ntrain = a\n", "[treebank]: unknown section "
          "(one of: [experiment] [parser] [treebank:<language>])"),
         # its keys would be inherited by every other section
         ("[DEFAULT]\nepochs = 1\n[experiment]\n", "[DEFAULT]: unknown section "
@@ -354,10 +358,10 @@ def test_non_utf8_model_file_is_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--epochs", "0"], "epochs must be >= 1"),
-        (["--explore-k", "-1"], "explore_k must be >= 0"),
-        (["--explore-p", "nan"], "explore_p must be in [0, 1]"),
-        (["--explore-p", "1.5"], "explore_p must be in [0, 1]"),
+        (["--epochs", "0"], "epochs: must be at least 1"),
+        (["--explore-k", "-1"], "explore_k: must be at least 0"),
+        (["--explore-p", "nan"], "explore_p: must be between 0 and 1"),
+        (["--explore-p", "1.5"], "explore_p: must be between 0 and 1"),
     ],
 )
 def test_train_refuses_out_of_range_hyperparameters(tmp_path, capsys, flags, message):
@@ -366,6 +370,43 @@ def test_train_refuses_out_of_range_hyperparameters(tmp_path, capsys, flags, mes
     code, err = run_failing(capsys, "train", "--train", src, "--model", str(model_p), *flags)
     assert (code, err) == (2, "udscheme: %s\n" % message)
     assert not model_p.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", "0"), ("epochs", "-4"), ("explore_k", "-1"), ("explore_p", "nan"),
+     ("explore_p", "-0.5"), ("explore_p", "inf")],
+)
+def test_train_flags_and_config_refuse_a_bound_in_the_same_words(tmp_path, capsys, key, value):
+    src = str(tmp_path / "in.conllu")
+    write_conllu_file(src, synth_corpus(3))
+    flag = "--" + key.replace("_", "-")
+    code, train_err = run_failing(
+        capsys, "train", "--train", src, "--model", str(tmp_path / "m.txt"), flag, value
+    )
+    assert code == 2 and train_err.startswith("udscheme: ")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\n[parser]\n%s = %s\n" % (key, value))
+    code, config_err = run_failing(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert config_err == "udscheme: %s: [parser] %s" % (cfg, train_err[len("udscheme: "):])
+
+
+@pytest.mark.parametrize(
+    "language", ["en/ewt", "en\\ewt", "en\tewt", ""], ids=["slash", "backslash", "tab", "empty"]
+)
+def test_config_refuses_a_language_that_cannot_name_a_file_or_field(tmp_path, capsys, language):
+    paths = write_treebank(tmp_path, n_train=4, n_dev=2, n_test=2)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[experiment]\nseeds = 1\ntransformations = det\noutput_dir = %s\n"
+        "[parser]\nepochs = 1\n[treebank:%s]\ntrain = %s\ndev = %s\ntest = %s\n"
+        % (tmp_path / "out", language, paths["train"], paths["dev"], paths["test"])
+    )
+    code, err = run_failing(capsys, "experiment", "--config", str(cfg))
+    message = "the language must be non-empty, without '/', '\\' or a tab"
+    assert (code, err) == (2, "udscheme: %s: [treebank:%s]: %s\n" % (cfg, language, message))
+    assert not (tmp_path / "out").exists()  # nothing trained or written
 
 
 def test_evaluate_scores_and_counts(tmp_path, capsys):

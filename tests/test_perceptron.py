@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -260,19 +261,34 @@ def test_dev_set_without_scorable_tokens_keeps_first_epoch():
 
 
 def test_train_rejects_bad_input():
-    s = make_sentence([0], ["root"])
+    # out-of-range hyperparameters cannot be made: see the tests below
     with pytest.raises(ValueError):
         train([], None, Hyperparameters(), seed=1)
-    with pytest.raises(ValueError):
-        train([s], None, Hyperparameters(epochs=0), seed=1)
-    for hp in (
-        Hyperparameters(explore_k=-1),
-        Hyperparameters(explore_p=-0.5),
-        Hyperparameters(explore_p=1.5),
-        Hyperparameters(explore_p=float("nan")),
-    ):
-        with pytest.raises(ValueError):
-            train([s], None, hp, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"epochs": 0}, "epochs: must be at least 1"),
+        ({"epochs": -3}, "epochs: must be at least 1"),
+        ({"explore_k": -1}, "explore_k: must be at least 0"),
+        ({"explore_p": -0.5}, "explore_p: must be between 0 and 1"),
+        ({"explore_p": 1.5}, "explore_p: must be between 0 and 1"),
+        ({"explore_p": float("nan")}, "explore_p: must be between 0 and 1"),
+        ({"explore_p": float("inf")}, "explore_p: must be between 0 and 1"),
+    ],
+)
+def test_hyperparameters_refuse_out_of_range_values_when_made(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        Hyperparameters(**kwargs)
+    assert str(err.value) == message
+
+
+def test_hyperparameters_take_their_bounds_and_cannot_change():
+    hp = Hyperparameters(epochs=1, explore_k=0, explore_p=0.0)
+    assert Hyperparameters(explore_p=1.0).explore_p == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hp.epochs = 0
 
 
 def test_memorizes_repeated_sentence():
@@ -384,6 +400,13 @@ LABELS = "labels\tdep,root\n"
         (HEADER + "labels\t\n", 2),  # an empty label
         (HEADER + "labels\tdet,,nsubj\n", 2),
         (HEADER + "labels\tdet,det\n", 2),  # a label listed twice
+        # entries save_model never writes
+        (HEADER + LABELS + "17\tSHIFT\t1.0\n3\tREDUCE\t1.0\n17\tSHIFT\t-2.0\n", 5),
+        (HEADER + LABELS + "17\tSHIFT\tnan\n", 3),
+        (HEADER + LABELS + "17\tSHIFT\t1.0\n18\tSHIFT\tinf\n", 4),
+        (HEADER + LABELS + "17\tSHIFT\t-inf\n", 3),
+        (HEADER + LABELS + "-17\tSHIFT\t1.0\n", 3),  # not a 64-bit hash
+        (HEADER + LABELS + "18446744073709551616\tSHIFT\t1.0\n", 3),
     ],
 )
 def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
@@ -392,6 +415,14 @@ def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
     with pytest.raises(ValueError) as err:
         load_model(str(path))
     assert str(err.value).startswith("%s:%d:" % (path, line))
+
+
+def test_load_takes_a_feature_under_several_actions_and_every_64_bit_key(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(HEADER + LABELS + "0\tSHIFT\t1.0\n0\tREDUCE\t-1.0\n"
+                    "18446744073709551615\tSHIFT\t0.5\n", encoding="utf-8")
+    model = load_model(str(path))
+    assert model.weights == {0: {0: 1.0, 1: -1.0}, 2**64 - 1: {0: 0.5}}
 
 
 @pytest.mark.parametrize("label", ["a,b", "a\tb", "a\nb", "", "dep"])

@@ -4,21 +4,33 @@ path, the harness's transform-then-train path, `parse()` output, and the
 `udscheme transform` and `udscheme parse` commands. Trees read from a file
 are checked where they are first used: by `udscheme train`, `metrics`,
 `evaluate` (its gold file) and `transform`, and the harness's first cache
-miss of a treebank."""
+miss of a treebank. A tree read from a file, or rewritten from one, is
+refused at `<file>:<line>` from the line kept on its sentence: the line the
+reference walker finds by reading the file again."""
 
 import collections
 import dataclasses
 import os
+import random
 
 import pytest
 
 from udscheme import conllu, harness, transform
 from udscheme.cli import main
-from udscheme.conllu import ValidationReport, read_conllu_file, write_conllu_file
+from udscheme.conllu import (
+    ConlluError,
+    ValidationReport,
+    check_trees,
+    format_conllu,
+    read_conllu_file,
+    validate_tree,
+    write_conllu_file,
+)
 from udscheme.harness import load_config, run_experiment
 from udscheme.parsing import perceptron
 from udscheme.transform import Transformation, apply_transformation
 
+from helpers import random_conllu_sentence, ref_token_line_no
 from synth import synth_corpus
 from test_harness import write_config, write_treebank
 
@@ -169,8 +181,9 @@ def test_harness_refuses_an_invalid_transformed_tree(tmp_path, monkeypatch):
     break_transformations(monkeypatch)
     report = run_experiment(cfg)
     assert report.trainings_executed == 1  # the UD scheme only
-    message = "sentence 0 is not a valid tree: token 1 is caught in a head cycle"
-    assert report.errors == [("xx", "det", "%s: %s" % (cfg.treebanks[0].train, message))]
+    path = cfg.treebanks[0].train
+    message = "%s:%d: token 1 is caught in a head cycle" % (path, ref_token_line_no(path, 0, 1))
+    assert report.errors == [("xx", "det", message)]
 
 
 @pytest.mark.parametrize("split", ["train", "dev", "test"])
@@ -182,11 +195,13 @@ def test_harness_names_the_split_whose_transformed_tree_is_invalid(tmp_path, mon
         for i, s in enumerate(read_conllu_file(path))
     ]
     write_conllu_file(path, marked)
+    with open(path, encoding="utf-8") as f:
+        line = f.read().split("\n").index("# broken") + 2  # token 1 follows the comment
     break_transformations(monkeypatch, only="# broken")
     report = run_experiment(cfg)
     assert report.trainings_executed == 1
-    message = "sentence 1 is not a valid tree: token 1 is caught in a head cycle"
-    assert report.errors == [("xx", "det", "%s: %s" % (path, message))]
+    message = "%s:%d: token 1 is caught in a head cycle" % (path, line)
+    assert report.errors == [("xx", "det", message)]
 
 
 # heads 2, 1, 0: tokens 1 and 2 form a head cycle, token 3 is the root
@@ -249,3 +264,91 @@ def test_harness_refuses_a_read_tree_and_checks_only_on_a_miss(tmp_path, monkeyp
     report = run_experiment(cfg)
     assert report.trainings_executed == 0 and report.rows == []
     assert report.errors == [("xx", "*", "%s:1: token 1 is caught in a head cycle" % bad)]
+
+
+def test_a_read_tree_is_placed_without_reading_the_file_again(tmp_path):
+    path = write_text(tmp_path, "bad.conllu", TWO_ROOTS)
+    sentences = read_conllu_file(path)
+    os.remove(path)
+    with pytest.raises(ConlluError) as err:
+        check_trees(sentences, path)
+    assert str(err.value) == "%s:9: tokens [1, 3] all have head 0" % path
+    # the line is carried by a rewrite, and takes no part in == or repr
+    s = sentences[1]
+    rewritten = s.with_arcs(s.heads(), s.deprels())
+    assert rewritten.line_no == s.line_no == 5 and rewritten.token_line(3) == 9
+    assert s == dataclasses.replace(s, line_no=0) and "line_no" not in repr(s)
+
+
+# the shapes whose sentences parse_conllu reads and validate_tree may refuse,
+# and those it refuses itself, at a token's line
+READABLE_SHAPES = ("tree", "chain", "cycle", "multi-root", "no-root", "empty-deprel")
+UNREADABLE_SHAPES = ("self-loop", "head-range")
+
+
+def random_file(rng, path, sentences) -> None:
+    """Write the sentences as a CoNLL-U file with leading blank lines, runs
+    of blank lines between blocks, \\n, \\r\\n or \\r line ends, and at
+    times no line end after the last line."""
+    lines = [""] * rng.randint(0, 2)
+    for s in sentences:
+        lines += format_conllu([s]).split("\n")[:-1]  # the block and its blank line
+        lines += [""] * rng.randint(0, 2)
+    # one kind per file: "\r" then "\n" would read as one line end
+    newline = rng.choice(["\n", "\r\n", "\r"])
+    text = "".join(line + newline for line in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+
+
+def test_every_invalid_read_tree_is_placed_at_the_reference_line(tmp_path):
+    rng = random.Random(2026)
+    path = str(tmp_path / "random.conllu")
+    placed = 0
+    for _ in range(150):
+        sentences = []
+        for _ in range(rng.randint(1, 6)):
+            shape = rng.choice(READABLE_SHAPES)
+            # one token without a root arc is its own head, which parse_conllu refuses
+            n = rng.randint(1 if shape == "tree" else 2, 9)
+            sentences.append(random_conllu_sentence(rng, n, shape))
+        random_file(rng, path, sentences)
+        read = read_conllu_file(path)
+        assert read == sentences
+        first_bad = None
+        for idx, s in enumerate(read):
+            report = validate_tree(s)
+            if report.ok:
+                check_trees([s], path)
+                continue
+            line = ref_token_line_no(path, idx, report.violations[0][0] or 1)
+            with pytest.raises(ConlluError) as err:
+                check_trees([s], path)
+            assert (err.value.path, err.value.line_no) == (path, line)
+            assert err.value.message == report.violations[0][2]
+            first_bad = line if first_bad is None else first_bad
+            placed += 1
+        if first_bad is not None:
+            with pytest.raises(ConlluError) as err:
+                check_trees(read, path)
+            assert err.value.line_no == first_bad
+    assert placed > 100
+
+
+def test_a_head_parse_conllu_refuses_is_placed_at_the_reference_line(tmp_path):
+    rng = random.Random(7)
+    path = str(tmp_path / "random.conllu")
+    for _ in range(100):
+        sentences = [random_conllu_sentence(rng, rng.randint(2, 9), "tree") for _ in range(4)]
+        idx = rng.randrange(len(sentences))
+        sentences[idx] = random_conllu_sentence(
+            rng, rng.randint(2, 9), rng.choice(UNREADABLE_SHAPES)
+        )
+        random_file(rng, path, sentences)
+        n = len(sentences[idx])
+        bad = next(t.id for t in sentences[idx].tokens if not 0 <= t.head <= n or t.head == t.id)
+        with pytest.raises(ConlluError) as err:
+            read_conllu_file(path)
+        assert (err.value.path, err.value.line_no) == (path, ref_token_line_no(path, idx, bad))
