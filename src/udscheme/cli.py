@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .conllu import format_conllu, read_conllu_file, read_trees, write_atomic, write_conllu_file
+from .conllu import check_trees, format_conllu, read_conllu_file, read_trees, write_atomic
 from .evaluate import LineupError, corpus_score
 from .harness import emit_reports, load_config, run_experiment
 from .metrics import compute_report, metric_dict
@@ -24,7 +24,8 @@ def _cmd_transform(args) -> int:
     labels = args.copula_noun_labels
     noun_labels = frozenset(labels.split(",")) if labels else COPULA_NOUN_LABELS
     result = apply_transformation(sentences, Transformation(args.transformation), noun_labels)
-    write_conllu_file(args.output, result.sentences)
+    check_trees(result.sentences, args.input)  # refused at <input>:<line>
+    write_atomic(args.output, format_conllu(result.sentences))
     print(json.dumps({"changed": result.changed, "arcs_rewritten": result.arcs_rewritten,
                       "repairs_applied": result.repairs_applied}))
     return 0
@@ -44,8 +45,7 @@ def _cmd_train(args) -> int:
 def _cmd_parse(args) -> int:
     model = load_model(args.model)
     sentences = read_conllu_file(args.input)
-    memo: dict[str, int] = {}  # one feature-hash memo for the whole input
-    write_atomic(args.output, format_conllu([parse(model, s, memo) for s in sentences]))
+    write_atomic(args.output, format_conllu([parse(model, s) for s in sentences]))
     return 0
 
 

@@ -23,7 +23,8 @@ used, and it refuses the first violation:
   sentence (`Sentence.line_no`), so no file is read twice. `read_trees`
   reads and checks gold input for every command; the harness checks a
   treebank's read splits at its first cache miss (a cached rerun checks
-  none) and each transformed split with the same call. `udscheme parse`
+  none) and each transformed split with the same call, as `udscheme
+  transform` checks its output against its input. `udscheme parse`
   input and `evaluate --pred` are not gold: not checked.
 - without a path, as `write_conllu` runs it: ValueError `sentence N is not
   a valid tree: <violation>`.

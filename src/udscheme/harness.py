@@ -18,11 +18,6 @@ trains nothing and reproduces the reports byte for byte; a changed split,
 hyperparameter or seed list retrains every scheme of its treebank, UD
 included. Entries and reports are written atomically; an entry that does not
 decode, or has another shape than `_run_scheme` writes, is recomputed.
-
-Each treebank gets one feature-hash memo, shared by all of its trainings and
-parses and dropped when the next treebank starts. Its schemes mostly share
-feature strings, so each is hashed about once per treebank; the memo only
-maps a string to its hash, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -260,7 +255,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         except Exception as e:  # record and move on to the next treebank
             report.errors.append((tb.language, "*", str(e)))
             continue
-        memo: dict[str, int] = {}  # feature hashes, for this treebank only
         checked = False  # whether the splits' trees have been checked
 
         for transfo in [None, *cfg.transformations]:
@@ -279,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         break
                     checked = True
                 try:
-                    entry = _run_scheme(tb, transfo, corpora, cfg, report, memo)
+                    entry = _run_scheme(tb, transfo, corpora, cfg, report)
                 except Exception as e:
                     report.errors.append((tb.language, scheme, str(e)))
                     if transfo is None:
@@ -302,7 +296,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _run_scheme(tb, transfo, corpora, cfg, report, memo) -> dict:
+def _run_scheme(tb, transfo, corpora, cfg, report) -> dict:
     """The cache entry of one scheme of treebank `tb`: its test UAS for every
     seed and the four measures of its training split. `transfo` None is the
     UD scheme, used as read; a transformation that changes none of the
@@ -318,8 +312,8 @@ def _run_scheme(tb, transfo, corpora, cfg, report, memo) -> dict:
     train_c, dev_c, test_c = corpora
     scores: dict[str, float] = {}
     for seed in cfg.seeds:
-        model = train(train_c, dev_c, cfg.hp, seed, memo=memo)
-        predicted = [parse(model, s, memo) for s in test_c]
+        model = train(train_c, dev_c, cfg.hp, seed)
+        predicted = [parse(model, s) for s in test_c]
         # each scheme is scored against its own test reference
         scores[str(seed)] = corpus_uas(test_c, predicted)
         report.trainings_executed += 1

@@ -1,19 +1,9 @@
 """Averaged perceptron for greedy arc-eager parsing.
 
-Training is keyed by feature string: the raw weights, their averaging sums
-and each epoch's averaged snapshot map a feature string to its row, and the
-dev set is decoded with the strings as they are. The model `train()` returns
-is hashed once, when it is frozen: each row is re-keyed by the 64-bit FNV-1a
-hash of its string, and the rows of strings that share a hash are summed
-into one, in the order their features were first updated. A saved or loaded
-model, and `parse()` on it, hash the features of every step.
-
-Hashes are memoized in a plain dict that maps a string to its hash, so
-sharing one never changes a result; it serves decoding (and the one
-re-keying per training) only. `train()` and `parse()` take an optional memo
-from their caller (the experiment harness passes one per treebank to all of
-that treebank's trainings and parses); without one, each call starts a fresh
-one. Nothing is cached at module level.
+Models are keyed by feature string on every path: the raw weights, their
+averaging sums, each epoch's averaged snapshot, the model `train()` returns,
+a model file and `parse()` all map a feature string to its row, as
+`extract_features` builds it.
 
 Training follows the dynamic-oracle recipe: predict with the current weights,
 update toward the best zero-cost action whenever the prediction has non-zero
@@ -54,23 +44,15 @@ _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
+# Like `conllu.is_projective`, fnv1a64 has no caller in udscheme, whose models
+# are keyed by string; it is kept only because the benchmark's tracer
+# (perfbench/tracing.py TARGETS) and its self-tests name it.
 def fnv1a64(s: str) -> int:
     """Stable 64-bit string hash (independent of PYTHONHASHSEED)."""
     h = _FNV_OFFSET
     for b in s.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _MASK
     return h
-
-
-def _hash_features(strings: list[str], memo: dict[str, int]) -> list[int]:
-    """fnv1a64 of each string, in order, computing each distinct one once per memo."""
-    hashes = []
-    for x in strings:
-        h = memo.get(x)
-        if h is None:
-            h = memo[x] = fnv1a64(x)
-        hashes.append(h)
-    return hashes
 
 
 @dataclass(frozen=True)
@@ -95,11 +77,9 @@ class Hyperparameters:
 @dataclass
 class Model:
     labels: list[str]
-    # feature key -> {action index -> weight}: averaged once trained, raw while
-    # training. A key is the feature string's fnv1a64 hash, or, in the models
-    # that training scores and decodes its dev set with, the string itself.
-    weights: dict = field(default_factory=dict)
-    hashed: bool = True
+    # feature string -> {action index -> weight}: averaged once trained, raw
+    # while training
+    weights: dict[str, dict[int, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.actions = _action_inventory(self.labels)
@@ -111,7 +91,7 @@ class Model:
             for kinds in (*STEP_KINDS, _SHIFT_ONLY)
         }
 
-    def score(self, feats: list[int]) -> list[float]:
+    def score(self, feats: list[str]) -> list[float]:
         scores = [0.0] * len(self.actions)
         for f in feats:
             row = self.weights.get(f)
@@ -197,33 +177,14 @@ def _argmax(scores: list[float], allowed: list[int]) -> int:
     return best
 
 
-def _hash_rows(
-    weights: dict[str, dict[int, float]], memo: dict[str, int]
-) -> dict[int, dict[int, float]]:
-    """The rows re-keyed by the fnv1a64 hash of their feature string. Rows
-    whose strings share a hash are summed into one, in `weights` order."""
-    out: dict[int, dict[int, float]] = {}
-    for h, row in zip(_hash_features(list(weights), memo), weights.values()):
-        have = out.get(h)
-        if have is None:
-            out[h] = dict(row)
-        else:
-            for a, w in row.items():
-                have[a] = have.get(a, 0.0) + w
-    return out
-
-
 def train(
     train_set: list[Sentence],
     dev_set: list[Sentence] | None,
     hp: Hyperparameters,
     seed: int,
-    memo: dict[str, int] | None = None,
 ) -> Model:
     """Train an arc-eager model; returns averaged weights (best dev-UAS epoch
-    snapshot when a dev set is given). Training is keyed by feature string;
-    the returned model is keyed by hash, through `memo`, a feature-hash memo
-    to read and fill (a fresh one when None)."""
+    snapshot when a dev set is given)."""
     if not train_set:
         raise ValueError("empty training set")
     labels = sorted({t.deprel for s in train_set for t in s.tokens})
@@ -231,7 +192,7 @@ def train(
         raise ValueError("empty label inventory")
     acc = _AveragedWeights()
     # training scores the raw weights; the averaged ones replace them at the end
-    model = Model(labels=labels, weights=acc.w, hashed=False)
+    model = Model(labels=labels, weights=acc.w)
     actions, index = model.actions, model._index
     golds = [Gold(s) for s in train_set]
     rng = random.Random(seed)
@@ -270,7 +231,7 @@ def train(
             snapshot = acc.averaged()
             dev_uas = 0.0
             if dev_scorable:
-                dev_model = Model(labels=labels, weights=snapshot, hashed=False)
+                dev_model = Model(labels=labels, weights=snapshot)
                 predicted = [parse(dev_model, s) for s in dev_set]
                 dev_uas = corpus_uas(dev_set, predicted)
             if dev_uas > best_dev:
@@ -278,17 +239,13 @@ def train(
                 best_weights = snapshot
     if best_weights is None:
         best_weights = acc.averaged()
-    return Model(labels=labels, weights=_hash_rows(best_weights, {} if memo is None else memo))
+    return Model(labels=labels, weights=best_weights)
 
 
-def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sentence:
+def parse(model: Model, s: Sentence) -> Sentence:
     """Greedy decoding. The output is always a valid single-rooted tree:
     at most one arc leaves the artificial root during decoding, and any
-    token left headless is attached afterwards. A hashed model's features
-    are hashed through `memo`, a feature-hash memo to read and fill (a fresh
-    one when None); a string-keyed model reads the strings as they are."""
-    if memo is None:
-        memo = {}
+    token left headless is attached afterwards."""
     c = initial_config(s)
     n = c.n
     while c.b <= n:
@@ -297,10 +254,7 @@ def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sent
             allowed = model.allowed[_SHIFT_ONLY]
         else:
             allowed = model.allowed[valid_actions(c)]
-        feats = extract_features(c, s)
-        if model.hashed:
-            feats = _hash_features(feats, memo)
-        scores = model.score(feats)
+        scores = model.score(extract_features(c, s))
         apply_action(c, model.actions[_argmax(scores, allowed)])
     # tokens left headless become roots; every root but the first child of
     # the artificial root (or the first root) then hangs from that one
@@ -320,7 +274,10 @@ def parse(model: Model, s: Sentence, memo: dict[str, int] | None = None) -> Sent
     return out
 
 
-_MODEL_HEADER = "# udscheme-model v1"
+_MODEL_HEADER = "# udscheme-model v2"
+# the format before v2, keyed by 64-bit feature hashes: refused, not read
+_V1_HEADER = "# udscheme-model v1"
+_ENTRIES = "entries\t"
 
 
 def _action_name(a: Action) -> str:
@@ -328,38 +285,58 @@ def _action_name(a: Action) -> str:
     return a.kind if a.label is None else a.kind + ":" + a.label
 
 
+def _storable(field: str) -> bool:
+    """Whether a tab-separated field of a model file can hold `field`: the
+    file is split into lines at each newline, and `read_text` reads a
+    carriage return as one."""
+    return not ("\t" in field or "\n" in field or "\r" in field)
+
+
 def _check_labels(labels: list[str]) -> None:
     """Raise ValueError unless a model file's labels line can hold `labels`."""
     if not labels:
         raise ValueError("no labels")
     for i, label in enumerate(labels):
-        # the labels line is comma-separated and the file is read line by line
-        if not label or "," in label or "\t" in label or label.splitlines() != [label]:
+        # the labels line is comma-separated
+        if not label or "," in label or not _storable(label):
             raise ValueError("label %r cannot be stored in a model file" % label)
         if label in labels[:i]:  # its actions would share a name in the file
             raise ValueError("label %r is listed twice" % label)
 
 
 def save_model(model: Model, path: str) -> None:
+    """Write a v2 model file: the header, the labels line, the number of
+    entries, then one `feature<TAB>action<TAB>weight` line per entry, sorted.
+    A label or feature the file cannot hold raises ValueError."""
     _check_labels(model.labels)
-    lines = [_MODEL_HEADER, "labels\t" + ",".join(model.labels)]
     entries = []
     for f, row in model.weights.items():
+        if not _storable(f):
+            raise ValueError("feature %r cannot be stored in a model file" % f)
         for a, w in row.items():
             entries.append((f, _action_name(model.actions[a]), w))
     entries.sort()
-    lines += ["%d\t%s\t%r" % e for e in entries]
+    lines = [_MODEL_HEADER, "labels\t" + ",".join(model.labels), _ENTRIES + str(len(entries))]
+    lines += ["%s\t%s\t%r" % e for e in entries]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str) -> Model:
-    """Read a model written by `save_model`; a malformed file, or one with
-    an entry `save_model` never writes (a key that is not a 64-bit hash, a
-    weight that is not finite, a (feature, action) pair given twice), raises
-    ValueError naming `path:line`."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != _MODEL_HEADER:
+    """Read a model written by `save_model`. A malformed file, a v1 file, a
+    file cut short (its last line break, or entries it counts, missing), or
+    one with an entry `save_model` never writes (a weight that is not finite,
+    a (feature, action) pair given twice) raises ValueError naming
+    `path:line`."""
+    # split as parse_conllu splits, so a feature keeps any other line break a
+    # CoNLL-U field can hold (U+2028, U+0085, \x0c)
+    lines = read_text(path).split("\n")
+    if lines[0] == _V1_HEADER:
+        raise ValueError("%s:1: a v1 model file (keyed by feature hash) is not "
+                         "read; train the model again" % path)
+    if lines[0] != _MODEL_HEADER:
         raise ValueError("%s:1: not a udscheme model file" % path)
+    if lines.pop() != "":
+        raise ValueError("%s:%d: no line break at the end of the file" % (path, len(lines) + 1))
     if len(lines) < 2 or not lines[1].startswith("labels\t"):
         raise ValueError("%s:2: missing labels line" % path)
     labels = lines[1][len("labels\t"):].split(",")
@@ -367,9 +344,15 @@ def load_model(path: str) -> Model:
         _check_labels(labels)
     except ValueError as e:
         raise ValueError("%s:2: %s" % (path, e)) from None
+    count = lines[2][len(_ENTRIES):] if len(lines) > 2 and lines[2].startswith(_ENTRIES) else ""
+    if not (count.isascii() and count.isdigit()):
+        raise ValueError("%s:3: missing entries line" % path)
+    if int(count) != len(lines) - 3:
+        message = "%d entries counted, %d given" % (int(count), len(lines) - 3)
+        raise ValueError("%s:3: %s" % (path, message))
     model = Model(labels=labels)
     index = {_action_name(a): i for i, a in enumerate(model.actions)}
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines[3:], start=4):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(
@@ -380,16 +363,14 @@ def load_model(path: str) -> Model:
         if a is None:
             raise ValueError("%s:%d: unknown action %r" % (path, lineno, name))
         try:
-            f, w = int(f), float(w)
+            w = float(w)
         except ValueError as e:
             raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
-        if not 0 <= f <= _MASK:
-            raise ValueError("%s:%d: feature %d is not a 64-bit hash" % (path, lineno, f))
         if not math.isfinite(w):
             raise ValueError("%s:%d: weight %r is not finite" % (path, lineno, w))
         row = model.weights.setdefault(f, {})
         if a in row:
-            message = "feature %d, action %s is given twice" % (f, name)
+            message = "feature %r, action %s is given twice" % (f, name)
             raise ValueError("%s:%d: %s" % (path, lineno, message))
         row[a] = w
     return model

@@ -7,7 +7,8 @@ import itertools
 import random
 
 from udscheme.conllu import Sentence, Token, ValidationReport, read_text
-from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD
+from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD, extract_features
+from udscheme.parsing.perceptron import Model, _action_name, fnv1a64
 from udscheme.transform import (
     COPULA_NOUN_LABELS,
     TRIGGER_LABELS,
@@ -656,6 +657,65 @@ class ReferenceAveragedWeights:
             if avg != 0.0:
                 out.setdefault(key[0], {})[key[1]] = avg
         return out
+
+
+# ---- the hash-keyed model that string keys replaced: the reference the
+# string-keyed parse() must match, and the v1 model file the golden digest pins
+
+
+def ref_hash_rows(weights: dict[str, dict[int, float]]) -> dict[int, dict[int, float]]:
+    """The rows re-keyed by the fnv1a64 hash of their feature string, as
+    `train()` froze a model before v2. Rows whose strings share a hash are
+    summed into one, in `weights` order."""
+    out: dict[int, dict[int, float]] = {}
+    for f, row in weights.items():
+        have = out.setdefault(fnv1a64(f), {})
+        for a, w in row.items():
+            have[a] = have.get(a, 0.0) + w
+    return out
+
+
+def ref_parse_hashed(model: Model, s: Sentence) -> Sentence:
+    """parse() as it was before v2, written out on its own: the string-keyed
+    `model` frozen by `ref_hash_rows`, every feature of every step hashed
+    with fnv1a64, the highest-scoring allowed action taken (the first in
+    inventory order on a tie), and headless tokens attached afterwards."""
+    rows = ref_hash_rows(model.weights)
+    c = initial_config(s)
+    while c.b <= c.n:
+        if c.stack[-1] == 0 and c.rights[0]:  # no second arc from the root
+            kinds = {SHIFT}
+        else:
+            kinds = valid_actions(c)
+        allowed = [i for i, a in enumerate(model.actions) if a.kind in kinds]
+        scores = [0.0] * len(model.actions)
+        for f in extract_features(c, s):
+            for a, w in rows.get(fnv1a64(f), {}).items():
+                scores[a] += w
+        apply_action(c, model.actions[max(allowed, key=scores.__getitem__)])
+    heads = [0 if h is None else h for h in c.head]
+    deprels = ["root" if h is None else l for h, l in zip(c.head, c.label)]
+    roots = [d for d in range(1, c.n + 1) if heads[d] == 0]
+    primary = c.rights[0][0] if c.rights[0] else roots[0]
+    for d in roots:
+        if d != primary:
+            heads[d], deprels[d] = primary, "root"
+    return s.with_arcs(heads, deprels)
+
+
+def ref_save_model_v1(model: Model, path: str) -> None:
+    """Write the string-keyed `model` as the v1 model file `save_model` wrote
+    before v2: rows keyed by `ref_hash_rows`, one sorted
+    `hash<TAB>action<TAB>weight` line per entry, and no entry count."""
+    entries = sorted(
+        (h, _action_name(model.actions[a]), w)
+        for h, row in ref_hash_rows(model.weights).items()
+        for a, w in row.items()
+    )
+    lines = ["# udscheme-model v1", "labels\t" + ",".join(model.labels)]
+    lines += ["%d\t%s\t%r" % e for e in entries]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 # ---- the CoNLL-U code that tokens as named tuples and the line kept on each

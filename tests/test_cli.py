@@ -4,9 +4,7 @@ import os
 import pytest
 
 from udscheme.cli import main
-from udscheme.conllu import read_conllu_file, write_conllu, write_conllu_file
-from udscheme.parsing import perceptron
-from udscheme.parsing.perceptron import load_model, parse
+from udscheme.conllu import read_conllu_file, write_conllu_file
 
 from helpers import make_sentence
 from synth import synth_corpus
@@ -108,42 +106,6 @@ def test_train_parse_evaluate_roundtrip(tmp_path, capsys):
     assert scores["correct"] <= scores["total"]
 
 
-def test_parse_shares_one_hash_memo_across_sentences(tmp_path, capsys, monkeypatch):
-    train_p = str(tmp_path / "train.conllu")
-    test_p = str(tmp_path / "test.conllu")
-    model_p = str(tmp_path / "model.txt")
-    pred_p = str(tmp_path / "pred.conllu")
-    write_conllu_file(train_p, synth_corpus(20))
-    test = synth_corpus(12, seed=777)
-    write_conllu_file(test_p, test)
-    assert run(capsys, "train", "--train", train_p, "--model", model_p,
-               "--epochs", "2", "--seed", "1")[0] == 0
-    model = load_model(model_p)
-    alone = write_conllu([parse(model, s) for s in test])
-
-    hashed: list[str] = []
-    real = perceptron.fnv1a64
-
-    def counting(x: str) -> int:
-        hashed.append(x)
-        return real(x)
-
-    monkeypatch.setattr(perceptron, "fnv1a64", counting)
-    code, _ = run(capsys, "parse", "--model", model_p, "--input", test_p,
-                  "--output", pred_p)
-    assert code == 0
-    with open(pred_p, encoding="utf-8") as f:
-        assert f.read() == alone
-    shared = list(hashed)
-    assert len(shared) == len(set(shared))
-    # a memo per sentence hashes the same strings, some of them repeatedly
-    hashed.clear()
-    for s in test:
-        parse(model, s)
-    assert set(hashed) == set(shared)
-    assert len(hashed) > len(shared)
-
-
 def test_metrics_command_json_and_tsv(tmp_path, capsys):
     src = str(tmp_path / "in.conllu")
     write_conllu_file(src, synth_corpus(10))
@@ -187,7 +149,7 @@ def test_truncated_model_file_is_one_line_error(tmp_path, capsys):
     src = str(tmp_path / "in.conllu")
     write_conllu_file(src, synth_corpus(2))
     with open(model_p, "w", encoding="utf-8") as f:
-        f.write("# udscheme-model v1\n")
+        f.write("# udscheme-model v2\n")
     code, err = run_failing(
         capsys, "parse", "--model", model_p, "--input", src,
         "--output", str(tmp_path / "out.conllu"),
@@ -201,7 +163,7 @@ def test_repeated_model_label_is_one_line_error(tmp_path, capsys):
     src = str(tmp_path / "in.conllu")
     write_conllu_file(src, synth_corpus(2))
     with open(model_p, "w", encoding="utf-8") as f:
-        f.write("# udscheme-model v1\nlabels\tdet,det\n")
+        f.write("# udscheme-model v2\nlabels\tdet,det\n")
     code, err = run_failing(
         capsys, "parse", "--model", model_p, "--input", src,
         "--output", str(tmp_path / "out.conllu"),
@@ -348,11 +310,11 @@ def test_unreadable_config_line_is_one_line_error(tmp_path, capsys, text, line, 
 def test_non_utf8_model_file_is_one_line_error(tmp_path, capsys):
     src, model_p = str(tmp_path / "in.conllu"), tmp_path / "model.txt"
     write_conllu_file(src, synth_corpus(2))
-    model_p.write_bytes(b"# udscheme-model v1\nlabels\troot\n\xff\tSHIFT\t1.0\n")
+    model_p.write_bytes(b"# udscheme-model v2\nlabels\troot\nentries\t1\n\xff\tSHIFT\t1.0\n")
     out = str(tmp_path / "out.conllu")
     code, err = run_failing(capsys, "parse", "--model", str(model_p), "--input", src,
                             "--output", out)
-    assert (code, err) == (2, "udscheme: %s:3: byte 0xff is not UTF-8\n" % model_p)
+    assert (code, err) == (2, "udscheme: %s:4: byte 0xff is not UTF-8\n" % model_p)
 
 
 @pytest.mark.parametrize(

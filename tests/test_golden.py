@@ -1,13 +1,16 @@
 """Golden checksums: a fixed seed must keep producing the same bytes.
 
-The model file pins the training arithmetic (feature hashing, update order,
-lazy averaging, best-epoch selection on a dev set) and the report files pin
-the whole experiment grid. Any change that moves a single float shows up
-here. The CoNLL-U digests pin the read, rewrite and write path: the bytes
-`write_conllu` gives for a corpus under each transformation. The model and
-report digests were computed before the perceptron hot path was rebuilt, the
-CoNLL-U digests before tokens became named tuples; regenerate them only for
-a change that is meant to alter results.
+The model files pin the training arithmetic (update order, lazy averaging,
+best-epoch selection on a dev set): the v1 file, keyed by feature hash and
+written by the reference writer, with the digest it had before models were
+keyed by string, and the v2 file `save_model` writes of the same weights.
+The report files pin the whole experiment grid. Any change that moves a
+single float shows up here. The CoNLL-U digests pin the read, rewrite and
+write path: the bytes `write_conllu` gives for a corpus under each
+transformation. The v1 model and report digests were computed before the
+perceptron hot path was rebuilt, the CoNLL-U digests before tokens became
+named tuples; regenerate them only for a change that is meant to alter
+results.
 """
 
 import hashlib
@@ -18,12 +21,15 @@ from udscheme.harness import ExperimentConfig, TreebankSpec, emit_reports, run_e
 from udscheme.parsing.perceptron import Hyperparameters, save_model, train
 from udscheme.transform import Transformation, apply_transformation
 
+from helpers import ref_save_model_v1
 from synth import synth_corpus
 
 # train(synth_corpus(8), synth_corpus(10, seed=999), epochs=4, seed=3):
 # dev UAS per epoch is 85.7 / 89.8 / 87.8 / 89.8, so the epoch-2 snapshot is
 # kept (a later tie does not replace it) and differs from the final weights.
 MODEL_SHA256 = "cb6029688ecfa74fe023260de1c14a80536a4373ca52295355c20f5f669961be"
+# the same model as save_model writes it (v2, keyed by feature string)
+MODEL_V2_SHA256 = "f2d53b565fea0613d47f8b04be4a82d34aa49ef87e567482f7bdfc56a0e8f469"
 
 REPORTS_SHA256 = {
     "hist.svg": "15c0e2743afe2e7ade95eef531bed78d2ed09bdb610443f873120b1d4a728c3a",
@@ -59,9 +65,11 @@ def test_golden_model_file(tmp_path):
     model = train(
         synth_corpus(8), synth_corpus(10, seed=999), Hyperparameters(epochs=4), seed=3
     )
-    path = str(tmp_path / "model.txt")
-    save_model(model, path)
-    assert sha256_file(path) == MODEL_SHA256
+    v1, v2 = str(tmp_path / "model-v1.txt"), str(tmp_path / "model-v2.txt")
+    ref_save_model_v1(model, v1)
+    save_model(model, v2)
+    assert sha256_file(v1) == MODEL_SHA256
+    assert sha256_file(v2) == MODEL_V2_SHA256
 
 
 def test_golden_reports(tmp_path):

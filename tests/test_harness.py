@@ -15,7 +15,6 @@ from udscheme.harness import (
     load_config,
     run_experiment,
 )
-from udscheme.parsing import perceptron
 from udscheme.parsing.perceptron import Hyperparameters
 from udscheme.transform import Transformation
 
@@ -437,54 +436,3 @@ def test_ud_side_failure_skips_only_its_treebank(tmp_path, monkeypatch):
     ]
     assert {lang for lang, _ in report.metrics} == {"xx"}
     assert report.summary["errors"] == 1
-
-
-def _count_hashes(monkeypatch):
-    """Record every fnv1a64 argument, and every memo harness passes to train."""
-    calls, memos = [], []
-    original = perceptron.fnv1a64
-    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
-    real_train = harness.train
-
-    def recording_train(*args, memo, **kwargs):
-        memos.append(memo)
-        return real_train(*args, memo=memo, **kwargs)
-
-    monkeypatch.setattr(harness, "train", recording_train)
-    return calls, memos
-
-
-def _grid_config(paths, out_dir, languages):
-    return ExperimentConfig(
-        treebanks=[
-            TreebankSpec(lang, paths["train"], paths["dev"], paths["test"])
-            for lang in languages
-        ],
-        transformations=[Transformation.DET, Transformation.CASE],
-        seeds=[1, 2],
-        hp=Hyperparameters(epochs=2),
-        output_dir=out_dir,
-    )
-
-
-def test_each_feature_string_is_hashed_once_per_treebank(tmp_path, monkeypatch):
-    paths = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
-    calls, memos = _count_hashes(monkeypatch)
-    report = run_experiment(_grid_config(paths, str(tmp_path / "out"), ["xx"]))
-    assert not report.errors and report.trainings_executed == 6
-    # one memo for all six trainings (and their parses), one call per string
-    assert len(memos) == 6 and all(m is memos[0] for m in memos)
-    assert len(calls) == len(set(calls)) == len(memos[0]) > 0
-
-
-def test_hash_memo_is_reset_for_each_treebank(tmp_path, monkeypatch):
-    paths = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
-    calls, memos = _count_hashes(monkeypatch)
-    run_experiment(_grid_config(paths, str(tmp_path / "one"), ["xx"]))
-    once = len(calls)
-    del calls[:]
-    # the same splits under two names: the second treebank hashes everything again
-    report = run_experiment(_grid_config(paths, str(tmp_path / "two"), ["xx", "yy"]))
-    assert report.trainings_executed == 12
-    assert len(calls) == 2 * once
-    assert memos[6] is not memos[12]

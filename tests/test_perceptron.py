@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from udscheme.conllu import ValidationReport, validate_tree
+from udscheme.conllu import ValidationReport, format_conllu, parse_conllu, validate_tree
 from udscheme.parsing import perceptron
-from udscheme.parsing.transitions import STEP_KINDS
-from udscheme.transform import Transformation, apply_transformation
+from udscheme.parsing.transitions import LEFT_ARC, REDUCE, RIGHT_ARC, STEP_KINDS, Action
 from udscheme.parsing.perceptron import (
     Hyperparameters,
     Model,
     _AveragedWeights,
-    _hash_features,
     fnv1a64,
     load_model,
     parse,
@@ -19,7 +17,13 @@ from udscheme.parsing.perceptron import (
     train,
 )
 
-from helpers import ReferenceAveragedWeights, make_sentence, random_projective_tree
+from helpers import (
+    ReferenceAveragedWeights,
+    make_sentence,
+    random_projective_tree,
+    ref_parse_hashed,
+    ref_save_model_v1,
+)
 from synth import synth_corpus
 
 
@@ -69,7 +73,8 @@ def _assert_same_store(acc: _AveragedWeights, ref: ReferenceAveragedWeights) -> 
     averaged, expected = acc.averaged(), ref.averaged()
     assert averaged == expected
     # rows in the order their feature was first changed, entries in the order
-    # they were first changed: the order a hash collision's rows are summed in
+    # they were first changed: the order ref_hash_rows sums a hash
+    # collision's rows in, which the v1 golden model file pins
     first_changed: dict = {}
     for f, a in ref.w:  # the reference keeps every entry, in first-change order
         first_changed.setdefault(f, []).append(a)
@@ -124,114 +129,6 @@ def test_entry_back_at_zero_is_deleted_and_still_averaged():
         assert acc.w == raw
         _assert_same_store(acc, ref)
     assert acc.averaged() == {"x": {0: 0.4, 1: -0.2, 2: -0.2}}
-
-
-def test_memoized_hashing_equals_direct_hashing(monkeypatch):
-    strings = ["S0w=book", "N0p=NOUN", "S0w=naïve", "N0w=日本語", "", "S0w=book",
-               "N1w=Ωmega", "N0w=日本語", "S0w=Book"]
-    expected = [fnv1a64(x) for x in strings]
-    calls = []
-
-    def counting(x):
-        calls.append(x)
-        return fnv1a64(x)
-
-    monkeypatch.setattr(perceptron, "fnv1a64", counting)
-    memo: dict = {}
-    assert _hash_features(strings, memo) == expected
-    assert sorted(calls) == sorted(set(strings))
-    assert _hash_features(strings, memo) == expected
-    assert len(calls) == len(set(strings))
-
-
-def test_each_parse_call_hashes_afresh(monkeypatch):
-    corpus = synth_corpus(10)
-    model = train(corpus, None, Hyperparameters(epochs=1), seed=3)
-    calls = []
-    original = perceptron.fnv1a64
-    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
-    parse(model, corpus[0])
-    first = len(calls)
-    parse(model, corpus[0])
-    assert first > 0 and len(calls) == 2 * first
-
-
-def test_memo_filled_by_another_scheme_gives_identical_model_file(tmp_path):
-    corpus, dev = synth_corpus(12), synth_corpus(5, seed=999)
-    hp = Hyperparameters(epochs=3)
-    fresh = str(tmp_path / "fresh.txt")
-    save_model(train(corpus, dev, hp, seed=2), fresh)
-
-    memo: dict = {}
-    other = apply_transformation(corpus, Transformation.DET).sentences
-    train(other, None, hp, seed=5, memo=memo)
-    filled = len(memo)
-    shared = str(tmp_path / "shared.txt")
-    save_model(train(corpus, dev, hp, seed=2, memo=memo), shared)
-    assert 0 < filled < len(memo)  # partly served by the other scheme's strings
-    assert all(memo[x] == fnv1a64(x) for x in memo)
-    with open(fresh, "rb") as a, open(shared, "rb") as b:
-        assert a.read() == b.read()
-
-
-def test_parse_with_a_memo_reads_and_fills_it(monkeypatch):
-    corpus = synth_corpus(10)
-    model = train(corpus, None, Hyperparameters(epochs=1), seed=3)
-    calls = []
-    original = perceptron.fnv1a64
-    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
-    memo: dict = {}
-    out = parse(model, corpus[0], memo)
-    assert len(calls) == len(memo) > 0
-    assert parse(model, corpus[0], memo) == out == parse(model, corpus[0])
-    assert len(calls) == 2 * len(memo)  # only the memo-less call hashed again
-
-
-def counting_hashes(monkeypatch) -> list:
-    """Record every string perceptron.fnv1a64 hashes."""
-    calls = []
-    original = perceptron.fnv1a64
-    monkeypatch.setattr(perceptron, "fnv1a64", lambda x: calls.append(x) or original(x))
-    return calls
-
-
-@pytest.mark.parametrize("memo", [None, {}])
-def test_training_hashes_each_feature_of_the_model_once(monkeypatch, memo):
-    # training and its dev decodes are keyed by string: only the returned
-    # model is hashed, one call per feature it keeps
-    corpus, dev = synth_corpus(12), synth_corpus(5, seed=999)
-    calls = counting_hashes(monkeypatch)
-    model = train(corpus, dev, Hyperparameters(epochs=3), seed=2, memo=memo)
-    assert len(calls) == len(set(calls)) == len(model.weights) > 0
-    assert memo is None or list(memo) == calls
-
-
-def test_features_sharing_a_hash_have_their_rows_summed(monkeypatch):
-    corpus, dev = synth_corpus(12), synth_corpus(5, seed=999)
-    hp = Hyperparameters(epochs=2)
-    memo: dict = {}
-    plain = train(corpus, dev, hp, seed=2, memo=memo)
-    strings = list(memo)  # the model's features, in the order its rows were made
-    rows = [plain.weights[memo[x]] for x in strings]
-    # the first later feature whose row shares an action with the first row
-    j = next(j for j in range(1, len(rows)) if rows[0].keys() & rows[j].keys())
-    first, later = strings[0], strings[j]
-
-    original = perceptron.fnv1a64
-    monkeypatch.setattr(
-        perceptron, "fnv1a64", lambda x: original(first if x == later else x)
-    )
-    collided = train(corpus, dev, hp, seed=2)
-    # training is keyed by string, so it is unchanged; the re-keyed model sums
-    # the later row into the earlier one, entry by entry, in row order
-    summed = dict(rows[0])
-    for a, w in rows[j].items():
-        summed[a] = summed.get(a, 0.0) + w
-    expected = {h: row for h, row in plain.weights.items() if h != memo[later]}
-    expected[memo[first]] = summed
-    assert collided.weights == expected
-    assert list(collided.weights[memo[first]].items()) == list(summed.items())
-    assert list(collided.weights) == [h for h in plain.weights if h != memo[later]]
 
 
 def test_allowed_table_matches_the_inventory_scan_for_every_step_kind_set():
@@ -339,6 +236,23 @@ def test_parse_single_token():
     assert out.token(1).head == 0
 
 
+def test_parse_keeps_the_root_to_one_child_while_decoding():
+    # scores that take RIGHT_ARC:root whenever the root is on top, REDUCE
+    # from an X and LEFT_ARC:dep from a Y: once the root has token 1, token 2
+    # is shifted, so it stays headless and can take token 3 as its head; had
+    # the root taken it too, LEFT_ARC would not be allowed from it
+    model = Model(labels=["dep", "root"])
+    model.weights = {
+        "S0p=<ROOT>": {model.actions.index(Action(RIGHT_ARC, "root")): 1.0},
+        "S0p=X": {model.actions.index(Action(REDUCE)): 1.0},
+        "S0p=Y": {model.actions.index(Action(LEFT_ARC, "dep")): 1.0},
+    }
+    s = make_sentence([0, 1, 1], ["root", "dep", "dep"], upos=["X", "Y", "Z"])
+    out = parse(model, s)
+    assert out.heads()[1:] == [0, 3, 1]
+    assert out.deprels()[1:] == ["root", "dep", "root"]
+
+
 def test_untrained_model_still_parses_validly():
     model = Model(labels=["root", "dep"])
     out = parse(model, make_sentence([2, 0, 2], ["dep", "root", "dep"]))
@@ -381,32 +295,45 @@ def test_parse_raises_on_invalid_tree(monkeypatch):
         parse(model, make_sentence([2, 0, 2], ["dep", "root", "dep"]))
 
 
-HEADER = "# udscheme-model v1\n"
+HEADER = "# udscheme-model v2\n"
 LABELS = "labels\tdep,root\n"
+
+
+def entries(n: int) -> str:
+    return "entries\t%d\n" % n
 
 
 @pytest.mark.parametrize(
     "text, line",
     [
         (HEADER, 2),  # truncated after the header
-        (HEADER + "17\tSHIFT\t1.0\n", 2),  # no labels line
-        (HEADER + LABELS + "17\tSHIFT\n", 3),
-        (HEADER + LABELS + "17\tSHIFT\t1.0\textra\n", 3),
-        (HEADER + LABELS + "17\tSHIFT\t1.0\n18\tJUMP\t1.0\n", 4),
-        (HEADER + LABELS + "17\tLEFT_ARC:nsubj\t1.0\n", 3),  # label not in the file
-        (HEADER + LABELS + "17\tSHIFT\tabc\n", 3),
-        (HEADER + LABELS + "123\tLEFT_ARC\t1.0\n", 3),  # arc action without a label
-        (HEADER + LABELS + "17\tSHIFT:det\t1.0\n", 3),  # labelled SHIFT
+        (HEADER + "S0w=a\tSHIFT\t1.0\n", 2),  # no labels line
+        (HEADER + LABELS, 3),  # no entries line
+        (HEADER + LABELS + "S0w=a\tSHIFT\t1.0\n", 3),
+        (HEADER + LABELS + "entries\t-1\n", 3),
+        (HEADER + LABELS + "entries\tone\n", 3),
+        # entries that do not number what the file counts: a file cut short
+        # at a line boundary, or one with entries added; a file cut inside
+        # its last line, whose weight still parses
+        (HEADER + LABELS + entries(2) + "S0w=a\tSHIFT\t1.0\n", 3),
+        (HEADER + LABELS + entries(0) + "S0w=a\tSHIFT\t1.0\n", 3),
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT\t1.0", 4),
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT\n", 4),
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT\t1.0\textra\n", 4),
+        (HEADER + LABELS + entries(2) + "S0w=a\tSHIFT\t1.0\nS0w=b\tJUMP\t1.0\n", 5),
+        (HEADER + LABELS + entries(1) + "S0w=a\tLEFT_ARC:nsubj\t1.0\n", 4),  # label not in the file
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT\tabc\n", 4),
+        (HEADER + LABELS + entries(1) + "S0w=a\tLEFT_ARC\t1.0\n", 4),  # arc action without a label
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT:det\t1.0\n", 4),  # labelled SHIFT
         (HEADER + "labels\t\n", 2),  # an empty label
         (HEADER + "labels\tdet,,nsubj\n", 2),
         (HEADER + "labels\tdet,det\n", 2),  # a label listed twice
-        # entries save_model never writes
-        (HEADER + LABELS + "17\tSHIFT\t1.0\n3\tREDUCE\t1.0\n17\tSHIFT\t-2.0\n", 5),
-        (HEADER + LABELS + "17\tSHIFT\tnan\n", 3),
-        (HEADER + LABELS + "17\tSHIFT\t1.0\n18\tSHIFT\tinf\n", 4),
-        (HEADER + LABELS + "17\tSHIFT\t-inf\n", 3),
-        (HEADER + LABELS + "-17\tSHIFT\t1.0\n", 3),  # not a 64-bit hash
-        (HEADER + LABELS + "18446744073709551616\tSHIFT\t1.0\n", 3),
+        # entries save_model never writes: a (feature, action) pair repeated,
+        # a weight that is not finite
+        (HEADER + LABELS + entries(3) + "S0w=a\tSHIFT\t1.0\nS0w=b\tREDUCE\t1.0\nS0w=a\tSHIFT\t-2.0\n", 6),
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT\tnan\n", 4),
+        (HEADER + LABELS + entries(2) + "S0w=a\tSHIFT\t1.0\nS0w=b\tSHIFT\tinf\n", 5),
+        (HEADER + LABELS + entries(1) + "S0w=a\tSHIFT\t-inf\n", 4),
     ],
 )
 def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
@@ -417,12 +344,66 @@ def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
     assert str(err.value).startswith("%s:%d:" % (path, line))
 
 
-def test_load_takes_a_feature_under_several_actions_and_every_64_bit_key(tmp_path):
+def test_load_takes_a_feature_under_several_actions(tmp_path):
     path = tmp_path / "model.txt"
-    path.write_text(HEADER + LABELS + "0\tSHIFT\t1.0\n0\tREDUCE\t-1.0\n"
-                    "18446744073709551615\tSHIFT\t0.5\n", encoding="utf-8")
+    path.write_text(HEADER + LABELS + entries(3) + "S0w=a\tSHIFT\t1.0\nS0w=a\tREDUCE\t-1.0\n"
+                    "S0w=b\tSHIFT\t0.5\n", encoding="utf-8")
     model = load_model(str(path))
-    assert model.weights == {0: {0: 1.0, 1: -1.0}, 2**64 - 1: {0: 0.5}}
+    assert model.weights == {"S0w=a": {0: 1.0, 1: -1.0}, "S0w=b": {0: 0.5}}
+
+
+def test_load_refuses_a_v1_file_by_name(tmp_path):
+    model = train(synth_corpus(8), None, Hyperparameters(epochs=1), seed=1)
+    path = str(tmp_path / "model.txt")
+    ref_save_model_v1(model, path)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith("%s:1: a v1 model file" % path)
+
+
+def test_a_model_of_forms_holding_line_breaks_loads_back_equal(tmp_path):
+    # parse_conllu splits lines on \n alone, so a form may hold any other
+    # line break; the model file must keep the features built from it
+    forms = ["a\u2028b", "c\u0085d", "e\x0cf"]
+    s = parse_conllu(format_conllu([
+        make_sentence([2, 0, 2], ["dep", "root", "dep"], forms, ["X", "VERB", "X"])
+    ]))[0]
+    assert [t.form for t in s.tokens] == forms
+    model = train([s] * 3, None, Hyperparameters(epochs=2), seed=1)
+    for mark in ("\u2028", "\u0085", "\x0c"):
+        assert any(mark in f for f in model.weights)
+    path = str(tmp_path / "model.txt")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.labels == model.labels and loaded.weights == model.weights
+    assert parse(loaded, s) == parse(model, s)
+
+
+@pytest.mark.parametrize("feature", ["S0w=a\tb", "S0w=a\nb", "S0w=a\rb"])
+def test_save_refuses_a_feature_no_read_field_can_hold(tmp_path, feature):
+    model = Model(labels=["dep", "root"], weights={feature: {0: 1.0}})
+    path = tmp_path / "model.txt"
+    with pytest.raises(ValueError, match="cannot be stored"):
+        save_model(model, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_string_keyed_parse_equals_the_hashed_reference(seed):
+    # random corpora, a dev set (so a best epoch is chosen) and sentences with
+    # forms the model never saw: string keys decode as hashed keys did, and
+    # parse() decodes as the old path, written out on its own, did
+    rng = random.Random(seed)
+    train_set = synth_corpus(rng.randint(6, 20), seed=rng.randrange(10**6))
+    dev = synth_corpus(rng.randint(3, 8), seed=rng.randrange(10**6))
+    model = train(train_set, dev, Hyperparameters(epochs=3), seed=seed)
+    test = synth_corpus(10, seed=rng.randrange(10**6))
+    test += [make_sentence(random_projective_tree(rng, rng.randint(1, 12))) for _ in range(5)]
+    # an untrained model ties every step and leaves every token headless
+    untrained = Model(labels=model.labels)
+    for s in test:
+        assert parse(model, s) == ref_parse_hashed(model, s)
+        assert parse(untrained, s) == ref_parse_hashed(untrained, s)
 
 
 @pytest.mark.parametrize("label", ["a,b", "a\tb", "a\nb", "", "dep"])

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -97,15 +98,15 @@ def test_roughly_linear_time():
     # threshold: constant factors and timer noise on small inputs)
     rng = random.Random(1)
     base = "".join(rng.choice("abcd") for _ in range(40_000))
-
-    def clock(s):
-        best = float("inf")
-        for _ in range(3):
+    sizes = [base, base + "".join(rng.choice("abcd") for _ in range(40_000))]
+    # the two sizes take turns, each from a collected heap, so a slow stretch
+    # of the host or a pending collection does not land on one size alone
+    best = [float("inf")] * len(sizes)
+    for _ in range(3):
+        for i, s in enumerate(sizes):
+            gc.collect()
             t0 = time.perf_counter()
             count_distinct_substrings([s])
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t1 = clock(base)
-    t2 = clock(base + "".join(rng.choice("abcd") for _ in range(40_000)))
+            best[i] = min(best[i], time.perf_counter() - t0)
+    t1, t2 = best
     assert t2 < t1 * 4.0, (t1, t2)

@@ -43,5 +43,8 @@ def test_training_and_parsing_call_the_hot_layers_through_module_globals(monkeyp
     model = perceptron.train(corpus, None, perceptron.Hyperparameters(epochs=1), seed=1)
     trained = dict(calls)
     perceptron.parse(model, corpus[0])
-    assert min(trained.values()) >= 1
-    assert all(calls[name] > trained[name] for name in calls)
+    hot = ("extract_features", "score")
+    assert min(trained[name] for name in hot) >= 1
+    assert all(calls[name] > trained[name] for name in hot)
+    # models are keyed by string: nothing is hashed, in training or parsing
+    assert calls["fnv1a64"] == 0

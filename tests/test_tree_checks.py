@@ -95,9 +95,9 @@ def test_transform_command_refuses_an_invalid_tree(tmp_path, capsys, monkeypatch
     break_transformations(monkeypatch)
     code, captured, dst = transform_command(tmp_path, capsys, src)
     assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "udscheme: sentence 0 is not a valid tree: token 1 is caught in a head cycle\n"
-    )
+    # refused at the input line of the token the violation names
+    line = ref_token_line_no(src, 0, 1)
+    assert captured.err == "udscheme: %s:%d: token 1 is caught in a head cycle\n" % (src, line)
     assert not os.path.exists(dst)
 
 
