@@ -197,6 +197,10 @@ def parse_conllu(text: str) -> list[Sentence]:
             continue
         if not (tid.isascii() and tid.isdigit()):
             raise ConlluError(line_no, "non-integer token id %r" % tid)
+        # `format_conllu` writes ints, so "01" or "00" would not come back
+        if tid[0] == "0" and len(tid) > 1:
+            message = "token id %r would be written back as %r" % (tid, str(int(tid)))
+            raise ConlluError(line_no, message)
         tid = int(tid)
         if tid != len(tokens) + 1:
             if any(t.id == tid for t in tokens):
@@ -209,11 +213,14 @@ def parse_conllu(text: str) -> list[Sentence]:
             head.isdigit() or (head.startswith("-") and head[1:].isdigit())
         ):
             raise ConlluError(line_no, "non-integer head %r" % head)
-        head = int(head)
-        if head < 0:
-            raise ConlluError(line_no, "negative head %d" % head)
+        value = int(head)
+        if value < 0:
+            raise ConlluError(line_no, "negative head %d" % value)
+        if head[0] in "-0" and len(head) > 1:  # "00", "01", "-0"
+            message = "head %r would be written back as %r" % (head, str(value))
+            raise ConlluError(line_no, message)
         cols[0] = tid
-        cols[6] = head
+        cols[6] = value
         tokens.append(_make_token(cols))
     flush(line_no + 1)
     return sentences

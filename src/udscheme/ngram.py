@@ -10,7 +10,7 @@ vocabulary plus one unseen slot, so unseen words always get non-zero mass.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 
 BOS = "<s>"
 EOS = "</s>"
@@ -26,21 +26,30 @@ def _trigrams(sentences: list[list[str]]):
 
 class WittenBellTrigram:
     def __init__(self, sentences: list[list[str]]):
-        """Estimate counts from sentences (plain word lists, padded here)."""
-        self.uni: Counter = Counter()
-        bi, tri = defaultdict(Counter), defaultdict(Counter)
-        for u, v, w in _trigrams(sentences):
-            self.uni[w] += 1
-            bi[v][w] += 1
-            tri[u, v][w] += 1
-        self.total = sum(self.uni.values())
-        self.vocab_size = len(self.uni)
+        """Estimate counts from sentences (plain word lists, padded here):
+        each distinct trigram once, with its count, into all three tables."""
+        uni: dict[str, int] = {}
+        bi: dict = {}
+        tri: dict = {}
+        for (u, v, w), n in Counter(_trigrams(sentences)).items():
+            uni[w] = uni.get(w, 0) + n
+            counts = bi.get(v)
+            if counts is None:
+                counts = bi[v] = {}
+            counts[w] = counts.get(w, 0) + n
+            counts = tri.get((u, v))
+            if counts is None:
+                counts = tri[u, v] = {}
+            counts[w] = n
+        self.uni = uni
+        self.total = sum(uni.values())
+        self.vocab_size = len(uni)
         # context -> (its continuation counts, c(ctx), lam(ctx))
         for table in (bi, tri):
             for ctx, counts in table.items():
                 c = sum(counts.values())
                 table[ctx] = counts, c, c / (c + len(counts))
-        self.bi, self.tri = dict(bi), dict(tri)
+        self.bi, self.tri = bi, tri
 
     def prob(self, w: str, u: str, v: str) -> float:
         """P(w | u, v); `w` need not be in the training vocabulary."""

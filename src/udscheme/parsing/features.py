@@ -72,36 +72,59 @@ def _compile():
 
 
 _features = _compile()
+TEMPLATES = len(_TABLE.split(","))  # features per configuration
 
 
-def extract_features(c: Configuration, s: Sentence) -> list[str]:
+def sentence_atoms(s: Sentence) -> tuple[list[str], list[str]]:
+    """The word and the POS atom of each position, by position: the root,
+    tokens 1..n, then NULL three times, so a buffer position past the end
+    (up to n + 3) and an absent position, given as -1, read NULL. Built once
+    per sentence, for every `extract_features` call on it."""
+    words = [ROOT_WORD, *[t.form for t in s.tokens], NULL, NULL, NULL]
+    tags = [ROOT_POS, *[t.upos for t in s.tokens], NULL, NULL, NULL]
+    return words, tags
+
+
+def extract_features(c: Configuration, words: list[str], tags: list[str]) -> list[str]:
+    """The 70 features of `c`, over the atom lists `sentence_atoms` built for
+    its sentence."""
     head, label, lefts = c.head, c.label, c.lefts
     s0 = c.stack[-1]
-    b, n = c.b, c.n
-    n0, n1, n2 = [i if i <= n else None for i in (b, b + 1, b + 2)]
-    s0h = head[s0]  # also None for the root: head[0] is None
-    s0h2 = None if s0h is None else head[s0h]
-    s0_left, s0_right = lefts[s0], c.rights[s0]
-    n0_left = lefts[n0] if n0 is not None else []
-    # S0l, S0l2, S0r, S0r2, N0l, N0l2: outermost first, None where absent
-    kids = (*s0_left[:2], None, None)[:2] + (*s0_right[:-3:-1], None, None)[:2]
-    kids += (*n0_left[:2], None, None)[:2]
-
-    tokens = s.tokens
-    atoms = []
-    for i in (s0, n0, n1, n2, s0h, s0h2, *kids):
-        if i is None:
-            atoms += (NULL, NULL)
-        elif i == 0:
-            atoms += (ROOT_WORD, ROOT_POS)
+    b = c.b
+    # S0h is reached by S0's arc, S0h2 by S0h's; the root has no head
+    s0h = head[s0]
+    if s0h is None:
+        s0h = s0h2 = -1
+        s0hl = s0h2l = NULL
+    else:
+        s0hl = label[s0]
+        s0h2 = head[s0h]
+        if s0h2 is None:
+            s0h2, s0h2l = -1, NULL
         else:
-            t = tokens[i - 1]
-            atoms += (t.form, t.upos)
-    # S0h is reached by S0's arc, S0h2 by S0h's, a child by its own
-    atoms += (NULL if s0h is None else label[s0], NULL if s0h2 is None else label[s0h])
-    atoms += [NULL if k is None else label[k] for k in kids]
-    d = NULL if n0 is None else min(n0 - s0, 10)  # ints: an f-string writes str(int)
+            s0h2l = label[s0h]
+    s0_left, s0_right = lefts[s0], c.rights[s0]
+    if b <= c.n:
+        n0_left = lefts[b]
+        d = min(b - s0, 10)  # ints: an f-string writes str(int)
+    else:
+        n0_left, d = (), NULL
+    # S0l, S0l2, S0r, S0r2, N0l, N0l2: outermost first, -1 where absent
+    kids = (*s0_left[:2], -1, -1)[:2] + (*s0_right[:-3:-1], -1, -1)[:2]
+    kids += (*n0_left[:2], -1, -1)[:2]
+    s0l, s0l2, s0r, s0r2, n0l, n0l2 = kids
+    atoms = [
+        words[s0], tags[s0], words[b], tags[b], words[b + 1], tags[b + 1],
+        words[b + 2], tags[b + 2], words[s0h], tags[s0h], words[s0h2], tags[s0h2],
+        words[s0l], tags[s0l], words[s0l2], tags[s0l2], words[s0r], tags[s0r],
+        words[s0r2], tags[s0r2], words[n0l], tags[n0l], words[n0l2], tags[n0l2],
+        s0hl, s0h2l,
+    ]
+    atoms += [NULL if k < 0 else label[k] for k in kids]
     atoms += (d, len(s0_left), len(s0_right), len(n0_left))
     for deps in (s0_left, s0_right, n0_left):
-        atoms.append("|".join(sorted({label[k] for k in deps})) or NULL)
+        if len(deps) > 1:
+            atoms.append("|".join(sorted({label[k] for k in deps})) or NULL)
+        else:  # no dependent or one: no set to build
+            atoms.append(label[deps[0]] or NULL if deps else NULL)
     return _features(*atoms)

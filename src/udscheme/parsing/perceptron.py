@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from ..conllu import Sentence, read_text, validate_tree, write_atomic
 from ..evaluate import corpus_uas, is_scored
-from .features import extract_features
+from .features import TEMPLATES, extract_features, sentence_atoms
 from .transitions import (
     Action,
     Gold,
@@ -77,9 +79,9 @@ class Hyperparameters:
 @dataclass
 class Model:
     labels: list[str]
-    # feature string -> {action index -> weight}: averaged once trained, raw
-    # while training
-    weights: dict[str, dict[int, float]] = field(default_factory=dict)
+    # feature string -> its averaged weights, as (action index, weight) pairs
+    # sorted by action; training keeps its raw weights in `_AveragedWeights`
+    weights: dict[str, tuple[tuple[int, float], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.actions = _action_inventory(self.labels)
@@ -92,12 +94,11 @@ class Model:
         }
 
     def score(self, feats: list[str]) -> list[float]:
+        """Each action's summed weight, added in feature order."""
         scores = [0.0] * len(self.actions)
-        for f in feats:
-            row = self.weights.get(f)
-            if row:
-                for a, w in row.items():
-                    scores[a] += w
+        for row in filter(None, map(self.weights.get, feats)):
+            for a, w in row:
+                scores[a] += w
         return scores
 
 
@@ -110,62 +111,89 @@ def _action_inventory(labels: list[str]) -> list[Action]:
     return acts
 
 
+def field_bits(templates: int, epochs: int, tokens: int) -> int:
+    """The width of a packed raw weight field for a training run: 32 bits
+    when `templates x 2 x epochs x tokens` is below 2^31, 64 otherwise.
+
+    A step changes an entry by at most 1, a sentence of n tokens takes at
+    most 2n steps, and a score sums one row per template, so that product
+    bounds every raw weight and every field of a training score.
+    """
+    return 32 if templates * 2 * epochs * tokens < 2**31 else 64
+
+
+def _unsigned_typecode(itemsize: int) -> str:
+    """An unsigned `array` typecode whose items are `itemsize` bytes."""
+    for code in "ILQ":
+        if array(code).itemsize == itemsize:
+            return code
+    raise RuntimeError("no unsigned array type of %d bytes" % itemsize)
+
+
 class _AveragedWeights:
     """Perceptron weights with lazy averaging over update steps.
 
-    Each map is feature -> {action index -> value}. `w` holds the raw
-    weights, the rows `Model.score` reads during training; an entry that
-    returns to 0.0 is deleted, and so is a row left empty. `acc` holds, for
-    every entry ever changed, the sum of each change times the number of
-    steps before the one it was made in, so the average over `updates` steps
-    is `(w * updates - acc) / updates`. Raw weights are sums of +-1.0 and
-    steps are integers, so the numerator is the exact sum of the weight over
-    all steps, an integer in a float, and the average its rounded quotient.
+    `w` maps a feature to its raw weights packed into one int: the weight of
+    action a, a sum of +-1 updates, is the signed `bits`-wide field at bit
+    `bits * a`, so adding rows adds their weights field by field, and a
+    feature whose row is back at 0 is deleted. `score` sums the rows of a
+    step's features plus a bias of 2^(bits-1) in every field, which keeps
+    each field non-negative (see `field_bits`), and reads the fields off the
+    bytes of that one int. `acc` maps a feature to {action index -> the sum
+    of each change times the number of steps before the one it was made
+    in}, for every entry ever changed, so the average over `updates` steps
+    is `(w * updates - acc) / updates`: the exact sum of the weight over all
+    steps, an integer, and the average its rounded quotient.
     """
 
-    def __init__(self):
-        self.w: dict[str, dict[int, float]] = {}
+    def __init__(self, actions: int, bits: int):
+        self.w: dict[str, int] = {}
         self.acc: dict[str, dict[int, float]] = {}
         self.updates = 0
+        self.half = 1 << (bits - 1)
+        self._unit = [1 << (bits * a) for a in range(actions)]
+        self._bias = self.half * sum(self._unit)
+        self._nbytes = bits // 8 * actions
+        self._typecode = _unsigned_typecode(bits // 8)
+
+    def score(self, feats: list[str]) -> array:
+        """Each action's summed raw weight plus `half`: the same order and
+        ties as the weights themselves."""
+        packed = sum(filter(None, map(self.w.get, feats)), self._bias)
+        return array(self._typecode, packed.to_bytes(self._nbytes, sys.byteorder))
 
     def update(self, feats: list[str], good: int, bad: int) -> None:
-        """Add +1 to (f, good), then -1 to (f, bad), for each f in order.
-        Called after `updates` has been advanced to the current step."""
+        """Add +1 to (f, good) and -1 to (f, bad) for each f. Called after
+        `updates` has been advanced to the current step."""
         step = self.updates - 1  # the new weight counts from the current step on
         raw, acc = self.w, self.acc
-        deltas = ((good, 1.0), (bad, -1.0))
+        delta = self._unit[good] - self._unit[bad]
         for f in feats:
-            w = raw.get(f)
-            if w is None:
-                w = raw[f] = {}
+            cur = raw.get(f, 0) + delta
+            if cur:
+                raw[f] = cur
+            else:
+                raw.pop(f, None)
             sums = acc.get(f)
             if sums is None:
                 sums = acc[f] = {}
-            for a, delta in deltas:
-                cur = w.get(a, 0.0) + delta
-                if cur:
-                    w[a] = cur
-                else:
-                    del w[a]
-                sums[a] = sums.get(a, 0.0) + delta * step
-            if not w:
-                del raw[f]
+            sums[good] = sums.get(good, 0.0) + step
+            sums[bad] = sums.get(bad, 0.0) - step
 
-    def averaged(self) -> dict[str, dict[int, float]]:
-        """The averaged weights without zero entries or empty rows, rows and
-        entries in the order they were first changed."""
-        u = self.updates
-        out: dict[str, dict[int, float]] = {}
-        empty: dict[int, float] = {}
+    def averaged(self) -> dict[str, tuple[tuple[int, float], ...]]:
+        """The averaged weights as `Model` rows, without zero entries or
+        empty rows, rows in the order their feature was first changed."""
+        u, half = self.updates, self.half
+        out = {}
         for f, sums in self.acc.items():
-            w = self.w.get(f, empty)
-            row = {}
-            for a, s in sums.items():
-                avg = (w.get(a, 0.0) * u - s) / u
+            w = self.score((f,))
+            row = []
+            for a in sorted(sums):
+                avg = ((w[a] - half) * u - sums[a]) / u
                 if avg != 0.0:
-                    row[a] = avg
+                    row.append((a, avg))
             if row:
-                out[f] = row
+                out[f] = tuple(row)
         return out
 
 
@@ -190,32 +218,34 @@ def train(
     labels = sorted({t.deprel for s in train_set for t in s.tokens})
     if not labels:
         raise ValueError("empty label inventory")
-    acc = _AveragedWeights()
-    # training scores the raw weights; the averaged ones replace them at the end
-    model = Model(labels=labels, weights=acc.w)
+    # training scores the raw weights in `acc`; `model` gives the actions
+    model = Model(labels=labels)
     actions, index = model.actions, model._index
+    tokens = sum(len(s.tokens) for s in train_set)
+    acc = _AveragedWeights(len(actions), field_bits(TEMPLATES, hp.epochs, tokens))
     golds = [Gold(s) for s in train_set]
+    atoms = [sentence_atoms(s) for s in train_set]
     rng = random.Random(seed)
     # a dev set without scorable tokens scores 0 every epoch: epoch 1 is kept
     dev_scorable = any(is_scored(t) for s in dev_set or () for t in s.tokens)
 
     best_dev = -1.0
-    best_weights: dict[str, dict[int, float]] | None = None
+    best_weights: dict[str, tuple[tuple[int, float], ...]] | None = None
     order = list(range(len(train_set)))
     for epoch in range(1, hp.epochs + 1):
         rng.shuffle(order)
         for si in order:
-            sent, gold = train_set[si], golds[si]
-            c = initial_config(sent)
+            gold, (words, tags) = golds[si], atoms[si]
+            c = initial_config(train_set[si])
             lost = 0
             while c.b <= c.n:
                 # the averaging clock ticks on every instance, updated or not,
                 # so converged passes keep weighting the final weights in
                 acc.updates += 1
                 costs, oracle_actions = oracle_step(c, gold)
-                feats = extract_features(c, sent)
+                feats = extract_features(c, words, tags)
                 allowed = model.allowed[valid_actions(c)]
-                scores = model.score(feats)
+                scores = acc.score(feats)
                 pred_i = _argmax(scores, allowed)
                 oracle_i = _argmax(scores, [index[a] for a in oracle_actions])
                 if costs[actions[pred_i].kind] > 0 and oracle_i != pred_i:
@@ -248,13 +278,14 @@ def parse(model: Model, s: Sentence) -> Sentence:
     token left headless is attached afterwards."""
     c = initial_config(s)
     n = c.n
+    words, tags = sentence_atoms(s)
     while c.b <= n:
         # keep the output single-rooted: no second RIGHT_ARC from the root
         if c.stack[-1] == 0 and c.rights[0]:
             allowed = model.allowed[_SHIFT_ONLY]
         else:
             allowed = model.allowed[valid_actions(c)]
-        scores = model.score(extract_features(c, s))
+        scores = model.score(extract_features(c, words, tags))
         apply_action(c, model.actions[_argmax(scores, allowed)])
     # tokens left headless become roots; every root but the first child of
     # the artificial root (or the first root) then hangs from that one
@@ -313,7 +344,7 @@ def save_model(model: Model, path: str) -> None:
     for f, row in model.weights.items():
         if not _storable(f):
             raise ValueError("feature %r cannot be stored in a model file" % f)
-        for a, w in row.items():
+        for a, w in row:
             entries.append((f, _action_name(model.actions[a]), w))
     entries.sort()
     lines = [_MODEL_HEADER, "labels\t" + ",".join(model.labels), _ENTRIES + str(len(entries))]
@@ -352,6 +383,7 @@ def load_model(path: str) -> Model:
         raise ValueError("%s:3: %s" % (path, message))
     model = Model(labels=labels)
     index = {_action_name(a): i for i, a in enumerate(model.actions)}
+    rows: dict[str, dict[int, float]] = {}
     for lineno, line in enumerate(lines[3:], start=4):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -368,9 +400,10 @@ def load_model(path: str) -> Model:
             raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
         if not math.isfinite(w):
             raise ValueError("%s:%d: weight %r is not finite" % (path, lineno, w))
-        row = model.weights.setdefault(f, {})
+        row = rows.setdefault(f, {})
         if a in row:
             message = "feature %r, action %s is given twice" % (f, name)
             raise ValueError("%s:%d: %s" % (path, lineno, message))
         row[a] = w
+    model.weights = {f: tuple(sorted(row.items())) for f, row in rows.items()}
     return model

@@ -7,7 +7,8 @@ import itertools
 import random
 
 from udscheme.conllu import Sentence, Token, ValidationReport, read_text
-from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD, extract_features
+from udscheme.evaluate import corpus_uas, is_scored
+from udscheme.parsing.features import NULL, ROOT_POS, ROOT_WORD, extract_features, sentence_atoms
 from udscheme.parsing.perceptron import Model, _action_name, fnv1a64
 from udscheme.transform import (
     COPULA_NOUN_LABELS,
@@ -20,12 +21,14 @@ from udscheme.parsing.transitions import (
     Action,
     Configuration,
     Derivation,
+    Gold,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
     SHIFT,
     apply_action,
     initial_config,
+    oracle_step,
     static_oracle_derivation,
     valid_actions,
 )
@@ -659,40 +662,160 @@ class ReferenceAveragedWeights:
         return out
 
 
+class RefRowAveragedWeights:
+    """The dict-row store the packed raw rows replaced, kept as the reference
+    the packed store must match exactly. Each map is feature -> {action
+    index -> value}: `w` the raw weights, an entry back at 0.0 deleted and a
+    row left empty too; `acc` each entry's sum of changes times the steps
+    before them."""
+
+    def __init__(self):
+        self.w: dict[str, dict[int, float]] = {}
+        self.acc: dict[str, dict[int, float]] = {}
+        self.updates = 0
+
+    def score(self, feats: list[str], actions: int) -> list[float]:
+        """`Model.score` as it read these rows, in feature order."""
+        scores = [0.0] * actions
+        for f in feats:
+            row = self.w.get(f)
+            if row:
+                for a, w in row.items():
+                    scores[a] += w
+        return scores
+
+    def update(self, feats: list[str], good: int, bad: int) -> None:
+        step = self.updates - 1
+        for f in feats:
+            w = self.w.setdefault(f, {})
+            sums = self.acc.setdefault(f, {})
+            for a, delta in ((good, 1.0), (bad, -1.0)):
+                cur = w.get(a, 0.0) + delta
+                if cur:
+                    w[a] = cur
+                else:
+                    del w[a]
+                sums[a] = sums.get(a, 0.0) + delta * step
+            if not w:
+                del self.w[f]
+
+    def averaged(self) -> dict[str, dict[int, float]]:
+        u = self.updates
+        out: dict[str, dict[int, float]] = {}
+        for f, sums in self.acc.items():
+            w = self.w.get(f, {})
+            row = {}
+            for a, s in sums.items():
+                avg = (w.get(a, 0.0) * u - s) / u
+                if avg != 0.0:
+                    row[a] = avg
+            if row:
+                out[f] = row
+        return out
+
+
+def pair_rows(rows: dict[str, dict[int, float]]) -> dict[str, tuple[tuple[int, float], ...]]:
+    """Dict rows as `Model` rows: (action, weight) pairs sorted by action."""
+    return {f: tuple(sorted(row.items())) for f, row in rows.items()}
+
+
+def ref_train(train_set, dev_set, hp, seed: int, chosen: list) -> Model:
+    """`train()` over `RefRowAveragedWeights`, as it was before the packed
+    store, with each epoch's dev decode by `ref_decode` over the snapshot's
+    dict rows. Appends the action index of every choice to `chosen`: the
+    prediction, then the oracle action, at each training step, and the
+    action taken at each decoding step."""
+    labels = sorted({t.deprel for s in train_set for t in s.tokens})
+    model = Model(labels=labels)
+    n = len(model.actions)
+    acc = RefRowAveragedWeights()
+    golds = [Gold(s) for s in train_set]
+    rng = random.Random(seed)
+    dev_scorable = any(is_scored(t) for s in dev_set or () for t in s.tokens)
+
+    def argmax(scores, allowed):
+        best = allowed[0]
+        for a in allowed[1:]:
+            if scores[a] > scores[best]:
+                best = a
+        chosen.append(best)
+        return best
+
+    best_dev, best_weights = -1.0, None
+    order = list(range(len(train_set)))
+    for epoch in range(1, hp.epochs + 1):
+        rng.shuffle(order)
+        for si in order:
+            sent, gold = train_set[si], golds[si]
+            c = initial_config(sent)
+            while c.b <= c.n:
+                acc.updates += 1
+                costs, oracle_actions = oracle_step(c, gold)
+                feats = extract_features(c, *sentence_atoms(sent))
+                scores = acc.score(feats, n)
+                pred_i = argmax(scores, model.allowed[valid_actions(c)])
+                oracle_i = argmax(scores, [model._index[a] for a in oracle_actions])
+                if costs[model.actions[pred_i].kind] > 0 and oracle_i != pred_i:
+                    acc.update(feats, oracle_i, pred_i)
+                if epoch > hp.explore_k and rng.random() < hp.explore_p:
+                    apply_action(c, model.actions[pred_i])
+                else:
+                    apply_action(c, model.actions[oracle_i])
+        if dev_set:
+            snapshot = acc.averaged()
+            dev_uas = 0.0
+            if dev_scorable:
+
+                def score(feats):
+                    scores = [0.0] * n
+                    for f in feats:
+                        for a, w in snapshot.get(f, {}).items():
+                            scores[a] += w
+                    return scores
+
+                predicted = [ref_decode(model, s, score, chosen) for s in dev_set]
+                dev_uas = corpus_uas(dev_set, predicted)
+            if dev_uas > best_dev:
+                best_dev, best_weights = dev_uas, snapshot
+    if best_weights is None:
+        best_weights = acc.averaged()
+    return Model(labels=labels, weights=pair_rows(best_weights))
+
+
 # ---- the hash-keyed model that string keys replaced: the reference the
 # string-keyed parse() must match, and the v1 model file the golden digest pins
 
 
-def ref_hash_rows(weights: dict[str, dict[int, float]]) -> dict[int, dict[int, float]]:
-    """The rows re-keyed by the fnv1a64 hash of their feature string, as
-    `train()` froze a model before v2. Rows whose strings share a hash are
-    summed into one, in `weights` order."""
+def ref_hash_rows(weights: dict[str, tuple[tuple[int, float], ...]]) -> dict[int, dict[int, float]]:
+    """The (action, weight) pair rows re-keyed by the fnv1a64 hash of their
+    feature string, as `train()` froze a model before v2. Rows whose strings
+    share a hash are summed into one, in `weights` order."""
     out: dict[int, dict[int, float]] = {}
     for f, row in weights.items():
         have = out.setdefault(fnv1a64(f), {})
-        for a, w in row.items():
+        for a, w in row:
             have[a] = have.get(a, 0.0) + w
     return out
 
 
-def ref_parse_hashed(model: Model, s: Sentence) -> Sentence:
-    """parse() as it was before v2, written out on its own: the string-keyed
-    `model` frozen by `ref_hash_rows`, every feature of every step hashed
-    with fnv1a64, the highest-scoring allowed action taken (the first in
-    inventory order on a tie), and headless tokens attached afterwards."""
-    rows = ref_hash_rows(model.weights)
+def ref_decode(model: Model, s: Sentence, score, chosen: list | None = None) -> Sentence:
+    """parse() as it was before the packed store, written out on its own:
+    each step's feature strings scored by `score`, the highest-scoring
+    allowed action taken (the first in inventory order on a tie, appended to
+    `chosen` if given), and headless tokens attached afterwards."""
     c = initial_config(s)
+    words, tags = sentence_atoms(s)
     while c.b <= c.n:
         if c.stack[-1] == 0 and c.rights[0]:  # no second arc from the root
             kinds = {SHIFT}
         else:
             kinds = valid_actions(c)
         allowed = [i for i, a in enumerate(model.actions) if a.kind in kinds]
-        scores = [0.0] * len(model.actions)
-        for f in extract_features(c, s):
-            for a, w in rows.get(fnv1a64(f), {}).items():
-                scores[a] += w
-        apply_action(c, model.actions[max(allowed, key=scores.__getitem__)])
+        scores = score(extract_features(c, words, tags))
+        best = max(allowed, key=scores.__getitem__)
+        if chosen is not None:
+            chosen.append(best)
+        apply_action(c, model.actions[best])
     heads = [0 if h is None else h for h in c.head]
     deprels = ["root" if h is None else l for h, l in zip(c.head, c.label)]
     roots = [d for d in range(1, c.n + 1) if heads[d] == 0]
@@ -701,6 +824,21 @@ def ref_parse_hashed(model: Model, s: Sentence) -> Sentence:
         if d != primary:
             heads[d], deprels[d] = primary, "root"
     return s.with_arcs(heads, deprels)
+
+
+def ref_parse_hashed(model: Model, s: Sentence) -> Sentence:
+    """parse() as it was before v2: the string-keyed `model` frozen by
+    `ref_hash_rows`, and every feature of every step hashed with fnv1a64."""
+    rows = ref_hash_rows(model.weights)
+
+    def score(feats):
+        scores = [0.0] * len(model.actions)
+        for f in feats:
+            for a, w in rows.get(fnv1a64(f), {}).items():
+                scores[a] += w
+        return scores
+
+    return ref_decode(model, s, score)
 
 
 def ref_save_model_v1(model: Model, path: str) -> None:

@@ -253,6 +253,37 @@ def test_parse_refuses_digits_that_are_not_ascii(text, line, message):
     assert str(err.value) == "line %d: %s" % (line, message)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (mwt_text("01 a 0"), 1, "token id '01' would be written back as '1'"),
+        (mwt_text("1 a 0", "00 b 1"), 2, "token id '00' would be written back as '0'"),
+        (mwt_text("1 a 0", "2 b 01"), 2, "head '01' would be written back as '1'"),
+        (mwt_text("1 a 00"), 1, "head '00' would be written back as '0'"),
+        (mwt_text("1 a -0"), 1, "head '-0' would be written back as '0'"),
+    ],
+    ids=["token-id-01", "token-id-00", "head-01", "head-00", "head-minus-0"],
+)
+def test_parse_refuses_an_id_or_head_it_could_not_write_back(text, line, message):
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(text)
+    assert str(err.value) == "line %d: %s" % (line, message)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (mwt_text("0 a 0"), 1, "token id 0 breaks the 1..n sequence"),
+        (mwt_text("1 a -1"), 1, "negative head -1"),
+        (mwt_text("1 a -01"), 1, "negative head -1"),
+    ],
+)
+def test_a_zero_id_and_negative_heads_keep_their_messages(text, line, message):
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(text)
+    assert str(err.value) == "line %d: %s" % (line, message)
+
+
 def test_write_refuses_invalid_tree():
     s = make_sentence([2, 1], ["dep", "dep"])  # cycle, no root
     with pytest.raises(ValueError):

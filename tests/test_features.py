@@ -5,6 +5,7 @@ from udscheme.parsing.features import (
     ROOT_POS,
     ROOT_WORD,
     extract_features,
+    sentence_atoms,
 )
 from udscheme.parsing.transitions import (
     Action,
@@ -26,7 +27,7 @@ THE_BOOK = make_sentence([2, 0], ["det", "root"], ["the", "book"], ["DET", "NOUN
 
 
 def feats(c, s):
-    return dict(f.split("=", 1) for f in extract_features(c, s))
+    return dict(f.split("=", 1) for f in extract_features(c, *sentence_atoms(s)))
 
 
 def test_initial_config_values():
@@ -75,10 +76,11 @@ def test_fixed_length_everywhere():
         n = rng.randint(1, 8)
         s = make_sentence(random_projective_tree(rng, n))
         c = initial_config(s)
-        assert len(extract_features(c, s)) == FEATURE_TEMPLATE_COUNT
+        atoms = sentence_atoms(s)
+        assert len(extract_features(c, *atoms)) == FEATURE_TEMPLATE_COUNT
         for a in static_oracle_derivation(s).actions:
             apply_action(c, a)
-            fs = extract_features(c, s)
+            fs = extract_features(c, *atoms)
             assert len(fs) == FEATURE_TEMPLATE_COUNT
             # template keys are unique, so features can index a weight map
             assert len({f.split("=", 1)[0] for f in fs}) == FEATURE_TEMPLATE_COUNT

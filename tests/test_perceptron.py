@@ -5,11 +5,13 @@ import pytest
 
 from udscheme.conllu import ValidationReport, format_conllu, parse_conllu, validate_tree
 from udscheme.parsing import perceptron
+from udscheme.parsing.features import TEMPLATES
 from udscheme.parsing.transitions import LEFT_ARC, REDUCE, RIGHT_ARC, STEP_KINDS, Action
 from udscheme.parsing.perceptron import (
     Hyperparameters,
     Model,
     _AveragedWeights,
+    field_bits,
     fnv1a64,
     load_model,
     parse,
@@ -20,9 +22,11 @@ from udscheme.parsing.perceptron import (
 from helpers import (
     ReferenceAveragedWeights,
     make_sentence,
+    pair_rows,
     random_projective_tree,
     ref_parse_hashed,
     ref_save_model_v1,
+    ref_train,
 )
 from synth import synth_corpus
 
@@ -35,9 +39,20 @@ def test_fnv1a64_stable_values():
     assert fnv1a64("S0w=book") != fnv1a64("S0w=Book")
 
 
-def test_lazy_averaging_matches_naive_snapshots():
+def _raw_rows(acc: _AveragedWeights) -> dict:
+    """The packed store's raw weights as {feature: {action: weight}}, read off
+    a one-feature training score, without zero entries."""
+    rows = {}
+    for f in acc.w:
+        rows[f] = {a: v - acc.half for a, v in enumerate(acc.score([f])) if v != acc.half}
+        assert rows[f], "a row back at 0 is kept"
+    return rows
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_lazy_averaging_matches_naive_snapshots(bits):
     rng = random.Random(42)
-    acc = _AveragedWeights()
+    acc = _AveragedWeights(3, bits)
     naive: dict = {}
     snap_sum: dict = {}
     for _ in range(100):
@@ -55,7 +70,7 @@ def test_lazy_averaging_matches_naive_snapshots():
     for f in range(7):
         for a in range(3):
             expect = snap_sum.get((f, a), 0.0) / 100
-            got = averaged.get(f, {}).get(a, 0.0)
+            got = dict(averaged.get(f, ())).get(a, 0.0)
             assert abs(got - expect) < 1e-9, (f, a)
 
 
@@ -69,33 +84,31 @@ def _nonzero_rows(ref: ReferenceAveragedWeights) -> dict:
 
 
 def _assert_same_store(acc: _AveragedWeights, ref: ReferenceAveragedWeights) -> None:
-    assert acc.w == _nonzero_rows(ref)
+    assert _raw_rows(acc) == _nonzero_rows(ref)
     averaged, expected = acc.averaged(), ref.averaged()
-    assert averaged == expected
-    # rows in the order their feature was first changed, entries in the order
-    # they were first changed: the order ref_hash_rows sums a hash
-    # collision's rows in, which the v1 golden model file pins
-    first_changed: dict = {}
-    for f, a in ref.w:  # the reference keeps every entry, in first-change order
-        first_changed.setdefault(f, []).append(a)
-    assert [(f, list(row)) for f, row in averaged.items()] == [
-        (f, [a for a in actions if a in expected[f]])
-        for f, actions in first_changed.items()
-        if f in expected
-    ]
+    assert averaged == pair_rows(expected)
+    # rows in the order their feature was first changed: the order
+    # ref_hash_rows sums a hash collision's rows in, which the v1 golden
+    # model file pins
+    first_changed = dict.fromkeys(f for f, _ in ref.w)
+    assert list(averaged) == [f for f in first_changed if f in expected]
 
 
+@pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("seed", range(5))
-def test_row_store_matches_tuple_keyed_reference(seed):
+def test_row_store_matches_tuple_keyed_reference(seed, bits):
     rng = random.Random(seed)
-    acc = _AveragedWeights()
+    acc = _AveragedWeights(4, bits)
     ref = ReferenceAveragedWeights()
     same_action = changed_from_zero = 0
     for step in range(400):
         acc.updates += 1
         ref.updates += 1
+        feats = ["f%d" % rng.randrange(12) for _ in range(rng.randint(1, 6))]
+        # a training score is each action's raw weights summed over the features
+        expected = [sum(ref.w.get((f, a), 0.0) for f in feats) for a in range(4)]
+        assert [v - acc.half for v in acc.score(feats)] == expected
         if rng.random() < 0.6:  # steps without an update still tick the clock
-            feats = ["f%d" % rng.randrange(12) for _ in range(rng.randint(1, 6))]
             feats.insert(rng.randrange(len(feats) + 1), rng.choice(feats))
             good, bad = rng.randrange(4), rng.randrange(4)
             same_action += good == bad
@@ -112,11 +125,11 @@ def test_row_store_matches_tuple_keyed_reference(seed):
 
 
 def test_entry_back_at_zero_is_deleted_and_still_averaged():
-    acc = _AveragedWeights()
+    acc = _AveragedWeights(3, 32)
     ref = ReferenceAveragedWeights()
     for good, bad, raw in [
         (0, 1, {"x": {0: 1.0, 1: -1.0}}),
-        (1, 0, {}),  # both entries back at 0.0: deleted, and the empty row too
+        (1, 0, {}),  # both entries back at 0.0: the row is deleted
         (2, 2, {}),  # good == bad changes nothing
         (None, None, {}),  # a step without an update
         (0, 2, {"x": {0: 1.0, 2: -1.0}}),  # an entry deleted before changes again
@@ -126,9 +139,80 @@ def test_entry_back_at_zero_is_deleted_and_still_averaged():
         if good is not None:
             acc.update(["x"], good, bad)
             ref.update(["x"], good, bad)
-        assert acc.w == raw
+        assert _raw_rows(acc) == raw
         _assert_same_store(acc, ref)
-    assert acc.averaged() == {"x": {0: 0.4, 1: -0.2, 2: -0.2}}
+    assert acc.averaged() == {"x": ((0, 0.4), (1, -0.2), (2, -0.2))}
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_packed_fields_hold_the_range_the_width_rule_allows(bits):
+    # rows whose fields carry into the next one, summed to each end of the
+    # signed range: every field reads back exactly
+    top = 2 ** (bits - 1) - 1
+    acc = _AveragedWeights(4, bits)
+
+    def pack(fields):
+        return sum(v << (bits * a) for a, v in enumerate(fields))
+
+    acc.w = {"x": pack([-top + 1, top - 1, -1, 7]), "y": pack([-2, 1, 1, -7])}
+    assert [v - acc.half for v in acc.score(["x", "y"])] == [-top - 1, top, 0, 0]
+    assert [v - acc.half for v in acc.score(["y", "missing"])] == [-2, 1, 1, -7]
+
+
+def test_field_width_rule_on_both_sides_of_2_to_the_31():
+    # 70 templates x 2 steps a token: 15,339,168 epoch-tokens is the last
+    # product below 2^31
+    assert TEMPLATES * 2 * 15_339_168 < 2**31 <= TEMPLATES * 2 * 15_339_169
+    assert field_bits(TEMPLATES, 1, 15_339_168) == 32
+    assert field_bits(TEMPLATES, 1, 15_339_169) == 64
+    assert field_bits(TEMPLATES, 8, 15_339_168 // 8) == 32
+    assert field_bits(TEMPLATES, 8, 15_339_168 // 8 + 1) == 64
+
+
+def test_train_sizes_its_store_by_the_width_rule(monkeypatch):
+    made = []
+
+    def store(actions, bits):
+        made.append((actions, bits))
+        return _AveragedWeights(actions, bits)
+
+    monkeypatch.setattr(perceptron, "_AveragedWeights", store)
+    corpus = synth_corpus(5)
+    model = train(corpus, None, Hyperparameters(epochs=3), seed=1)
+    tokens = sum(len(s.tokens) for s in corpus)
+    assert made == [(len(model.actions), field_bits(TEMPLATES, 3, tokens))]
+    assert made[0][1] == 32
+
+
+@pytest.mark.parametrize("bits", [None, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_training_matches_the_dict_row_reference(monkeypatch, tmp_path, seed, bits):
+    # random corpora with a dev set, exploration on: every prediction, oracle
+    # choice and dev decoding step matches the dict-row training loop, and so
+    # do the model files; 64-bit fields forced by making the store directly
+    rng = random.Random(seed)
+    train_set = synth_corpus(rng.randint(6, 20), seed=rng.randrange(10**6))
+    dev = synth_corpus(rng.randint(3, 8), seed=rng.randrange(10**6))
+    hp = Hyperparameters(epochs=rng.randint(2, 4), explore_k=rng.randint(0, 1),
+                         explore_p=rng.choice([0.5, 0.9, 1.0]))
+    chosen, expected = [], []
+    argmax = perceptron._argmax
+
+    def recorded_argmax(scores, allowed):
+        chosen.append(argmax(scores, allowed))
+        return chosen[-1]
+
+    monkeypatch.setattr(perceptron, "_argmax", recorded_argmax)
+    if bits is not None:
+        monkeypatch.setattr(
+            perceptron, "_AveragedWeights", lambda actions, _: _AveragedWeights(actions, bits)
+        )
+    model = train(train_set, dev, hp, seed=seed)
+    reference = ref_train(train_set, dev, hp, seed, expected)
+    assert chosen and chosen == expected
+    save_model(model, str(tmp_path / "packed.txt"))
+    save_model(reference, str(tmp_path / "reference.txt"))
+    assert (tmp_path / "packed.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
 def test_allowed_table_matches_the_inventory_scan_for_every_step_kind_set():
@@ -243,9 +327,9 @@ def test_parse_keeps_the_root_to_one_child_while_decoding():
     # the root taken it too, LEFT_ARC would not be allowed from it
     model = Model(labels=["dep", "root"])
     model.weights = {
-        "S0p=<ROOT>": {model.actions.index(Action(RIGHT_ARC, "root")): 1.0},
-        "S0p=X": {model.actions.index(Action(REDUCE)): 1.0},
-        "S0p=Y": {model.actions.index(Action(LEFT_ARC, "dep")): 1.0},
+        "S0p=<ROOT>": ((model.actions.index(Action(RIGHT_ARC, "root")), 1.0),),
+        "S0p=X": ((model.actions.index(Action(REDUCE)), 1.0),),
+        "S0p=Y": ((model.actions.index(Action(LEFT_ARC, "dep")), 1.0),),
     }
     s = make_sentence([0, 1, 1], ["root", "dep", "dep"], upos=["X", "Y", "Z"])
     out = parse(model, s)
@@ -345,11 +429,12 @@ def test_load_rejects_malformed_file_with_line(tmp_path, text, line):
 
 
 def test_load_takes_a_feature_under_several_actions(tmp_path):
+    # a row's pairs come out sorted by action index, whatever the line order
     path = tmp_path / "model.txt"
-    path.write_text(HEADER + LABELS + entries(3) + "S0w=a\tSHIFT\t1.0\nS0w=a\tREDUCE\t-1.0\n"
-                    "S0w=b\tSHIFT\t0.5\n", encoding="utf-8")
+    path.write_text(HEADER + LABELS + entries(4) + "S0w=a\tLEFT_ARC:dep\t2.0\nS0w=a\tSHIFT\t1.0\n"
+                    "S0w=a\tREDUCE\t-1.0\nS0w=b\tSHIFT\t0.5\n", encoding="utf-8")
     model = load_model(str(path))
-    assert model.weights == {"S0w=a": {0: 1.0, 1: -1.0}, "S0w=b": {0: 0.5}}
+    assert model.weights == {"S0w=a": ((0, 1.0), (1, -1.0), (2, 2.0)), "S0w=b": ((0, 0.5),)}
 
 
 def test_load_refuses_a_v1_file_by_name(tmp_path):
@@ -381,7 +466,7 @@ def test_a_model_of_forms_holding_line_breaks_loads_back_equal(tmp_path):
 
 @pytest.mark.parametrize("feature", ["S0w=a\tb", "S0w=a\nb", "S0w=a\rb"])
 def test_save_refuses_a_feature_no_read_field_can_hold(tmp_path, feature):
-    model = Model(labels=["dep", "root"], weights={feature: {0: 1.0}})
+    model = Model(labels=["dep", "root"], weights={feature: ((0, 1.0),)})
     path = tmp_path / "model.txt"
     with pytest.raises(ValueError, match="cannot be stored"):
         save_model(model, str(path))

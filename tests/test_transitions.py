@@ -4,7 +4,7 @@ import pytest
 
 from udscheme.conllu import is_projective
 from udscheme.parsing import transitions
-from udscheme.parsing.features import extract_features
+from udscheme.parsing.features import extract_features, sentence_atoms
 from udscheme.parsing.perceptron import Hyperparameters, train
 from udscheme.parsing.transitions import (
     KIND_ORDER,
@@ -236,7 +236,7 @@ def _assert_same_state(c, r, s, gold):
         k: ref_cost(r, k, gold.heads) for k in ref_valid_actions(r)
     }
     assert reachable_gold_count(c, gold.heads) == ref_reachable_gold_count(r, gold.heads)
-    assert extract_features(c, s) == ref_extract_features(r, s)
+    assert extract_features(c, *sentence_atoms(s)) == ref_extract_features(r, s)
 
 
 def test_incremental_state_matches_references_on_oracle_and_random_paths():
