@@ -14,6 +14,16 @@ class LineupError(ValueError):
     names the two files around it."""
 
 
+def sum_in_order(values) -> float:
+    """The float sum of `values` added left to right, one rounding per
+    addition. From Python 3.12 `sum()` compensates float sums, which can
+    move the last bit of a mean; reports must not depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def is_scored(t: Token) -> bool:
     """The one rule for which gold tokens UAS counts: those whose UPOS is
     not PUNCT."""
@@ -84,8 +94,8 @@ def compare_schemes(
         raise ValueError("empty seed list")
     if len(ud_scores) != len(transformed_scores):
         raise ValueError("seed counts differ between schemes")
-    mean_ud = sum(ud_scores) / len(ud_scores)
-    mean_tr = sum(transformed_scores) / len(transformed_scores)
+    mean_ud = sum_in_order(ud_scores) / len(ud_scores)
+    mean_tr = sum_in_order(transformed_scores) / len(transformed_scores)
     return ComparisonRow(
         language, transformation, mean_ud, mean_tr, mean_ud - mean_tr, False
     )

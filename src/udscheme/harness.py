@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 
 from .conllu import ConlluError, check_trees, read_conllu_file, read_text, write_atomic
-from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence
+from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence, sum_in_order
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
 from .transform import Transformation, apply_transformation
@@ -369,7 +369,7 @@ def _compute_summary(report: ExperimentReport) -> None:
     report.summary = {
         "rows": len(report.rows),
         "excluded": sum(1 for r in report.rows if r.excluded),
-        "mean_abs_diff": sum(abs(d) for d in diffs) / len(diffs) if diffs else None,
+        "mean_abs_diff": sum_in_order(map(abs, diffs)) / len(diffs) if diffs else None,
         "max_abs_diff": max((abs(d) for d in diffs), default=None),
         "positive_diffs": sum(1 for d in diffs if d > 0),
         "negative_diffs": sum(1 for d in diffs if d < 0),

@@ -9,6 +9,30 @@ Training follows the dynamic-oracle recipe: predict with the current weights,
 update toward the best zero-cost action whenever the prediction has non-zero
 cost, and after the first `explore_k` epochs follow the model's own
 prediction with probability `explore_p`.
+
+Training works in integers. A raw weight w is a sum of +-1 updates, and its
+average over u steps is the exact rational N/u, whose numerator N = w*u - S
+is the sum of the weight over all u steps; S sums each change times the
+number of steps before the one it was made in. A feature's raw weights, its
+averaging sums and its numerators are each one int, packed by a `_Layout`
+with one signed field per action. `field_bits` gives two widths, 32 bits
+where it proves that no value of the run can leave that range and 64
+elsewhere: one for the raw weights and training scores, one for the sums and
+numerators, which grow faster. A training score is then one `sum()` of the
+hit rows, an update two int additions per feature, and an epoch's snapshot
+one `w*u - S` per feature (with the raw row repacked first when the sums are
+the wider).
+
+The model `train()` returns, like each epoch's dev model, decodes by summing
+its packed numerators and taking the argmax on the integers, as long as every
+numerator is below the layout's `bound`. Below it, two integer sums of at
+most TEMPLATES numerators that differ keep their order as the float sums of
+the rows N/u, so the argmax is the float scorer's; actions whose integer sums
+tie at the top are scored in floats, summed in feature order as
+`Model.score` sums them. A snapshot with a numerator at or above the bound
+decodes by floats. The float rows, (action, N/u) pairs sorted by action, are
+built the first time they are read: by `save_model`, or through
+`Model.weights`. A model read by `load_model` decodes by `Model.score`.
 """
 
 from __future__ import annotations
@@ -17,7 +41,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..conllu import Sentence, read_text, validate_tree, write_atomic
 from ..evaluate import corpus_uas, is_scored
@@ -44,6 +68,14 @@ _SHIFT_ONLY = frozenset({SHIFT})
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
+
+# The largest power of two B with 2 * TEMPLATES^2 * B < 2^53: 2^39 for the 70
+# templates. A float score adds at most TEMPLATES weights N/u, each rounded
+# once, with as many roundings of the running sum; with every |N| <= B its
+# error is at most about TEMPLATES^2 * B * 2^-53 / u, which is below 0.3/u for
+# the 70 templates. Two integer sums that differ do so by at least 1/u once
+# divided, so the float sums of two scores keep the order of their integers.
+_FLOAT_BOUND = 1 << (53 - (2 * TEMPLATES * TEMPLATES).bit_length())
 
 
 # Like `conllu.is_projective`, fnv1a64 has no caller in udscheme, whose models
@@ -76,15 +108,193 @@ class Hyperparameters:
             raise ValueError("explore_p: must be between 0 and 1")
 
 
-@dataclass
-class Model:
-    labels: list[str]
-    # feature string -> its averaged weights, as (action index, weight) pairs
-    # sorted by action; training keeps its raw weights in `_AveragedWeights`
-    weights: dict[str, tuple[tuple[int, float], ...]] = field(default_factory=dict)
+def field_bits(templates: int, epochs: int, tokens: int) -> tuple[int, int]:
+    """The widths of a training run's packed fields, (raw weights, averaging
+    sums and numerators), where `steps = 2 x epochs x tokens`: the raw width
+    holds `templates x steps`, the numerator width `max(templates, steps) x
+    steps`, each 32 bits when that is below 2^31 and 64 when below 2^63. A
+    longer run raises ValueError.
 
-    def __post_init__(self):
-        self.actions = _action_inventory(self.labels)
+    A sentence of n tokens takes at most 2n steps and a step changes an entry
+    by at most 1, so `steps` bounds every raw weight, `templates x steps`
+    every field of a training score (one row per template), and `steps^2`
+    every numerator, the sum of a weight over at most `steps` steps.
+    """
+    steps = 2 * epochs * tokens
+
+    def width(bound: int) -> int:
+        for bits in (32, 64):
+            if bound < 1 << (bits - 1):
+                return bits
+        raise ValueError("%d training steps are too many for 64-bit fields" % steps)
+
+    return width(templates * steps), width(max(templates, steps) * steps)
+
+
+class _Layout:
+    """Rows of per-action integers, each packed into one int: the value of
+    action a is the signed `bits`-wide field at bit `bits * a`. Packing is
+    linear, so adding packed rows adds their values field by field and
+    multiplying one by an int scales them; a result reads back exactly while
+    each of its fields is within +-`half`, which `field_bits` proves for the
+    rows a training makes and `bound` keeps for a decoder's sums."""
+
+    def __init__(self, actions: int, bits: int):
+        self.half = 1 << (bits - 1)
+        self.unit = [1 << (bits * a) for a in range(actions)]
+        self._ones = ones = sum(self.unit)
+        self._bias = self.half * ones  # `half` in every field
+        self._nbytes = bits // 8 * actions
+        self._typecode = next(c for c in "ILQ" if array(c).itemsize == bits // 8)
+        # TEMPLATES numerators below `bound` sum to less than `half`, and the
+        # floats of their rows keep the order of their integer sums
+        self.bound = min(_FLOAT_BOUND, self.half >> TEMPLATES.bit_length())
+        self._bound_bias = self.bound * ones
+        # the bits of each field from 2 * bound up
+        self._outside = ((1 << bits) - 2 * self.bound) * ones
+
+    def fields(self, packed: int) -> array:
+        """Each action's value in `packed`, plus `half`: the same order and
+        ties as the values themselves."""
+        return array(self._typecode, (packed + self._bias).to_bytes(self._nbytes, sys.byteorder))
+
+    def score(self, rows: dict[str, int], feats) -> array:
+        """`fields` of the rows of `feats` summed."""
+        return self.fields(sum(filter(None, map(rows.get, feats))))
+
+    def repack(self, packed: int, to: _Layout) -> int:
+        """The values of `packed` packed by the layout `to`, whose fields are
+        at least as wide."""
+        wide = array(to._typecode, self.fields(packed))  # each plus our `half`
+        return int.from_bytes(wide.tobytes(), sys.byteorder) - self.half * to._ones
+
+    def within_bound(self, rows) -> bool:
+        """Whether every field of each packed row is in [-bound, bound). A
+        field within +-`half` is, iff adding `bound` to it leaves it below
+        2 * bound: a field outside that range, or a borrow from one below,
+        sets a bit of `_outside`."""
+        shifted = map(self._bound_bias.__add__, rows)
+        return not any(map(self._outside.__and__, shifted))
+
+
+class _Averaged:
+    """An averaged snapshot of `_AveragedWeights`: `rows` maps a feature to
+    its packed numerators, in the order the feature was first changed, with
+    rows of zeros left out; an entry's weight is its numerator over
+    `updates`. `exact` says whether every numerator is below the layout's
+    bound, so that `choose` may decode by them."""
+
+    __slots__ = ("rows", "updates", "layout", "exact")
+
+    def __init__(self, rows: dict[str, int], updates: int, layout: _Layout):
+        self.rows = rows
+        self.updates = updates
+        self.layout = layout
+        self.exact = layout.within_bound(rows.values())
+
+    def float_rows(self) -> dict[str, tuple[tuple[int, float], ...]]:
+        """The averaged weights as `Model` rows: (action, N/u) pairs, sorted
+        by action and correctly rounded, without zero entries."""
+        u, half, fields = self.updates, self.layout.half, self.layout.fields
+        return {
+            f: tuple((a, (v - half) / u) for a, v in enumerate(fields(p)) if v != half)
+            for f, p in self.rows.items()
+        }
+
+    def choose(self, feats: list[str], allowed: list[int]) -> int:
+        """What `_argmax` picks from `allowed` on `Model.score(feats)` over
+        the float rows; only for an `exact` snapshot."""
+        scores = self.layout.score(self.rows, feats)
+        sums = [scores[a] for a in allowed]
+        top = max(sums)
+        if sums.count(top) == 1:
+            return allowed[sums.index(top)]
+        return self._float_choice(feats, [a for a, v in zip(allowed, sums) if v == top])
+
+    def _float_choice(self, feats: list[str], tied: list[int]) -> int:
+        """The first of `tied` (actions whose integer sums tie at the top)
+        whose float sum is highest, summed in feature order."""
+        u, half = self.updates, self.layout.half
+        sums = dict.fromkeys(tied, 0.0)
+        for f in feats:
+            if f in self.rows:
+                row = self.layout.fields(self.rows[f])
+                for a in tied:
+                    if row[a] != half:
+                        sums[a] += (row[a] - half) / u
+        return max(tied, key=sums.__getitem__)
+
+
+class _AveragedWeights:
+    """Perceptron weights with lazy averaging over update steps. `w` maps a
+    feature to its raw weights, sums of +-1 updates packed by `layout`, and
+    a feature whose row is back at 0 is deleted. `acc` maps every feature
+    ever changed, in the order it was first changed, to its averaging sums S
+    packed by `sums`: each change times the number of steps before the one
+    it was made in. Over `updates` steps an entry's average is then
+    N/updates, with the numerator N = w * updates - S, the sum of the weight
+    over all steps, packed by `sums` too. The two layouts are one where the
+    widths (`field_bits`) are equal."""
+
+    def __init__(self, actions: int, bits: int, sum_bits: int):
+        self.layout = _Layout(actions, bits)
+        self.sums = self.layout if sum_bits == bits else _Layout(actions, sum_bits)
+        self.w: dict[str, int] = {}
+        self.acc: dict[str, int] = {}
+        self.updates = 0
+
+    def score(self, feats: list[str]) -> array:
+        """Each action's summed raw weight plus `half`: the same order and
+        ties as the weights themselves."""
+        return self.layout.score(self.w, feats)
+
+    def update(self, feats: list[str], good: int, bad: int) -> None:
+        """Add +1 to (f, good) and -1 to (f, bad) for each f. Called after
+        `updates` has been advanced to the current step."""
+        step = self.updates - 1  # the new weight counts from the current step on
+        raw, acc = self.w, self.acc
+        delta = self.layout.unit[good] - self.layout.unit[bad]
+        change = (self.sums.unit[good] - self.sums.unit[bad]) * step
+        for f in feats:
+            cur = raw.get(f, 0) + delta
+            if cur:
+                raw[f] = cur
+            else:
+                raw.pop(f, None)
+            acc[f] = acc.get(f, 0) + change
+
+    def averaged(self) -> _Averaged:
+        """The averaged weights now: one numerator row per feature."""
+        u, raw, sums = self.updates, self.w, self.sums
+        if sums is self.layout:
+            rows = {f: n for f, s in self.acc.items() if (n := raw.get(f, 0) * u - s)}
+        else:
+            wide = self.layout.repack
+            rows = {f: n for f, s in self.acc.items() if (n := wide(raw.get(f, 0), sums) * u - s)}
+        return _Averaged(rows, u, sums)
+
+
+class Model:
+    """A parser's labels, the actions they give, and its averaged weights.
+
+    `weights` maps a feature string to its (action index, weight) pairs
+    sorted by action. A model made from an `_Averaged` snapshot, as `train()`
+    makes it, builds those float rows the first time they are read; `exact`
+    is that snapshot when it is exact, and `parse()` then decodes by its
+    integers. Setting `weights` drops the snapshot.
+    """
+
+    def __init__(
+        self,
+        labels: list[str],
+        weights: dict[str, tuple[tuple[int, float], ...]] | None = None,
+        averaged: _Averaged | None = None,
+    ):
+        self.labels = labels
+        self._averaged = averaged
+        self.exact = averaged if averaged is not None and averaged.exact else None
+        self._weights = {} if weights is None and averaged is None else weights
+        self.actions = _action_inventory(labels)
         self._index = {a: i for i, a in enumerate(self.actions)}
         # each set of kinds a step chooses from -> the indices of its actions,
         # in inventory order; shared lists, which callers must not change
@@ -92,6 +302,17 @@ class Model:
             kinds: [i for i, a in enumerate(self.actions) if a.kind in kinds]
             for kinds in (*STEP_KINDS, _SHIFT_ONLY)
         }
+
+    @property
+    def weights(self) -> dict[str, tuple[tuple[int, float], ...]]:
+        if self._weights is None:
+            self._weights = self._averaged.float_rows()
+        return self._weights
+
+    @weights.setter
+    def weights(self, rows: dict[str, tuple[tuple[int, float], ...]]) -> None:
+        self._weights = rows
+        self._averaged = self.exact = None
 
     def score(self, feats: list[str]) -> list[float]:
         """Each action's summed weight, added in feature order."""
@@ -109,92 +330,6 @@ def _action_inventory(labels: list[str]) -> list[Action]:
     acts += [Action(LEFT_ARC, l) for l in sorted(labels)]
     acts += [Action(RIGHT_ARC, l) for l in sorted(labels)]
     return acts
-
-
-def field_bits(templates: int, epochs: int, tokens: int) -> int:
-    """The width of a packed raw weight field for a training run: 32 bits
-    when `templates x 2 x epochs x tokens` is below 2^31, 64 otherwise.
-
-    A step changes an entry by at most 1, a sentence of n tokens takes at
-    most 2n steps, and a score sums one row per template, so that product
-    bounds every raw weight and every field of a training score.
-    """
-    return 32 if templates * 2 * epochs * tokens < 2**31 else 64
-
-
-def _unsigned_typecode(itemsize: int) -> str:
-    """An unsigned `array` typecode whose items are `itemsize` bytes."""
-    for code in "ILQ":
-        if array(code).itemsize == itemsize:
-            return code
-    raise RuntimeError("no unsigned array type of %d bytes" % itemsize)
-
-
-class _AveragedWeights:
-    """Perceptron weights with lazy averaging over update steps.
-
-    `w` maps a feature to its raw weights packed into one int: the weight of
-    action a, a sum of +-1 updates, is the signed `bits`-wide field at bit
-    `bits * a`, so adding rows adds their weights field by field, and a
-    feature whose row is back at 0 is deleted. `score` sums the rows of a
-    step's features plus a bias of 2^(bits-1) in every field, which keeps
-    each field non-negative (see `field_bits`), and reads the fields off the
-    bytes of that one int. `acc` maps a feature to {action index -> the sum
-    of each change times the number of steps before the one it was made
-    in}, for every entry ever changed, so the average over `updates` steps
-    is `(w * updates - acc) / updates`: the exact sum of the weight over all
-    steps, an integer, and the average its rounded quotient.
-    """
-
-    def __init__(self, actions: int, bits: int):
-        self.w: dict[str, int] = {}
-        self.acc: dict[str, dict[int, float]] = {}
-        self.updates = 0
-        self.half = 1 << (bits - 1)
-        self._unit = [1 << (bits * a) for a in range(actions)]
-        self._bias = self.half * sum(self._unit)
-        self._nbytes = bits // 8 * actions
-        self._typecode = _unsigned_typecode(bits // 8)
-
-    def score(self, feats: list[str]) -> array:
-        """Each action's summed raw weight plus `half`: the same order and
-        ties as the weights themselves."""
-        packed = sum(filter(None, map(self.w.get, feats)), self._bias)
-        return array(self._typecode, packed.to_bytes(self._nbytes, sys.byteorder))
-
-    def update(self, feats: list[str], good: int, bad: int) -> None:
-        """Add +1 to (f, good) and -1 to (f, bad) for each f. Called after
-        `updates` has been advanced to the current step."""
-        step = self.updates - 1  # the new weight counts from the current step on
-        raw, acc = self.w, self.acc
-        delta = self._unit[good] - self._unit[bad]
-        for f in feats:
-            cur = raw.get(f, 0) + delta
-            if cur:
-                raw[f] = cur
-            else:
-                raw.pop(f, None)
-            sums = acc.get(f)
-            if sums is None:
-                sums = acc[f] = {}
-            sums[good] = sums.get(good, 0.0) + step
-            sums[bad] = sums.get(bad, 0.0) - step
-
-    def averaged(self) -> dict[str, tuple[tuple[int, float], ...]]:
-        """The averaged weights as `Model` rows, without zero entries or
-        empty rows, rows in the order their feature was first changed."""
-        u, half = self.updates, self.half
-        out = {}
-        for f, sums in self.acc.items():
-            w = self.score((f,))
-            row = []
-            for a in sorted(sums):
-                avg = ((w[a] - half) * u - sums[a]) / u
-                if avg != 0.0:
-                    row.append((a, avg))
-            if row:
-                out[f] = tuple(row)
-        return out
 
 
 def _argmax(scores: list[float], allowed: list[int]) -> int:
@@ -222,7 +357,7 @@ def train(
     model = Model(labels=labels)
     actions, index = model.actions, model._index
     tokens = sum(len(s.tokens) for s in train_set)
-    acc = _AveragedWeights(len(actions), field_bits(TEMPLATES, hp.epochs, tokens))
+    acc = _AveragedWeights(len(actions), *field_bits(TEMPLATES, hp.epochs, tokens))
     golds = [Gold(s) for s in train_set]
     atoms = [sentence_atoms(s) for s in train_set]
     rng = random.Random(seed)
@@ -230,7 +365,7 @@ def train(
     dev_scorable = any(is_scored(t) for s in dev_set or () for t in s.tokens)
 
     best_dev = -1.0
-    best_weights: dict[str, tuple[tuple[int, float], ...]] | None = None
+    best: _Averaged | None = None
     order = list(range(len(train_set)))
     for epoch in range(1, hp.epochs + 1):
         rng.shuffle(order)
@@ -244,9 +379,9 @@ def train(
                 acc.updates += 1
                 costs, oracle_actions = oracle_step(c, gold)
                 feats = extract_features(c, words, tags)
-                allowed = model.allowed[valid_actions(c)]
+                kinds = valid_actions(c)
                 scores = acc.score(feats)
-                pred_i = _argmax(scores, allowed)
+                pred_i = _argmax(scores, model.allowed[kinds])
                 oracle_i = _argmax(scores, [index[a] for a in oracle_actions])
                 if costs[actions[pred_i].kind] > 0 and oracle_i != pred_i:
                     acc.update(feats, oracle_i, pred_i)
@@ -255,21 +390,21 @@ def train(
                 else:
                     follow = actions[oracle_i]
                 lost += costs[follow.kind]
-                apply_action(c, follow)
+                apply_action(c, follow, kinds)
             check_lost(c, gold.heads, lost)
         if dev_set:
             snapshot = acc.averaged()
             dev_uas = 0.0
             if dev_scorable:
-                dev_model = Model(labels=labels, weights=snapshot)
+                dev_model = Model(labels, averaged=snapshot)
                 predicted = [parse(dev_model, s) for s in dev_set]
                 dev_uas = corpus_uas(dev_set, predicted)
             if dev_uas > best_dev:
                 best_dev = dev_uas
-                best_weights = snapshot
-    if best_weights is None:
-        best_weights = acc.averaged()
-    return Model(labels=labels, weights=best_weights)
+                best = snapshot
+    if best is None:
+        best = acc.averaged()
+    return Model(labels, averaged=best)
 
 
 def parse(model: Model, s: Sentence) -> Sentence:
@@ -279,14 +414,20 @@ def parse(model: Model, s: Sentence) -> Sentence:
     c = initial_config(s)
     n = c.n
     words, tags = sentence_atoms(s)
+    exact = model.exact
     while c.b <= n:
         # keep the output single-rooted: no second RIGHT_ARC from the root
         if c.stack[-1] == 0 and c.rights[0]:
-            allowed = model.allowed[_SHIFT_ONLY]
+            kinds = _SHIFT_ONLY
         else:
-            allowed = model.allowed[valid_actions(c)]
-        scores = model.score(extract_features(c, words, tags))
-        apply_action(c, model.actions[_argmax(scores, allowed)])
+            kinds = valid_actions(c)
+        allowed = model.allowed[kinds]
+        feats = extract_features(c, words, tags)
+        if exact is None:
+            best = _argmax(model.score(feats), allowed)
+        else:
+            best = exact.choose(feats, allowed)
+        apply_action(c, model.actions[best], kinds)
     # tokens left headless become roots; every root but the first child of
     # the artificial root (or the first root) then hangs from that one
     heads = [0 if h is None else h for h in c.head]

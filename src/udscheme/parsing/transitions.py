@@ -129,10 +129,13 @@ def valid_actions(c: Configuration) -> frozenset[str]:
     return _VALID[c.b <= c.n][0 if top == 0 else 1 if c.head[top] is None else 2]
 
 
-def apply_action(c: Configuration, a: Action) -> None:
-    """Advance c by `a` in place; an action invalid in c raises ValueError."""
+def apply_action(c: Configuration, a: Action, kinds=None) -> None:
+    """Advance c by `a` in place; an action invalid in c raises ValueError.
+    A caller that has the kinds valid in c (from `valid_actions`, or as the
+    keys of `kind_costs`), or a subset of them it chose from, passes them as
+    `kinds`, and `a` is checked against those."""
     kind = a.kind
-    if kind not in valid_actions(c):
+    if kind not in (valid_actions(c) if kinds is None else kinds):
         raise ValueError("action %r is not valid in %r" % (a, c))
     if kind == SHIFT:
         c.stack.append(c.b)
@@ -284,7 +287,7 @@ def static_oracle_derivation(gold: Sentence) -> Derivation:
             attached.append(c.b)
         actions.append(a)
         lost += costs[a.kind]
-        apply_action(c, a)
+        apply_action(c, a, costs)
     check_lost(c, g.heads, lost)
     return Derivation(tuple(actions), tuple(attached))
 

@@ -5,6 +5,7 @@ from udscheme.evaluate import (
     compare_schemes,
     corpus_uas,
     metric_coherence,
+    sum_in_order,
     uas,
 )
 from udscheme.transform import Transformation
@@ -93,3 +94,14 @@ def test_metric_coherence_ties():
         metric_coherence(1.0, 2.0, 80.0, 80.0)
     # metric tie picks no side
     assert metric_coherence(1.5, 1.5, 80.0, 82.0) is False
+
+
+def test_seed_means_add_left_to_right_on_every_python():
+    # sum() compensates float sums from Python 3.12 on (0.19999999999999998
+    # here); the means are the plain left-to-right additions
+    row = compare_schemes("xx", Transformation.CASE, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+    assert row.uas_ud == (0.1 + 0.2 + 0.3) / 3 == 0.20000000000000004
+    assert row.uas_transformed == (0.3 + 0.2 + 0.1) / 3
+    assert row.diff == (0.1 + 0.2 + 0.3) / 3 - (0.3 + 0.2 + 0.1) / 3
+    assert sum_in_order([]) == 0.0
+    assert sum_in_order([1e16, 1.0, -1e16]) == 1e16 + 1.0 - 1e16 == 0.0

@@ -436,3 +436,15 @@ def test_ud_side_failure_skips_only_its_treebank(tmp_path, monkeypatch):
     ]
     assert {lang for lang, _ in report.metrics} == {"xx"}
     assert report.summary["errors"] == 1
+
+
+def test_summary_mean_abs_diff_adds_left_to_right():
+    # as the seed means: no compensated sum(), whatever the Python version
+    from udscheme.evaluate import ComparisonRow
+
+    report = harness.ExperimentReport()
+    for diff in (0.1, -0.2, 0.3, None):
+        report.rows.append(ComparisonRow("xx", Transformation.CASE, 1.0, 1.0, diff, diff is None))
+    harness._compute_summary(report)
+    assert report.summary["mean_abs_diff"] == (0.1 + 0.2 + 0.3) / 3 == 0.20000000000000004
+    assert report.summary["excluded"] == 1

@@ -5,12 +5,23 @@ import pytest
 
 from udscheme.conllu import ValidationReport, format_conllu, parse_conllu, validate_tree
 from udscheme.parsing import perceptron
-from udscheme.parsing.features import TEMPLATES
-from udscheme.parsing.transitions import LEFT_ARC, REDUCE, RIGHT_ARC, STEP_KINDS, Action
+from udscheme.parsing.features import TEMPLATES, extract_features, sentence_atoms
+from udscheme.parsing.transitions import (
+    LEFT_ARC,
+    REDUCE,
+    RIGHT_ARC,
+    STEP_KINDS,
+    Action,
+    initial_config,
+    valid_actions,
+)
 from udscheme.parsing.perceptron import (
     Hyperparameters,
     Model,
+    _Averaged,
     _AveragedWeights,
+    _Layout,
+    _argmax,
     field_bits,
     fnv1a64,
     load_model,
@@ -42,17 +53,22 @@ def test_fnv1a64_stable_values():
 def _raw_rows(acc: _AveragedWeights) -> dict:
     """The packed store's raw weights as {feature: {action: weight}}, read off
     a one-feature training score, without zero entries."""
-    rows = {}
+    rows, half = {}, acc.layout.half
     for f in acc.w:
-        rows[f] = {a: v - acc.half for a, v in enumerate(acc.score([f])) if v != acc.half}
+        rows[f] = {a: v - half for a, v in enumerate(acc.score([f])) if v != half}
         assert rows[f], "a row back at 0 is kept"
     return rows
 
 
-@pytest.mark.parametrize("bits", [32, 64])
+# (raw weights, averaging sums): equal, and sums wider than the raw weights,
+# whose numerators are then taken over a repacked raw row
+WIDTHS = [(32, 32), (64, 64), (32, 64)]
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
 def test_lazy_averaging_matches_naive_snapshots(bits):
     rng = random.Random(42)
-    acc = _AveragedWeights(3, bits)
+    acc = _AveragedWeights(3, *bits)
     naive: dict = {}
     snap_sum: dict = {}
     for _ in range(100):
@@ -66,7 +82,7 @@ def test_lazy_averaging_matches_naive_snapshots(bits):
         # naive averaging: accumulate a full snapshot after every update
         for key, w in naive.items():
             snap_sum[key] = snap_sum.get(key, 0.0) + w
-    averaged = acc.averaged()
+    averaged = acc.averaged().float_rows()
     for f in range(7):
         for a in range(3):
             expect = snap_sum.get((f, a), 0.0) / 100
@@ -85,7 +101,7 @@ def _nonzero_rows(ref: ReferenceAveragedWeights) -> dict:
 
 def _assert_same_store(acc: _AveragedWeights, ref: ReferenceAveragedWeights) -> None:
     assert _raw_rows(acc) == _nonzero_rows(ref)
-    averaged, expected = acc.averaged(), ref.averaged()
+    averaged, expected = acc.averaged().float_rows(), ref.averaged()
     assert averaged == pair_rows(expected)
     # rows in the order their feature was first changed: the order
     # ref_hash_rows sums a hash collision's rows in, which the v1 golden
@@ -94,11 +110,11 @@ def _assert_same_store(acc: _AveragedWeights, ref: ReferenceAveragedWeights) -> 
     assert list(averaged) == [f for f in first_changed if f in expected]
 
 
-@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("bits", WIDTHS)
 @pytest.mark.parametrize("seed", range(5))
 def test_row_store_matches_tuple_keyed_reference(seed, bits):
     rng = random.Random(seed)
-    acc = _AveragedWeights(4, bits)
+    acc = _AveragedWeights(4, *bits)
     ref = ReferenceAveragedWeights()
     same_action = changed_from_zero = 0
     for step in range(400):
@@ -107,7 +123,7 @@ def test_row_store_matches_tuple_keyed_reference(seed, bits):
         feats = ["f%d" % rng.randrange(12) for _ in range(rng.randint(1, 6))]
         # a training score is each action's raw weights summed over the features
         expected = [sum(ref.w.get((f, a), 0.0) for f in feats) for a in range(4)]
-        assert [v - acc.half for v in acc.score(feats)] == expected
+        assert [v - acc.layout.half for v in acc.score(feats)] == expected
         if rng.random() < 0.6:  # steps without an update still tick the clock
             feats.insert(rng.randrange(len(feats) + 1), rng.choice(feats))
             good, bad = rng.randrange(4), rng.randrange(4)
@@ -125,7 +141,7 @@ def test_row_store_matches_tuple_keyed_reference(seed, bits):
 
 
 def test_entry_back_at_zero_is_deleted_and_still_averaged():
-    acc = _AveragedWeights(3, 32)
+    acc = _AveragedWeights(3, 32, 64)
     ref = ReferenceAveragedWeights()
     for good, bad, raw in [
         (0, 1, {"x": {0: 1.0, 1: -1.0}}),
@@ -141,7 +157,7 @@ def test_entry_back_at_zero_is_deleted_and_still_averaged():
             ref.update(["x"], good, bad)
         assert _raw_rows(acc) == raw
         _assert_same_store(acc, ref)
-    assert acc.averaged() == {"x": ((0, 0.4), (1, -0.2), (2, -0.2))}
+    assert acc.averaged().float_rows() == {"x": ((0, 0.4), (1, -0.2), (2, -0.2))}
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -149,70 +165,234 @@ def test_packed_fields_hold_the_range_the_width_rule_allows(bits):
     # rows whose fields carry into the next one, summed to each end of the
     # signed range: every field reads back exactly
     top = 2 ** (bits - 1) - 1
-    acc = _AveragedWeights(4, bits)
+    acc = _AveragedWeights(4, bits, bits)
 
     def pack(fields):
         return sum(v << (bits * a) for a, v in enumerate(fields))
 
     acc.w = {"x": pack([-top + 1, top - 1, -1, 7]), "y": pack([-2, 1, 1, -7])}
-    assert [v - acc.half for v in acc.score(["x", "y"])] == [-top - 1, top, 0, 0]
-    assert [v - acc.half for v in acc.score(["y", "missing"])] == [-2, 1, 1, -7]
+    half = acc.layout.half
+    assert [v - half for v in acc.score(["x", "y"])] == [-top - 1, top, 0, 0]
+    assert [v - half for v in acc.score(["y", "missing"])] == [-2, 1, 1, -7]
+    # repacked with wider fields, each row keeps its values
+    wide = _Layout(4, 64)
+    for f, fields in (("x", [-top + 1, top - 1, -1, 7]), ("y", [-2, 1, 1, -7])):
+        assert acc.layout.repack(acc.w[f], wide) == sum(v << (64 * a) for a, v in enumerate(fields))
 
 
-def test_field_width_rule_on_both_sides_of_2_to_the_31():
-    # 70 templates x 2 steps a token: 15,339,168 epoch-tokens is the last
+def test_field_width_rules_on_both_sides_of_2_to_the_31_and_2_to_the_63():
+    # 2 steps a token. A numerator is at most steps^2: 23,170 epoch-tokens
+    # (46,340 steps) is the last count whose square is below 2^31
+    assert 46_340**2 < 2**31 <= 46_342**2
+    assert field_bits(TEMPLATES, 1, 23_170) == (32, 32)
+    assert field_bits(TEMPLATES, 1, 23_171) == (32, 64)
+    assert field_bits(TEMPLATES, 10, 2_317) == (32, 32)
+    assert field_bits(TEMPLATES, 10, 2_318) == (32, 64)
+    # a training score at most 70 x steps: 15,339,168 epoch-tokens the last
     # product below 2^31
     assert TEMPLATES * 2 * 15_339_168 < 2**31 <= TEMPLATES * 2 * 15_339_169
-    assert field_bits(TEMPLATES, 1, 15_339_168) == 32
-    assert field_bits(TEMPLATES, 1, 15_339_169) == 64
-    assert field_bits(TEMPLATES, 8, 15_339_168 // 8) == 32
-    assert field_bits(TEMPLATES, 8, 15_339_168 // 8 + 1) == 64
+    assert field_bits(TEMPLATES, 1, 15_339_168) == (32, 64)
+    assert field_bits(TEMPLATES, 8, 15_339_168 // 8 + 1) == (64, 64)
+    # and 1,518,500,249 epoch-tokens the last whose steps^2 is below 2^63
+    assert 3_037_000_498**2 < 2**63 <= 3_037_000_500**2
+    assert field_bits(TEMPLATES, 1, 1_518_500_249) == (64, 64)
+    with pytest.raises(ValueError, match="too many for 64-bit fields"):
+        field_bits(TEMPLATES, 1, 1_518_500_250)
+    # with fewer steps than templates, templates x steps bounds both
+    assert field_bits(2**20, 1, 2**9) == (32, 32)
+    assert field_bits(2**21, 1, 2**9) == (64, 64)
 
 
 def test_train_sizes_its_store_by_the_width_rule(monkeypatch):
     made = []
 
-    def store(actions, bits):
-        made.append((actions, bits))
-        return _AveragedWeights(actions, bits)
+    def store(actions, bits, sum_bits):
+        made.append((actions, bits, sum_bits))
+        return _AveragedWeights(actions, bits, sum_bits)
 
     monkeypatch.setattr(perceptron, "_AveragedWeights", store)
     corpus = synth_corpus(5)
     model = train(corpus, None, Hyperparameters(epochs=3), seed=1)
     tokens = sum(len(s.tokens) for s in corpus)
-    assert made == [(len(model.actions), field_bits(TEMPLATES, 3, tokens))]
-    assert made[0][1] == 32
+    assert made == [(len(model.actions), *field_bits(TEMPLATES, 3, tokens))]
+    assert made[0][1:] == (32, 32)
 
 
-@pytest.mark.parametrize("bits", [None, 64])
+@pytest.mark.parametrize("bits", [None, (64, 64), (32, 64)])
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_training_matches_the_dict_row_reference(monkeypatch, tmp_path, seed, bits):
     # random corpora with a dev set, exploration on: every prediction, oracle
     # choice and dev decoding step matches the dict-row training loop, and so
-    # do the model files; 64-bit fields forced by making the store directly
+    # do the model files; 64-bit fields forced by making the store directly.
+    # Training chooses by _argmax, the dev models by their exact decoder.
     rng = random.Random(seed)
     train_set = synth_corpus(rng.randint(6, 20), seed=rng.randrange(10**6))
     dev = synth_corpus(rng.randint(3, 8), seed=rng.randrange(10**6))
     hp = Hyperparameters(epochs=rng.randint(2, 4), explore_k=rng.randint(0, 1),
                          explore_p=rng.choice([0.5, 0.9, 1.0]))
-    chosen, expected = [], []
-    argmax = perceptron._argmax
+    chosen, expected, decoded = [], [], []
+    argmax, choose = perceptron._argmax, _Averaged.choose
 
     def recorded_argmax(scores, allowed):
         chosen.append(argmax(scores, allowed))
         return chosen[-1]
 
+    def recorded_choose(snapshot, feats, allowed):
+        chosen.append(choose(snapshot, feats, allowed))
+        decoded.append(chosen[-1])
+        return chosen[-1]
+
     monkeypatch.setattr(perceptron, "_argmax", recorded_argmax)
+    monkeypatch.setattr(_Averaged, "choose", recorded_choose)
+    # so no dev decoding step goes unrecorded (ref_train calls neither)
+    monkeypatch.setattr(Model, "score", None)
     if bits is not None:
         monkeypatch.setattr(
-            perceptron, "_AveragedWeights", lambda actions, _: _AveragedWeights(actions, bits)
+            perceptron, "_AveragedWeights", lambda actions, *_: _AveragedWeights(actions, *bits)
         )
     model = train(train_set, dev, hp, seed=seed)
+    assert decoded and model.exact is not None
     reference = ref_train(train_set, dev, hp, seed, expected)
-    assert chosen and chosen == expected
+    assert chosen == expected
     save_model(model, str(tmp_path / "packed.txt"))
     save_model(reference, str(tmp_path / "reference.txt"))
     assert (tmp_path / "packed.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def _recorded_steps(monkeypatch, model: Model, sentences) -> tuple[list, list]:
+    """The parses of `sentences` by `model`, and the action chosen at each
+    step, by the exact decoder or by _argmax over Model.score."""
+    steps = []
+    argmax, choose = perceptron._argmax, _Averaged.choose
+
+    def recorded_argmax(scores, allowed):
+        steps.append(("float", argmax(scores, allowed)))
+        return steps[-1][1]
+
+    def recorded_choose(snapshot, feats, allowed):
+        steps.append(("exact", choose(snapshot, feats, allowed)))
+        return steps[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(perceptron, "_argmax", recorded_argmax)
+        m.setattr(_Averaged, "choose", recorded_choose)
+        parsed = [parse(model, s) for s in sentences]
+    return parsed, steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_decoding_chooses_as_the_float_rows_do(monkeypatch, seed):
+    # random trained models, with and without a dev set, on held-out
+    # sentences and trees of unseen forms: the model train() returns decodes
+    # by its integer numerators, step by step as a model of its float rows
+    rng = random.Random(seed)
+    train_set = synth_corpus(rng.randint(5, 25), seed=rng.randrange(10**6))
+    dev = synth_corpus(rng.randint(3, 8), seed=rng.randrange(10**6)) if seed % 2 else None
+    hp = Hyperparameters(epochs=rng.randint(1, 4), explore_p=rng.choice([0.5, 0.9]))
+    model = train(train_set, dev, hp, seed=seed)
+    floats = Model(model.labels, weights=model.weights)
+    assert model.exact is not None and floats.exact is None
+    test = synth_corpus(15, seed=rng.randrange(10**6))
+    test += [make_sentence(random_projective_tree(rng, rng.randint(1, 15))) for _ in range(10)]
+    exact_parses, exact_steps = _recorded_steps(monkeypatch, model, test)
+    float_parses, float_steps = _recorded_steps(monkeypatch, floats, test)
+    assert {kind for kind, _ in exact_steps} == {"exact"}
+    assert {kind for kind, _ in float_steps} == {"float"}
+    assert [a for _, a in exact_steps] == [a for _, a in float_steps]
+    assert exact_parses == float_parses
+
+
+def test_sparse_models_tie_and_still_choose_as_the_float_rows_do(monkeypatch):
+    # models of one to three sentences, one epoch, parse sentences of unseen
+    # forms and tags: most rows are missing, so integer sums tie at the top
+    # and the float fallback decides, step by step as the float rows do
+    ties = []
+    float_choice = _Averaged._float_choice
+    monkeypatch.setattr(_Averaged, "_float_choice", lambda *a: ties.append(1) or float_choice(*a))
+    rng = random.Random(5)
+    for seed in range(6):
+        corpus = synth_corpus(rng.randint(1, 3), seed=rng.randrange(10**6))
+        model = train(corpus, None, Hyperparameters(epochs=1), seed=seed)
+        floats = Model(model.labels, weights=model.weights)
+        test = []
+        for _ in range(10):
+            n = rng.randint(1, 15)
+            forms = ["unseen%d" % i for i in range(n)]
+            test.append(make_sentence(random_projective_tree(rng, n), None, forms, ["U"] * n))
+        exact_parses, exact_steps = _recorded_steps(monkeypatch, model, test)
+        float_parses, float_steps = _recorded_steps(monkeypatch, floats, test)
+        assert [a for _, a in exact_steps] == [a for _, a in float_steps]
+        assert exact_parses == float_parses
+    assert ties
+
+
+def _tied_snapshot(model: Model, feats: list[str], bits: int) -> tuple[_Averaged, int]:
+    """A snapshot over 10 steps in which SHIFT has 3/10 from feats[0], and
+    RIGHT_ARC:root 1/10 from feats[0] and 2/10 from feats[1]: both sum to 3
+    as integers, but 0.1 + 0.2 = 0.30000000000000004 > 0.3 in floats."""
+    layout = _Layout(len(model.actions), bits)
+    arc = model.actions.index(Action(RIGHT_ARC, "root"))
+    shift, unit = 0, layout.unit
+    rows = {feats[0]: 3 * unit[shift] + 1 * unit[arc], feats[1]: 2 * unit[arc]}
+    return _Averaged(rows, 10, layout), arc
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_an_integer_tie_at_the_top_is_decided_in_floats(monkeypatch, bits):
+    s = make_sentence([0, 1], ["root", "dep"], ["hi", "there"], ["INTJ", "ADV"])
+    model = Model(labels=["dep", "root"])
+    feats = extract_features(initial_config(s), *sentence_atoms(s))
+    snapshot, arc = _tied_snapshot(model, feats, bits)
+    assert 0.1 + 0.2 > 0.3
+    allowed = model.allowed[valid_actions(initial_config(s))]
+    assert allowed.index(0) < allowed.index(arc)  # the integer argmax takes SHIFT
+    floats = snapshot.float_rows()
+    assert floats == {feats[0]: ((0, 0.3), (arc, 0.1)), feats[1]: ((arc, 0.2),)}
+    assert _argmax(Model(model.labels, weights=floats).score(feats), allowed) == arc
+    assert snapshot.exact and snapshot.choose(feats, allowed) == arc
+    exact = Model(model.labels, averaged=snapshot)
+    parsed, steps = _recorded_steps(monkeypatch, exact, [s])
+    float_parsed, float_steps = _recorded_steps(monkeypatch, Model(model.labels, weights=floats), [s])
+    assert steps[0] == ("exact", arc) and float_steps[0] == ("float", arc)
+    assert parsed == float_parsed and parsed[0].heads()[1:] == [0, 1]
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_numerators_at_the_bound_decode_by_floats(monkeypatch, bits):
+    layout = _Layout(4, bits)
+    bound = layout.bound
+    assert bound == min(2**39, 2 ** (bits - 8))
+    # every field of a sum of TEMPLATES numerators below the bound reads back
+    assert TEMPLATES * bound <= layout.half
+    for a in range(4):
+        for n in (0, 1, -1, bound - 1, -bound):
+            others = sum(v * layout.unit[b] for b, v in enumerate([bound - 1, -bound, 5, -7]) if b != a)
+            assert layout.within_bound([n * layout.unit[a] + others]), (a, n)
+        for n in (bound, -bound - 1, layout.half - 1, -layout.half):
+            assert not layout.within_bound([n * layout.unit[a]]), (a, n)
+            assert not layout.within_bound([0, n * layout.unit[a] - layout.unit[3 - a]]), (a, n)
+    # a trained model whose snapshot holds one numerator at the bound
+    s = make_sentence([0, 1], ["root", "dep"], ["hi", "there"], ["INTJ", "ADV"])
+    model = Model(labels=["dep", "root"])
+    feats = extract_features(initial_config(s), *sentence_atoms(s))
+    snapshot, arc = _tied_snapshot(model, feats, bits)
+    layout = snapshot.layout
+    snapshot = _Averaged(dict(snapshot.rows, **{feats[2]: layout.bound * layout.unit[1]}), 10, layout)
+    assert not snapshot.exact
+    wide = Model(model.labels, averaged=snapshot)
+    assert wide.exact is None
+    parsed, steps = _recorded_steps(monkeypatch, wide, [s])
+    assert {kind for kind, _ in steps} == {"float"} and steps[0] == ("float", arc)
+    assert parsed == [parse(Model(model.labels, weights=snapshot.float_rows()), s)]
+
+
+def test_setting_weights_replaces_the_snapshot():
+    corpus = synth_corpus(6)
+    model = train(corpus, None, Hyperparameters(epochs=2), seed=2)
+    assert model.exact is not None
+    model.weights = {}
+    assert model.exact is None and model.weights == {}
+    assert parse(model, corpus[0]) == parse(Model(model.labels), corpus[0])
 
 
 def test_allowed_table_matches_the_inventory_scan_for_every_step_kind_set():

@@ -25,7 +25,7 @@ def test_every_traced_layer_is_present(monkeypatch):
         tracer.uninstall()
 
 
-def test_training_and_parsing_call_the_hot_layers_through_module_globals(monkeypatch):
+def test_training_and_parsing_call_the_hot_layers_through_module_globals(monkeypatch, tmp_path):
     calls = {"extract_features": 0, "fnv1a64": 0, "score": 0}
 
     def counted(name, fn):
@@ -40,11 +40,18 @@ def test_training_and_parsing_call_the_hot_layers_through_module_globals(monkeyp
     monkeypatch.setattr(perceptron.Model, "score", counted("score", perceptron.Model.score))
     corpus = synth_corpus(4)
     # no dev set: the training steps alone must call the feature layer; they
-    # score the raw weights in the packed store, so Model.score times decoding
+    # score the raw weights in the packed store
     model = perceptron.train(corpus, None, perceptron.Hyperparameters(epochs=1), seed=1)
     trained = dict(calls)
-    perceptron.parse(model, corpus[0])
     assert trained["extract_features"] >= 1 and trained["score"] == 0
-    assert all(calls[name] > trained[name] for name in ("extract_features", "score"))
+    # the trained model decodes by its integer numerators, in parse() itself
+    perceptron.parse(model, corpus[0])
+    exact = dict(calls)
+    assert exact["extract_features"] > trained["extract_features"] and exact["score"] == 0
+    # a model read from a file decodes by Model.score
+    path = str(tmp_path / "model.txt")
+    perceptron.save_model(model, path)
+    perceptron.parse(perceptron.load_model(path), corpus[0])
+    assert all(calls[name] > exact[name] for name in ("extract_features", "score"))
     # models are keyed by string: nothing is hashed, in training or parsing
     assert calls["fnv1a64"] == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from udscheme.conllu import is_projective
-from udscheme.parsing import transitions
+from udscheme.parsing import perceptron, transitions
 from udscheme.parsing.features import extract_features, sentence_atoms
 from udscheme.parsing.perceptron import Hyperparameters, train
 from udscheme.parsing.transitions import (
@@ -39,6 +39,7 @@ from helpers import (
     replay_arcs,
     state_key,
 )
+from synth import synth_corpus
 
 THE_BOOK = make_sentence([2, 0], ["det", "root"], ["the", "book"])
 
@@ -330,6 +331,53 @@ def test_apply_refuses_exactly_the_invalid_kinds_on_random_paths():
     with pytest.raises(ValueError, match="is not valid in"):
         apply_action(initial_config(THE_BOOK), Action("UNKNOWN"))
     assert checks > 15_000
+
+
+def test_apply_checks_the_kinds_its_caller_passes_as_it_checks_its_own():
+    # the kinds valid_actions gives, or the kinds kind_costs costs, passed
+    # in: apply_action refuses and applies exactly as it does without them
+    rng = random.Random(2222)
+    for i in range(100):
+        s = _random_sentence(rng, rng.randint(1, 20), projective=i % 2 == 0)
+        gold, c = Gold(s), initial_config(s)
+        while c.b <= c.n:
+            valid = valid_actions(c)
+            for kinds in (valid, kind_costs(c, gold)):
+                for kind in KIND_ORDER:
+                    a = Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, "dep")
+                    with_kinds, without = copy_config(c), copy_config(c)
+                    if kind in valid:
+                        apply_action(with_kinds, a, kinds)
+                        apply_action(without, a)
+                        assert _snapshot(with_kinds) == _snapshot(without)
+                    else:
+                        with pytest.raises(ValueError, match="is not valid in"):
+                            apply_action(with_kinds, a, kinds)
+                        assert _snapshot(with_kinds) == _snapshot(c)
+            kind = rng.choice(sorted(valid))
+            apply_action(c, Action(kind) if kind in (SHIFT, REDUCE) else Action(kind, "dep"))
+
+
+def test_each_step_derives_its_valid_kinds_once(monkeypatch):
+    # static_oracle_derivation has them as the costed kinds; train() and
+    # parse() pass apply_action the kinds they chose from
+    calls = []
+    counted = lambda c: calls.append(1) or valid_actions(c)
+    monkeypatch.setattr(transitions, "valid_actions", counted)
+    monkeypatch.setattr(perceptron, "valid_actions", counted)
+    steps = []
+    extract = perceptron.extract_features
+    monkeypatch.setattr(perceptron, "extract_features", lambda *a: steps.append(1) or extract(*a))
+    corpus = synth_corpus(6)
+    for s in corpus:
+        static_oracle_derivation(s)
+    assert calls == []
+    model = train(corpus, None, Hyperparameters(epochs=2), seed=1)
+    assert 0 < len(calls) == len(steps)
+    del calls[:], steps[:]
+    for s in corpus:
+        perceptron.parse(model, s)
+    assert 0 < len(calls) <= len(steps)
 
 
 def test_oracle_step_returns_the_same_action_objects():
