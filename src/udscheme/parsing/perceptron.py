@@ -14,14 +14,12 @@ Training works in integers. A raw weight w is a sum of +-1 updates, and its
 average over u steps is the exact rational N/u, whose numerator N = w*u - S
 is the sum of the weight over all u steps; S sums each change times the
 number of steps before the one it was made in. A feature's raw weights, its
-averaging sums and its numerators are each one int, packed by a `_Layout`
-with one signed field per action. `field_bits` gives two widths, 32 bits
-where it proves that no value of the run can leave that range and 64
-elsewhere: one for the raw weights and training scores, one for the sums and
-numerators, which grow faster. A training score is then one `sum()` of the
-hit rows, an update two int additions per feature, and an epoch's snapshot
-one `w*u - S` per feature (with the raw row repacked first when the sums are
-the wider).
+averaging sums and its numerators are each one int, packed by one `_Layout`
+with one signed field per action. `field_bits` gives its width: 32 bits
+where it proves that no numerator, raw weight or training score of the run
+can leave that range, and 64 elsewhere. A training score is then one
+`sum()` of the hit rows, an update two int additions per feature, and an
+epoch's snapshot one `w*u - S` per feature.
 
 The model `train()` returns, like each epoch's dev model, decodes by summing
 its packed numerators and taking the argmax on the integers, as long as every
@@ -108,12 +106,10 @@ class Hyperparameters:
             raise ValueError("explore_p: must be between 0 and 1")
 
 
-def field_bits(templates: int, epochs: int, tokens: int) -> tuple[int, int]:
-    """The widths of a training run's packed fields, (raw weights, averaging
-    sums and numerators), where `steps = 2 x epochs x tokens`: the raw width
-    holds `templates x steps`, the numerator width `max(templates, steps) x
-    steps`, each 32 bits when that is below 2^31 and 64 when below 2^63. A
-    longer run raises ValueError.
+def field_bits(templates: int, epochs: int, tokens: int) -> int:
+    """The width of a training run's packed fields, where `steps = 2 x
+    epochs x tokens`: 32 bits when `max(templates, steps) x steps` is below
+    2^31, 64 when below 2^63. A longer run raises ValueError.
 
     A sentence of n tokens takes at most 2n steps and a step changes an entry
     by at most 1, so `steps` bounds every raw weight, `templates x steps`
@@ -121,14 +117,11 @@ def field_bits(templates: int, epochs: int, tokens: int) -> tuple[int, int]:
     every numerator, the sum of a weight over at most `steps` steps.
     """
     steps = 2 * epochs * tokens
-
-    def width(bound: int) -> int:
-        for bits in (32, 64):
-            if bound < 1 << (bits - 1):
-                return bits
-        raise ValueError("%d training steps are too many for 64-bit fields" % steps)
-
-    return width(templates * steps), width(max(templates, steps) * steps)
+    bound = max(templates, steps) * steps
+    for bits in (32, 64):
+        if bound < 1 << (bits - 1):
+            return bits
+    raise ValueError("%d training steps are too many for 64-bit fields" % steps)
 
 
 class _Layout:
@@ -142,7 +135,7 @@ class _Layout:
     def __init__(self, actions: int, bits: int):
         self.half = 1 << (bits - 1)
         self.unit = [1 << (bits * a) for a in range(actions)]
-        self._ones = ones = sum(self.unit)
+        ones = sum(self.unit)
         self._bias = self.half * ones  # `half` in every field
         self._nbytes = bits // 8 * actions
         self._typecode = next(c for c in "ILQ" if array(c).itemsize == bits // 8)
@@ -161,12 +154,6 @@ class _Layout:
     def score(self, rows: dict[str, int], feats) -> array:
         """`fields` of the rows of `feats` summed."""
         return self.fields(sum(filter(None, map(rows.get, feats))))
-
-    def repack(self, packed: int, to: _Layout) -> int:
-        """The values of `packed` packed by the layout `to`, whose fields are
-        at least as wide."""
-        wide = array(to._typecode, self.fields(packed))  # each plus our `half`
-        return int.from_bytes(wide.tobytes(), sys.byteorder) - self.half * to._ones
 
     def within_bound(self, rows) -> bool:
         """Whether every field of each packed row is in [-bound, bound). A
@@ -230,15 +217,13 @@ class _AveragedWeights:
     feature to its raw weights, sums of +-1 updates packed by `layout`, and
     a feature whose row is back at 0 is deleted. `acc` maps every feature
     ever changed, in the order it was first changed, to its averaging sums S
-    packed by `sums`: each change times the number of steps before the one
-    it was made in. Over `updates` steps an entry's average is then
+    packed by `layout` too: each change times the number of steps before the
+    one it was made in. Over `updates` steps an entry's average is then
     N/updates, with the numerator N = w * updates - S, the sum of the weight
-    over all steps, packed by `sums` too. The two layouts are one where the
-    widths (`field_bits`) are equal."""
+    over all steps."""
 
-    def __init__(self, actions: int, bits: int, sum_bits: int):
+    def __init__(self, actions: int, bits: int):
         self.layout = _Layout(actions, bits)
-        self.sums = self.layout if sum_bits == bits else _Layout(actions, sum_bits)
         self.w: dict[str, int] = {}
         self.acc: dict[str, int] = {}
         self.updates = 0
@@ -254,7 +239,7 @@ class _AveragedWeights:
         step = self.updates - 1  # the new weight counts from the current step on
         raw, acc = self.w, self.acc
         delta = self.layout.unit[good] - self.layout.unit[bad]
-        change = (self.sums.unit[good] - self.sums.unit[bad]) * step
+        change = delta * step
         for f in feats:
             cur = raw.get(f, 0) + delta
             if cur:
@@ -265,13 +250,9 @@ class _AveragedWeights:
 
     def averaged(self) -> _Averaged:
         """The averaged weights now: one numerator row per feature."""
-        u, raw, sums = self.updates, self.w, self.sums
-        if sums is self.layout:
-            rows = {f: n for f, s in self.acc.items() if (n := raw.get(f, 0) * u - s)}
-        else:
-            wide = self.layout.repack
-            rows = {f: n for f, s in self.acc.items() if (n := wide(raw.get(f, 0), sums) * u - s)}
-        return _Averaged(rows, u, sums)
+        u, raw = self.updates, self.w
+        rows = {f: n for f, s in self.acc.items() if (n := raw.get(f, 0) * u - s)}
+        return _Averaged(rows, u, self.layout)
 
 
 class Model:
@@ -357,7 +338,7 @@ def train(
     model = Model(labels=labels)
     actions, index = model.actions, model._index
     tokens = sum(len(s.tokens) for s in train_set)
-    acc = _AveragedWeights(len(actions), *field_bits(TEMPLATES, hp.epochs, tokens))
+    acc = _AveragedWeights(len(actions), field_bits(TEMPLATES, hp.epochs, tokens))
     golds = [Gold(s) for s in train_set]
     atoms = [sentence_atoms(s) for s in train_set]
     rng = random.Random(seed)

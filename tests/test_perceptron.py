@@ -60,15 +60,10 @@ def _raw_rows(acc: _AveragedWeights) -> dict:
     return rows
 
 
-# (raw weights, averaging sums): equal, and sums wider than the raw weights,
-# whose numerators are then taken over a repacked raw row
-WIDTHS = [(32, 32), (64, 64), (32, 64)]
-
-
-@pytest.mark.parametrize("bits", WIDTHS)
+@pytest.mark.parametrize("bits", [32, 64])
 def test_lazy_averaging_matches_naive_snapshots(bits):
     rng = random.Random(42)
-    acc = _AveragedWeights(3, *bits)
+    acc = _AveragedWeights(3, bits)
     naive: dict = {}
     snap_sum: dict = {}
     for _ in range(100):
@@ -110,11 +105,11 @@ def _assert_same_store(acc: _AveragedWeights, ref: ReferenceAveragedWeights) -> 
     assert list(averaged) == [f for f in first_changed if f in expected]
 
 
-@pytest.mark.parametrize("bits", WIDTHS)
+@pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("seed", range(5))
 def test_row_store_matches_tuple_keyed_reference(seed, bits):
     rng = random.Random(seed)
-    acc = _AveragedWeights(4, *bits)
+    acc = _AveragedWeights(4, bits)
     ref = ReferenceAveragedWeights()
     same_action = changed_from_zero = 0
     for step in range(400):
@@ -141,7 +136,7 @@ def test_row_store_matches_tuple_keyed_reference(seed, bits):
 
 
 def test_entry_back_at_zero_is_deleted_and_still_averaged():
-    acc = _AveragedWeights(3, 32, 64)
+    acc = _AveragedWeights(3, 32)
     ref = ReferenceAveragedWeights()
     for good, bad, raw in [
         (0, 1, {"x": {0: 1.0, 1: -1.0}}),
@@ -165,7 +160,7 @@ def test_packed_fields_hold_the_range_the_width_rule_allows(bits):
     # rows whose fields carry into the next one, summed to each end of the
     # signed range: every field reads back exactly
     top = 2 ** (bits - 1) - 1
-    acc = _AveragedWeights(4, bits, bits)
+    acc = _AveragedWeights(4, bits)
 
     def pack(fields):
         return sum(v << (bits * a) for a, v in enumerate(fields))
@@ -174,51 +169,52 @@ def test_packed_fields_hold_the_range_the_width_rule_allows(bits):
     half = acc.layout.half
     assert [v - half for v in acc.score(["x", "y"])] == [-top - 1, top, 0, 0]
     assert [v - half for v in acc.score(["y", "missing"])] == [-2, 1, 1, -7]
-    # repacked with wider fields, each row keeps its values
-    wide = _Layout(4, 64)
-    for f, fields in (("x", [-top + 1, top - 1, -1, 7]), ("y", [-2, 1, 1, -7])):
-        assert acc.layout.repack(acc.w[f], wide) == sum(v << (64 * a) for a, v in enumerate(fields))
 
 
-def test_field_width_rules_on_both_sides_of_2_to_the_31_and_2_to_the_63():
+def test_field_width_rule_on_both_sides_of_2_to_the_31_and_2_to_the_63():
     # 2 steps a token. A numerator is at most steps^2: 23,170 epoch-tokens
     # (46,340 steps) is the last count whose square is below 2^31
     assert 46_340**2 < 2**31 <= 46_342**2
-    assert field_bits(TEMPLATES, 1, 23_170) == (32, 32)
-    assert field_bits(TEMPLATES, 1, 23_171) == (32, 64)
-    assert field_bits(TEMPLATES, 10, 2_317) == (32, 32)
-    assert field_bits(TEMPLATES, 10, 2_318) == (32, 64)
-    # a training score at most 70 x steps: 15,339,168 epoch-tokens the last
-    # product below 2^31
+    assert field_bits(TEMPLATES, 1, 23_170) == 32
+    assert field_bits(TEMPLATES, 1, 23_171) == 64
+    assert field_bits(TEMPLATES, 10, 2_317) == 32
+    assert field_bits(TEMPLATES, 10, 2_318) == 64
+    # a training score, at most 70 x steps, stays inside any width the
+    # numerators allow: where it would pass 2^31 the width is already 64
     assert TEMPLATES * 2 * 15_339_168 < 2**31 <= TEMPLATES * 2 * 15_339_169
-    assert field_bits(TEMPLATES, 1, 15_339_168) == (32, 64)
-    assert field_bits(TEMPLATES, 8, 15_339_168 // 8 + 1) == (64, 64)
+    assert field_bits(TEMPLATES, 1, 15_339_169) == 64
+    assert field_bits(TEMPLATES, 8, 15_339_168 // 8) == 64
     # and 1,518,500,249 epoch-tokens the last whose steps^2 is below 2^63
     assert 3_037_000_498**2 < 2**63 <= 3_037_000_500**2
-    assert field_bits(TEMPLATES, 1, 1_518_500_249) == (64, 64)
+    assert field_bits(TEMPLATES, 1, 1_518_500_249) == 64
     with pytest.raises(ValueError, match="too many for 64-bit fields"):
         field_bits(TEMPLATES, 1, 1_518_500_250)
-    # with fewer steps than templates, templates x steps bounds both
-    assert field_bits(2**20, 1, 2**9) == (32, 32)
-    assert field_bits(2**21, 1, 2**9) == (64, 64)
+    # with fewer steps than templates, templates x steps decides, and a
+    # product of exactly 2^31 or 2^63 takes the next width
+    assert field_bits(2**21, 1, 2**9 - 1) == 32
+    assert field_bits(2**21, 1, 2**9) == 64
+    assert field_bits(2**21, 2, 2**8) == 64
+    assert field_bits(2**53, 1, 2**9 - 1) == 64
+    with pytest.raises(ValueError, match="too many for 64-bit fields"):
+        field_bits(2**53, 1, 2**9)
 
 
 def test_train_sizes_its_store_by_the_width_rule(monkeypatch):
     made = []
 
-    def store(actions, bits, sum_bits):
-        made.append((actions, bits, sum_bits))
-        return _AveragedWeights(actions, bits, sum_bits)
+    def store(actions, bits):
+        made.append((actions, bits))
+        return _AveragedWeights(actions, bits)
 
     monkeypatch.setattr(perceptron, "_AveragedWeights", store)
     corpus = synth_corpus(5)
     model = train(corpus, None, Hyperparameters(epochs=3), seed=1)
     tokens = sum(len(s.tokens) for s in corpus)
-    assert made == [(len(model.actions), *field_bits(TEMPLATES, 3, tokens))]
-    assert made[0][1:] == (32, 32)
+    assert made == [(len(model.actions), field_bits(TEMPLATES, 3, tokens))]
+    assert made[0][1] == 32
 
 
-@pytest.mark.parametrize("bits", [None, (64, 64), (32, 64)])
+@pytest.mark.parametrize("bits", [None, 64])
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_training_matches_the_dict_row_reference(monkeypatch, tmp_path, seed, bits):
     # random corpora with a dev set, exploration on: every prediction, oracle
@@ -248,7 +244,7 @@ def test_packed_training_matches_the_dict_row_reference(monkeypatch, tmp_path, s
     monkeypatch.setattr(Model, "score", None)
     if bits is not None:
         monkeypatch.setattr(
-            perceptron, "_AveragedWeights", lambda actions, *_: _AveragedWeights(actions, *bits)
+            perceptron, "_AveragedWeights", lambda actions, _: _AveragedWeights(actions, bits)
         )
     model = train(train_set, dev, hp, seed=seed)
     assert decoded and model.exact is not None
