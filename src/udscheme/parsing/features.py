@@ -13,25 +13,33 @@ gives a null value, so every configuration has one feature per template.
 template's name, `=`, and its atom values joined by `|`. The name comes from
 the atoms: a position is written once for each run of atoms on it, so
 `S0w S0p N0w` is named `S0wpN0w` and `S0w d` is `S0wd`. At import, the
-table is compiled into one generated function of the 39 atom values that
-builds all 70 features as f-strings (`f"S0wpN0w={S0w}|{S0p}|{N0w}"`).
+table is compiled into `extract_features` itself: one generated function
+that finds the positions (`_FRAME`), sets each atom as a local named after
+it, and builds all 70 features as f-strings (`f"S0wpN0w={S0w}|{S0p}|{N0w}"`).
 """
 
 from __future__ import annotations
 
 from ..conllu import Sentence
-from .transitions import Configuration
 
 NULL = "<NULL>"
 ROOT_WORD = "<ROOT>"
 ROOT_POS = "<ROOT>"
 
-_HEADS_AND_KIDS = ("S0h", "S0h2", "S0l", "S0l2", "S0r", "S0r2", "N0l", "N0l2")
+# each position -> the local of `_FRAME` that holds its token index: -1 where
+# the position is absent, which reads NULL in the atom lists
+_POSITIONS = {
+    "S0": "s0", "N0": "b", "N1": "b + 1", "N2": "b + 2", "S0h": "s0h", "S0h2": "s0h2",
+    "S0l": "s0l", "S0l2": "s0l2", "S0r": "s0r", "S0r2": "s0r2", "N0l": "n0l", "N0l2": "n0l2",
+}
+_KIDS = ("S0l", "S0l2", "S0r", "S0r2", "N0l", "N0l2")
+# each label set atom -> the local of `_FRAME` that holds its dependents
+_LABEL_SETS = {"S0sl": "s0_left", "S0sr": "s0_right", "N0sl": "n0_left"}
 
-# every atom as (position, suffix), in the order extract_features computes them
+# every atom as (position, suffix)
 _ATOMS = (
-    [(p, x) for p in ("S0", "N0", "N1", "N2") + _HEADS_AND_KIDS for x in "wp"]
-    + [(p, "l") for p in _HEADS_AND_KIDS]
+    [(p, x) for p in _POSITIONS for x in "wp"]
+    + [(p, "l") for p in ("S0h", "S0h2", *_KIDS)]
     + [("", "d"), ("S0", "vl"), ("S0", "vr"), ("N0", "vl")]
     + [("S0", "sl"), ("S0", "sr"), ("N0", "sl")]
 )
@@ -52,11 +60,64 @@ _TABLE = """
     S0w S0sl, S0p S0sl, S0w S0sr, S0p S0sr, N0w N0sl, N0p N0sl
 """
 
+# The start of the generated `extract_features`: the positions' token
+# indices (`_POSITIONS`), the labels of S0's arc and S0h's (S0hl, S0h2l), the
+# distance d and the dependent lists the remaining atoms are read from.
+_FRAME = '''\
+def extract_features(c, words, tags):
+    """The 70 features of `c`, over the atom lists `sentence_atoms` built
+    for its sentence."""
+    head, label, lefts = c.head, c.label, c.lefts
+    s0 = c.stack[-1]
+    b = c.b
+    # S0h is reached by S0's arc, S0h2 by S0h's; the root has no head
+    s0h = head[s0]
+    if s0h is None:
+        s0h = s0h2 = -1
+        S0hl = S0h2l = NULL
+    else:
+        S0hl = label[s0]
+        s0h2 = head[s0h]
+        if s0h2 is None:
+            s0h2, S0h2l = -1, NULL
+        else:
+            S0h2l = label[s0h]
+    s0_left, s0_right = lefts[s0], c.rights[s0]
+    if b <= c.n:
+        n0_left = lefts[b]
+        d = min(b - s0, 10)  # an int: an f-string writes str(int)
+    else:
+        n0_left, d = (), NULL
+    # the children, outermost first
+    s0l = s0_left[0] if s0_left else -1
+    s0l2 = s0_left[1] if len(s0_left) > 1 else -1
+    s0r = s0_right[-1] if s0_right else -1
+    s0r2 = s0_right[-2] if len(s0_right) > 1 else -1
+    n0l = n0_left[0] if n0_left else -1
+    n0l2 = n0_left[1] if len(n0_left) > 1 else -1
+'''
+
 
 def _compile():
-    """`_TABLE` as one function of the atom values, in `_ATOMS` order, that
-    returns the features as a list of f-strings, generated once."""
+    """`_TABLE` compiled into the `extract_features` function, generated
+    once: `_FRAME`, one assignment per atom, and the list of features."""
     index = {p + x: (p, x) for p, x in _ATOMS}
+    lines = []
+    for p, i in _POSITIONS.items():
+        lines.append("%sw, %sp = words[%s], tags[%s]" % (p, p, i, i))
+    for p in _KIDS:
+        lines.append("%sl = NULL if %s < 0 else label[%s]" % (p, _POSITIONS[p], _POSITIONS[p]))
+    lines.append("S0vl, S0vr, N0vl = len(s0_left), len(s0_right), len(n0_left)")
+    for atom, deps in _LABEL_SETS.items():
+        # no dependent or one: no set to build
+        lines += [
+            "if len(%s) > 1:" % deps,
+            '    %s = "|".join(sorted({label[k] for k in %s})) or NULL' % (atom, deps),
+            "elif %s:" % deps,
+            "    %s = label[%s[0]] or NULL" % (atom, deps),
+            "else:",
+            "    %s = NULL" % atom,
+        ]
     features = []
     for template in _TABLE.split(","):
         atoms = template.split()
@@ -65,14 +126,14 @@ def _compile():
             name += x if p == last else p + x
             last = p
         features.append('f"%s=%s"' % (name, "|".join("{%s}" % a for a in atoms)))
-    source = "def features(%s):\n    return [%s]\n" % (", ".join(index), ", ".join(features))
-    namespace: dict = {}
+    lines.append("return [%s]" % ", ".join(features))
+    source = _FRAME + "".join("    %s\n" % line for line in lines)
+    namespace = {"NULL": NULL, "__name__": __name__}
     exec(source, namespace)
-    return namespace["features"]
+    return namespace["extract_features"], len(features)
 
 
-_features = _compile()
-TEMPLATES = len(_TABLE.split(","))  # features per configuration
+extract_features, TEMPLATES = _compile()  # TEMPLATES: features per configuration
 
 
 def sentence_atoms(s: Sentence) -> tuple[list[str], list[str]]:
@@ -83,48 +144,3 @@ def sentence_atoms(s: Sentence) -> tuple[list[str], list[str]]:
     words = [ROOT_WORD, *[t.form for t in s.tokens], NULL, NULL, NULL]
     tags = [ROOT_POS, *[t.upos for t in s.tokens], NULL, NULL, NULL]
     return words, tags
-
-
-def extract_features(c: Configuration, words: list[str], tags: list[str]) -> list[str]:
-    """The 70 features of `c`, over the atom lists `sentence_atoms` built for
-    its sentence."""
-    head, label, lefts = c.head, c.label, c.lefts
-    s0 = c.stack[-1]
-    b = c.b
-    # S0h is reached by S0's arc, S0h2 by S0h's; the root has no head
-    s0h = head[s0]
-    if s0h is None:
-        s0h = s0h2 = -1
-        s0hl = s0h2l = NULL
-    else:
-        s0hl = label[s0]
-        s0h2 = head[s0h]
-        if s0h2 is None:
-            s0h2, s0h2l = -1, NULL
-        else:
-            s0h2l = label[s0h]
-    s0_left, s0_right = lefts[s0], c.rights[s0]
-    if b <= c.n:
-        n0_left = lefts[b]
-        d = min(b - s0, 10)  # ints: an f-string writes str(int)
-    else:
-        n0_left, d = (), NULL
-    # S0l, S0l2, S0r, S0r2, N0l, N0l2: outermost first, -1 where absent
-    kids = (*s0_left[:2], -1, -1)[:2] + (*s0_right[:-3:-1], -1, -1)[:2]
-    kids += (*n0_left[:2], -1, -1)[:2]
-    s0l, s0l2, s0r, s0r2, n0l, n0l2 = kids
-    atoms = [
-        words[s0], tags[s0], words[b], tags[b], words[b + 1], tags[b + 1],
-        words[b + 2], tags[b + 2], words[s0h], tags[s0h], words[s0h2], tags[s0h2],
-        words[s0l], tags[s0l], words[s0l2], tags[s0l2], words[s0r], tags[s0r],
-        words[s0r2], tags[s0r2], words[n0l], tags[n0l], words[n0l2], tags[n0l2],
-        s0hl, s0h2l,
-    ]
-    atoms += [NULL if k < 0 else label[k] for k in kids]
-    atoms += (d, len(s0_left), len(s0_right), len(n0_left))
-    for deps in (s0_left, s0_right, n0_left):
-        if len(deps) > 1:
-            atoms.append("|".join(sorted({label[k] for k in deps})) or NULL)
-        else:  # no dependent or one: no set to build
-            atoms.append(label[deps[0]] or NULL if deps else NULL)
-    return _features(*atoms)

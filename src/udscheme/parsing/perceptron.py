@@ -21,16 +21,37 @@ can leave that range, and 64 elsewhere. A training score is then one
 `sum()` of the hit rows, an update two int additions per feature, and an
 epoch's snapshot one `w*u - S` per feature.
 
-The model `train()` returns, like each epoch's dev model, decodes by summing
-its packed numerators and taking the argmax on the integers, as long as every
-numerator is below the layout's `bound`. Below it, two integer sums of at
-most TEMPLATES numerators that differ keep their order as the float sums of
-the rows N/u, so the argmax is the float scorer's; actions whose integer sums
-tie at the top are scored in floats, summed in feature order as
-`Model.score` sums them. A snapshot with a numerator at or above the bound
-decodes by floats. The float rows, (action, N/u) pairs sorted by action, are
-built the first time they are read: by `save_model`, or through
-`Model.weights`. A model read by `load_model` decodes by `Model.score`.
+Every model decodes by one decoder, `Model.decoder`, whose `choose(feats,
+allowed)` picks each step's action; every choice equals `_argmax` over
+`Model.score`, the float reference, which sums a model's float rows in
+feature order. There are two decoders.
+
+- `_Averaged`, the snapshot `train()` returns (and each epoch's dev model),
+  while every numerator is below the layout's `bound`: it sums its packed
+  numerators and takes the argmax on the integers. Below the bound, two
+  integer sums of at most TEMPLATES numerators that differ keep their order
+  as the float sums of the rows N/u; actions whose integer sums tie at the
+  top are scored in floats, summed in feature order as `Model.score` sums
+  them.
+- `_FixedPoint`, for float rows: a model read by `load_model`, given rows
+  through `Model.weights`, or trained to a snapshot with a numerator at or
+  above the bound. It rounds every weight once to a multiple of 2^-F, where
+  F = 24 - e and 2^e exceeds the largest |w|, and packs the multiples into
+  32-bit fields; a step is one `sum()` of the hit rows. Rounding moves a sum
+  of at most TEMPLATES weights by at most TEMPLATES/2 units of 2^-F, and
+  `Model.score` adds them with an error of at most TEMPLATES^2 * 2^(F-53) *
+  max|w| units (each of its at most TEMPLATES - 1 additions is rounded once;
+  Higham, *Accuracy and Stability of Numerical Algorithms*, 4.2). An
+  action's integer sum is thus within the sum of the two bounds of its
+  float score, so the integer sum of the action the floats rank first is
+  within twice that, the `slack`, of the top integer sum. When only one
+  action is that close to the top it is the float argmax; otherwise
+  `Model.score` decides among the close ones, in `allowed` order, so the
+  choice is still the first highest float score.
+
+The float rows, (action, N/u) pairs sorted by action, are built the first
+time they are read: by `save_model`, through `Model.weights`, or for a
+`_FixedPoint`.
 """
 
 from __future__ import annotations
@@ -212,6 +233,51 @@ class _Averaged:
         return max(tied, key=sums.__getitem__)
 
 
+class _FixedPoint:
+    """Float rows rounded once to integers, for decoding: `rows` maps a
+    feature to round(w * 2^F) of each entry, packed into 32-bit fields, with
+    rows that round to 0 left out. An action whose integer sum is within
+    `slack` of the top is a candidate (see the module docstring); rows this
+    bound does not cover (a weight not finite, or one so large that a float
+    score may overflow) are all left out, so that every action is one."""
+
+    __slots__ = ("model", "rows", "layout", "slack")
+
+    def __init__(self, model: Model):
+        self.model = model
+        # TEMPLATES values of at most 2^24 each sum to less than `half`
+        self.layout = _Layout(len(model.actions), 32)
+        weights = [w for row in model.weights.values() for _, w in row]
+        wmax = max(map(abs, weights), default=0.0)
+        # no partial sum of TEMPLATES weights below 2^(1024 - 7) overflows
+        if wmax < 2.0 ** (1024 - TEMPLATES.bit_length()) and all(map(math.isfinite, weights)):
+            scale = 24 - math.frexp(wmax)[1]  # F: every |w| * 2^F is below 2^24
+            unit = self.layout.unit
+            self.rows = {}
+            for f, row in model.weights.items():
+                packed = sum(round(math.ldexp(w, scale)) * unit[a] for a, w in row)
+                if packed:
+                    self.rows[f] = packed
+            error = math.ceil(TEMPLATES * TEMPLATES * math.ldexp(wmax, scale - 53))
+            self.slack = 2 * ((TEMPLATES + 1) // 2 + error)
+        else:
+            self.rows = {}
+            self.slack = self.layout.half  # above any difference of two sums of 0
+
+    def choose(self, feats: list[str], allowed: list[int]) -> int:
+        """What `_argmax` picks from `allowed` on `Model.score(feats)`."""
+        scores = self.layout.score(self.rows, feats)
+        sums = [scores[a] for a in allowed]
+        ranked = sorted(sums)
+        top = ranked[-1]
+        if len(ranked) == 1 or ranked[-2] < top - self.slack:
+            return allowed[sums.index(top)]
+        floor = top - self.slack
+        near = [a for a, v in zip(allowed, sums) if v >= floor]
+        floats = self.model.score(feats)
+        return max(near, key=floats.__getitem__)
+
+
 class _AveragedWeights:
     """Perceptron weights with lazy averaging over update steps. `w` maps a
     feature to its raw weights, sums of +-1 updates packed by `layout`, and
@@ -259,10 +325,14 @@ class Model:
     """A parser's labels, the actions they give, and its averaged weights.
 
     `weights` maps a feature string to its (action index, weight) pairs
-    sorted by action. A model made from an `_Averaged` snapshot, as `train()`
-    makes it, builds those float rows the first time they are read; `exact`
-    is that snapshot when it is exact, and `parse()` then decodes by its
-    integers. Setting `weights` drops the snapshot.
+    sorted by action, and `score` sums them in floats: the reference every
+    decoder's choices equal. `index` maps each action to its index in
+    `actions`. A model made from an `_Averaged` snapshot, as `train()` makes
+    it, builds those float rows the first time they are read. `decoder` is
+    what `parse()` chooses by (see the module docstring): the snapshot when
+    it is exact, or else a `_FixedPoint` of the float rows, made the first
+    time it is read. Setting `weights` drops both; the rows are read when
+    the decoder is made, so replace them rather than change them in place.
     """
 
     def __init__(
@@ -273,10 +343,10 @@ class Model:
     ):
         self.labels = labels
         self._averaged = averaged
-        self.exact = averaged if averaged is not None and averaged.exact else None
+        self._decoder = averaged if averaged is not None and averaged.exact else None
         self._weights = {} if weights is None and averaged is None else weights
         self.actions = _action_inventory(labels)
-        self._index = {a: i for i, a in enumerate(self.actions)}
+        self.index = {a: i for i, a in enumerate(self.actions)}
         # each set of kinds a step chooses from -> the indices of its actions,
         # in inventory order; shared lists, which callers must not change
         self.allowed: dict[frozenset[str], list[int]] = {
@@ -293,7 +363,13 @@ class Model:
     @weights.setter
     def weights(self, rows: dict[str, tuple[tuple[int, float], ...]]) -> None:
         self._weights = rows
-        self._averaged = self.exact = None
+        self._averaged = self._decoder = None
+
+    @property
+    def decoder(self) -> _Averaged | _FixedPoint:
+        if self._decoder is None:
+            self._decoder = _FixedPoint(self)
+        return self._decoder
 
     def score(self, feats: list[str]) -> list[float]:
         """Each action's summed weight, added in feature order."""
@@ -314,11 +390,8 @@ def _action_inventory(labels: list[str]) -> list[Action]:
 
 
 def _argmax(scores: list[float], allowed: list[int]) -> int:
-    best = allowed[0]
-    for a in allowed[1:]:
-        if scores[a] > scores[best]:
-            best = a
-    return best
+    """The first action of `allowed` whose score is highest."""
+    return max(allowed, key=scores.__getitem__)
 
 
 def train(
@@ -336,7 +409,7 @@ def train(
         raise ValueError("empty label inventory")
     # training scores the raw weights in `acc`; `model` gives the actions
     model = Model(labels=labels)
-    actions, index = model.actions, model._index
+    actions, index = model.actions, model.index
     tokens = sum(len(s.tokens) for s in train_set)
     acc = _AveragedWeights(len(actions), field_bits(TEMPLATES, hp.epochs, tokens))
     golds = [Gold(s) for s in train_set]
@@ -395,19 +468,14 @@ def parse(model: Model, s: Sentence) -> Sentence:
     c = initial_config(s)
     n = c.n
     words, tags = sentence_atoms(s)
-    exact = model.exact
+    choose = model.decoder.choose
     while c.b <= n:
         # keep the output single-rooted: no second RIGHT_ARC from the root
         if c.stack[-1] == 0 and c.rights[0]:
             kinds = _SHIFT_ONLY
         else:
             kinds = valid_actions(c)
-        allowed = model.allowed[kinds]
-        feats = extract_features(c, words, tags)
-        if exact is None:
-            best = _argmax(model.score(feats), allowed)
-        else:
-            best = exact.choose(feats, allowed)
+        best = choose(extract_features(c, words, tags), model.allowed[kinds])
         apply_action(c, model.actions[best], kinds)
     # tokens left headless become roots; every root but the first child of
     # the artificial root (or the first root) then hangs from that one
@@ -528,4 +596,5 @@ def load_model(path: str) -> Model:
             raise ValueError("%s:%d: %s" % (path, lineno, message))
         row[a] = w
     model.weights = {f: tuple(sorted(row.items())) for f, row in rows.items()}
+    model.decoder  # rounded to fixed point here, not in the first parse
     return model

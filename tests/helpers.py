@@ -754,7 +754,7 @@ def ref_train(train_set, dev_set, hp, seed: int, chosen: list) -> Model:
                 feats = extract_features(c, *sentence_atoms(sent))
                 scores = acc.score(feats, n)
                 pred_i = argmax(scores, model.allowed[valid_actions(c)])
-                oracle_i = argmax(scores, [model._index[a] for a in oracle_actions])
+                oracle_i = argmax(scores, [model.index[a] for a in oracle_actions])
                 if costs[model.actions[pred_i].kind] > 0 and oracle_i != pred_i:
                     acc.update(feats, oracle_i, pred_i)
                 if epoch > hp.explore_k and rng.random() < hp.explore_p:
@@ -824,6 +824,13 @@ def ref_decode(model: Model, s: Sentence, score, chosen: list | None = None) -> 
         if d != primary:
             heads[d], deprels[d] = primary, "root"
     return s.with_arcs(heads, deprels)
+
+
+def ref_float_parse(model: Model, s: Sentence, chosen: list | None = None) -> Sentence:
+    """parse() by the float rows, the slow reference both packed decoders
+    must match step by step: at every step the first allowed action whose
+    `Model.score` is highest (appended to `chosen` if given)."""
+    return ref_decode(model, s, model.score, chosen)
 
 
 def ref_parse_hashed(model: Model, s: Sentence) -> Sentence:

@@ -21,7 +21,12 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import test_golden  # noqa: E402
 
-CHECKS = ["test_golden_model_file", "test_golden_reports", "test_golden_conllu_schemes"]
+CHECKS = [
+    "test_golden_model_file",
+    "test_golden_parse_by_a_loaded_model",
+    "test_golden_reports",
+    "test_golden_conllu_schemes",
+]
 
 
 def main() -> int:

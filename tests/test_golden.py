@@ -7,21 +7,24 @@ keyed by string, and the v2 file `save_model` writes of the same weights.
 The report files pin the whole experiment grid. Any change that moves a
 single float shows up here. The CoNLL-U digests pin the read, rewrite and
 write path: the bytes `write_conllu` gives for a corpus under each
-transformation. The v1 model and report digests were computed before the
-perceptron hot path was rebuilt, the CoNLL-U digests before tokens became
-named tuples; regenerate them only for a change that is meant to alter
-results.
+transformation. The parse digest pins decoding by a model read from a file:
+the trees the golden model, saved and loaded back, gives a fixed corpus. The
+v1 model and report digests were computed before the perceptron hot path
+was rebuilt, the CoNLL-U digests before tokens became named tuples, the
+parse digest while loaded models still decoded by summing their float rows;
+regenerate them only for a change that is meant to alter results.
 """
 
 import hashlib
 import os
+import random
 
-from udscheme.conllu import parse_conllu, write_conllu, write_conllu_file
+from udscheme.conllu import format_conllu, parse_conllu, write_conllu, write_conllu_file
 from udscheme.harness import ExperimentConfig, TreebankSpec, emit_reports, run_experiment
-from udscheme.parsing.perceptron import Hyperparameters, save_model, train
+from udscheme.parsing.perceptron import Hyperparameters, load_model, parse, save_model, train
 from udscheme.transform import Transformation, apply_transformation
 
-from helpers import ref_save_model_v1
+from helpers import random_conllu_sentence, ref_save_model_v1
 from synth import synth_corpus
 
 # train(synth_corpus(8), synth_corpus(10, seed=999), epochs=4, seed=3):
@@ -30,6 +33,10 @@ from synth import synth_corpus
 MODEL_SHA256 = "cb6029688ecfa74fe023260de1c14a80536a4373ca52295355c20f5f669961be"
 # the same model as save_model writes it (v2, keyed by feature string)
 MODEL_V2_SHA256 = "f2d53b565fea0613d47f8b04be4a82d34aa49ef87e567482f7bdfc56a0e8f469"
+
+# format_conllu of the golden model, saved and loaded back, parsing
+# synth_corpus(30, seed=4242) and 30 random trees (most of them crossing)
+PARSE_SHA256 = "7e7339106c10d928181f9012991b543694ed74fd4cb0a41a4678e417000f45c4"
 
 REPORTS_SHA256 = {
     "hist.svg": "15c0e2743afe2e7ade95eef531bed78d2ed09bdb610443f873120b1d4a728c3a",
@@ -61,15 +68,28 @@ def sha256_file(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def golden_model():
+    return train(synth_corpus(8), synth_corpus(10, seed=999), Hyperparameters(epochs=4), seed=3)
+
+
 def test_golden_model_file(tmp_path):
-    model = train(
-        synth_corpus(8), synth_corpus(10, seed=999), Hyperparameters(epochs=4), seed=3
-    )
+    model = golden_model()
     v1, v2 = str(tmp_path / "model-v1.txt"), str(tmp_path / "model-v2.txt")
     ref_save_model_v1(model, v1)
     save_model(model, v2)
     assert sha256_file(v1) == MODEL_SHA256
     assert sha256_file(v2) == MODEL_V2_SHA256
+
+
+def test_golden_parse_by_a_loaded_model(tmp_path):
+    path = str(tmp_path / "model.txt")
+    save_model(golden_model(), path)
+    model = load_model(path)
+    rng = random.Random(26)
+    corpus = synth_corpus(30, seed=4242)
+    corpus += [random_conllu_sentence(rng, rng.randint(1, 30), "tree") for _ in range(30)]
+    text = format_conllu([parse(model, s) for s in corpus])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARSE_SHA256
 
 
 def test_golden_reports(tmp_path):

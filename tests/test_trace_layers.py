@@ -48,10 +48,15 @@ def test_training_and_parsing_call_the_hot_layers_through_module_globals(monkeyp
     perceptron.parse(model, corpus[0])
     exact = dict(calls)
     assert exact["extract_features"] > trained["extract_features"] and exact["score"] == 0
-    # a model read from a file decodes by Model.score
+    # a model read from a file decodes by its fixed-point rows, and calls
+    # Model.score only for the steps whose sums are near the top
     path = str(tmp_path / "model.txt")
     perceptron.save_model(model, path)
     perceptron.parse(perceptron.load_model(path), corpus[0])
-    assert all(calls[name] > exact[name] for name in ("extract_features", "score"))
+    assert calls["extract_features"] > exact["extract_features"]
+    assert calls["score"] - exact["score"] < calls["extract_features"] - exact["extract_features"]
+    # one with no weights ties on every step with a choice, and asks floats
+    perceptron.parse(perceptron.Model(model.labels), corpus[0])
+    assert calls["score"] > exact["score"]
     # models are keyed by string: nothing is hashed, in training or parsing
     assert calls["fnv1a64"] == 0
