@@ -5,11 +5,15 @@ Four measures: average head-dependent distance, POS predictability
 (Witten-Bell trigram perplexity of words reordered by attachment time) and
 derivation complexity (distinct substrings over the gold action sequences).
 
-Derivation-based measures use the static-priority oracle; derivations are
-over the unlabeled four-symbol action alphabet {S, R, L, A}. Perplexity is
+Derivation-based measures use the static-priority oracle
+(`transitions.static_oracle_derivation`, which picks each step's action by
+comparing the closed-form costs directly); derivations are over the
+unlabeled four-symbol action alphabet {S, R, L, A}. Perplexity is
 self-perplexity: the model is trained and evaluated on the same corpus.
 `compute_report` derives each sentence once and feeds both derivation
-measures from that one derivation.
+measures from that one derivation. POS predictability looks each head's tag
+up in one per-sentence tag list, and counts the (head, dependent) tag pairs
+in first-seen order, so its entropy adds the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -75,9 +79,10 @@ def pos_predictability(corpus: list[Sentence]) -> float:
     Arcs from the artificial root use a distinguished ROOT head tag."""
     joint: Counter = Counter()
     for s in corpus:
-        for t in s.tokens:
-            head_pos = ROOT_POS if t.head == 0 else s.token(t.head).upos
-            joint[(head_pos, t.upos)] += 1
+        # each token's UPOS by id, the root's tag at 0
+        tags = [ROOT_POS]
+        tags += [t.upos for t in s.tokens]
+        joint.update(zip([tags[t.head] for t in s.tokens], tags[1:]))
     n = sum(joint.values())
     if n == 0:
         return 0.0

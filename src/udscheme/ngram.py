@@ -44,6 +44,11 @@ class WittenBellTrigram:
         self.uni = uni
         self.total = sum(uni.values())
         self.vocab_size = len(uni)
+        # the unigram level's lam and uniform share, the same for every word
+        # (a model of no sentences has no unigram level; prob() then fails)
+        lam = self.total / (self.total + self.vocab_size) if self.total else 0.0
+        self.uni_lam = lam
+        self.uni_floor = (1 - lam) * (1.0 / (self.vocab_size + 1))
         # context -> (its continuation counts, c(ctx), lam(ctx))
         for table in (bi, tri):
             for ctx, counts in table.items():
@@ -53,9 +58,7 @@ class WittenBellTrigram:
 
     def prob(self, w: str, u: str, v: str) -> float:
         """P(w | u, v); `w` need not be in the training vocabulary."""
-        uniform = 1.0 / (self.vocab_size + 1)
-        lam = self.total / (self.total + self.vocab_size)
-        p = lam * self.uni.get(w, 0) / self.total + (1 - lam) * uniform
+        p = self.uni_lam * self.uni.get(w, 0) / self.total + self.uni_floor
         for ctx in (self.bi.get(v), self.tri.get((u, v))):
             if ctx is not None:
                 counts, c, lam = ctx

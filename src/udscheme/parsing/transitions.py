@@ -25,7 +25,16 @@ heads g:
     LEFT_ARC  = [g(s) > b] + #{buffer d with g(d) = s}
     REDUCE    = #{buffer d with g(d) = s}
 
-Each is O(degree) through the per-head gold dependents in `Gold`. Every
+The two counts are O(degree) through the per-head gold dependents in
+`Gold`, each written once: `stranded_count` (b's headless gold dependents on
+the stack) and `orphaned_count` (s's gold dependents in the buffer). Both
+oracles read them. Training's dynamic oracle, `oracle_step`, costs every
+valid kind (`kind_costs`) and returns all the min-cost actions; the static
+oracle, `static_oracle_derivation`, only needs the first of them under the
+fixed priority SHIFT < REDUCE < LEFT_ARC < RIGHT_ARC, so it compares the
+costs directly: SHIFT is taken when it is free (no other cost is computed),
+and otherwise each other valid kind replaces the choice only at a strictly
+lower cost. Costs above 0 arise only in non-projective trees. Every
 derivation and training sentence checks the closed form against its
 definition once, at O(n): all n gold arcs are reachable initially, so at the
 end `reachable_gold_count` must equal n minus the summed cost of the actions
@@ -44,7 +53,8 @@ REDUCE = "REDUCE"
 LEFT_ARC = "LEFT_ARC"
 RIGHT_ARC = "RIGHT_ARC"
 
-# fixed tie-break priority for the static oracle
+# the fixed tie-break priority: `oracle_step` lists its min-cost actions in
+# this order, and the static oracle takes the first of them
 KIND_ORDER = {SHIFT: 0, REDUCE: 1, LEFT_ARC: 2, RIGHT_ARC: 3}
 
 
@@ -131,9 +141,9 @@ def valid_actions(c: Configuration) -> frozenset[str]:
 
 def apply_action(c: Configuration, a: Action, kinds=None) -> None:
     """Advance c by `a` in place; an action invalid in c raises ValueError.
-    A caller that has the kinds valid in c (from `valid_actions`, or as the
-    keys of `kind_costs`), or a subset of them it chose from, passes them as
-    `kinds`, and `a` is checked against those."""
+    A caller that has the kinds valid in c (from `valid_actions`, as the keys
+    of `kind_costs`, or from `STEP_KINDS`), or a subset of them it chose
+    from, passes them as `kinds`, and `a` is checked against those."""
     kind = a.kind
     if kind not in (valid_actions(c) if kinds is None else kinds):
         raise ValueError("action %r is not valid in %r" % (a, c))
@@ -218,6 +228,31 @@ def check_lost(c: Configuration, gold_heads: list[int], lost: int) -> None:
         )
 
 
+def stranded_count(c: Configuration, gold: Gold) -> int:
+    """b's headless gold dependents on the stack: they lose their head once
+    the buffer front b leaves the buffer (by SHIFT or RIGHT_ARC)."""
+    b, stacked, head = c.b, c.stacked, c.head
+    count = 0
+    for d in gold.deps[b]:
+        if d > b:
+            break
+        if stacked[d] and head[d] is None:
+            count += 1
+    return count
+
+
+def orphaned_count(c: Configuration, gold: Gold) -> int:
+    """The stack top s's gold dependents in the buffer: they lose their head
+    once s is popped (by LEFT_ARC or REDUCE)."""
+    b = c.b
+    count = 0
+    for d in reversed(gold.deps[c.stack[-1]]):
+        if d < b:
+            break
+        count += 1
+    return count
+
+
 def kind_costs(c: Configuration, gold: Gold) -> dict[str, int]:
     """The cost of each valid kind in c, in closed form."""
     b, s, n = c.b, c.stack[-1], c.n
@@ -225,23 +260,11 @@ def kind_costs(c: Configuration, gold: Gold) -> dict[str, int]:
     costs = {}
     if b <= n:
         gb = heads[b]
-        # b's headless gold dependents on the stack lose their head once b
-        # leaves the buffer
-        stranded = 0
-        for d in gold.deps[b]:
-            if d > b:
-                break
-            if stacked[d] and head[d] is None:
-                stranded += 1
+        stranded = stranded_count(c, gold)
         costs[SHIFT] = stacked[gb] + stranded
         costs[RIGHT_ARC] = (gb != s and (stacked[gb] or gb > b)) + stranded
     if s != 0:
-        # s's gold dependents in the buffer lose their head once s is popped
-        orphaned = 0
-        for d in reversed(gold.deps[s]):
-            if d < b:
-                break
-            orphaned += 1
+        orphaned = orphaned_count(c, gold)
         if head[s] is None:
             if b <= n:
                 costs[LEFT_ARC] = (heads[s] > b) + orphaned
@@ -269,25 +292,58 @@ def oracle_step(c: Configuration, gold: Gold) -> tuple[dict[str, int], list[Acti
     return costs, actions
 
 
+_SHIFT = _action(SHIFT, None)
+_REDUCE = _action(REDUCE, None)
+
+
 def static_oracle_derivation(gold: Sentence) -> Derivation:
     """Gold action sequence under the fixed Shift > Reduce > Left > Right
     priority, choosing zero-cost actions (minimum cost for non-projective
-    trees). Decoding stops when the buffer is exhausted."""
+    trees). Decoding stops when the buffer is exhausted.
+
+    Each step compares the closed-form costs directly: SHIFT is taken as
+    soon as it is free, and otherwise each other valid kind replaces the
+    choice only at a strictly lower cost, so the first minimum in priority
+    order wins."""
     g = Gold(gold)
+    heads, deprels = g.heads, g.deprels
     c = initial_config(gold)
+    n, stack, stacked, head = c.n, c.stack, c.stacked, c.head
     actions: list[Action] = []
     attached: list[int] = []
     lost = 0
-    while c.b <= c.n:
-        costs, best = oracle_step(c, g)
-        a = best[0]
+    while c.b <= n:
+        b, s = c.b, stack[-1]
+        gb = heads[b]
+        stranded = stranded_count(c, g)
+        cost = stacked[gb] + stranded
+        a = _SHIFT
+        # SHIFT and RIGHT_ARC are valid while the buffer is non-empty; with
+        # a token on top, REDUCE if it is headed, else LEFT_ARC
+        if s == 0:
+            kinds = STEP_KINDS[0]
+        elif head[s] is None:
+            kinds = STEP_KINDS[1]
+            if cost:
+                left = (heads[s] > b) + orphaned_count(c, g)
+                if left < cost:
+                    a, cost = _action(LEFT_ARC, deprels[s]), left
+        else:
+            kinds = STEP_KINDS[2]
+            if cost:
+                reduce = orphaned_count(c, g)
+                if reduce < cost:
+                    a, cost = _REDUCE, reduce
+        if cost:
+            right = (gb != s and (stacked[gb] or gb > b)) + stranded
+            if right < cost:
+                a, cost = _action(RIGHT_ARC, deprels[b]), right
         if a.kind == LEFT_ARC:
-            attached.append(c.stack[-1])
+            attached.append(s)
         elif a.kind == RIGHT_ARC:
-            attached.append(c.b)
+            attached.append(b)
         actions.append(a)
-        lost += costs[a.kind]
-        apply_action(c, a, costs)
+        lost += cost
+        apply_action(c, a, kinds)
     check_lost(c, g.heads, lost)
     return Derivation(tuple(actions), tuple(attached))
-

@@ -27,6 +27,7 @@ from udscheme.parsing.transitions import (
     RIGHT_ARC,
     SHIFT,
     apply_action,
+    check_lost,
     initial_config,
     oracle_step,
     static_oracle_derivation,
@@ -276,6 +277,33 @@ def replay_attachment_ids(s: Sentence) -> list[int]:
     seen = set(order)
     order.extend(t.id for t in s.tokens if t.id not in seen)
     return order
+
+
+# ---- the static-oracle derivation that direct cost comparisons replaced:
+# each step takes the first min-cost action of the shared dynamic-oracle step
+
+
+def ref_static_oracle_derivation(gold: Sentence) -> Derivation:
+    """Gold action sequence under the fixed Shift > Reduce > Left > Right
+    priority, choosing zero-cost actions (minimum cost for non-projective
+    trees). Decoding stops when the buffer is exhausted."""
+    g = Gold(gold)
+    c = initial_config(gold)
+    actions: list[Action] = []
+    attached: list[int] = []
+    lost = 0
+    while c.b <= c.n:
+        costs, best = oracle_step(c, g)
+        a = best[0]
+        if a.kind == LEFT_ARC:
+            attached.append(c.stack[-1])
+        elif a.kind == RIGHT_ARC:
+            attached.append(c.b)
+        actions.append(a)
+        lost += costs[a.kind]
+        apply_action(c, a, costs)
+    check_lost(c, g.heads, lost)
+    return Derivation(tuple(actions), tuple(attached))
 
 
 # ---- the immutable configuration the in-place one replaced, with its

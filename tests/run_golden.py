@@ -24,6 +24,7 @@ import test_golden  # noqa: E402
 CHECKS = [
     "test_golden_model_file",
     "test_golden_parse_by_a_loaded_model",
+    "test_golden_derivations",
     "test_golden_reports",
     "test_golden_conllu_schemes",
 ]

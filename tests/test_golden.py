@@ -9,10 +9,14 @@ single float shows up here. The CoNLL-U digests pin the read, rewrite and
 write path: the bytes `write_conllu` gives for a corpus under each
 transformation. The parse digest pins decoding by a model read from a file:
 the trees the golden model, saved and loaded back, gives a fixed corpus. The
+derivation digest pins the static oracle that two of the corpus metrics read:
+every derivation's actions and attachment order on a fixed corpus. The
 v1 model and report digests were computed before the perceptron hot path
 was rebuilt, the CoNLL-U digests before tokens became named tuples, the
-parse digest while loaded models still decoded by summing their float rows;
-regenerate them only for a change that is meant to alter results.
+parse digest while loaded models still decoded by summing their float rows,
+the derivation digest while each derivation step still went through the
+dynamic oracle's step; regenerate them only for a change that is meant to
+alter results.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ import random
 from udscheme.conllu import format_conllu, parse_conllu, write_conllu, write_conllu_file
 from udscheme.harness import ExperimentConfig, TreebankSpec, emit_reports, run_experiment
 from udscheme.parsing.perceptron import Hyperparameters, load_model, parse, save_model, train
+from udscheme.parsing.transitions import static_oracle_derivation
 from udscheme.transform import Transformation, apply_transformation
 
 from helpers import random_conllu_sentence, ref_save_model_v1
@@ -37,6 +42,11 @@ MODEL_V2_SHA256 = "f2d53b565fea0613d47f8b04be4a82d34aa49ef87e567482f7bdfc56a0e8f
 # format_conllu of the golden model, saved and loaded back, parsing
 # synth_corpus(30, seed=4242) and 30 random trees (most of them crossing)
 PARSE_SHA256 = "7e7339106c10d928181f9012991b543694ed74fd4cb0a41a4678e417000f45c4"
+
+# static_oracle_derivation of synth_corpus(30, seed=2727) and 30 random trees
+# (27 of them crossing): one line per sentence, its actions then the ids it
+# attaches in order
+DERIVATION_SHA256 = "15d63dafd392a5cc7a7fad1cf603ce0e4acf71f16074a619d91a4d04d920e381"
 
 REPORTS_SHA256 = {
     "hist.svg": "15c0e2743afe2e7ade95eef531bed78d2ed09bdb610443f873120b1d4a728c3a",
@@ -90,6 +100,19 @@ def test_golden_parse_by_a_loaded_model(tmp_path):
     corpus += [random_conllu_sentence(rng, rng.randint(1, 30), "tree") for _ in range(30)]
     text = format_conllu([parse(model, s) for s in corpus])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARSE_SHA256
+
+
+def test_golden_derivations():
+    rng = random.Random(27)
+    corpus = synth_corpus(30, seed=2727)
+    corpus += [random_conllu_sentence(rng, rng.randint(1, 30), "tree") for _ in range(30)]
+    lines = []
+    for s in corpus:
+        d = static_oracle_derivation(s)
+        actions = (a.kind if a.label is None else "%s:%s" % (a.kind, a.label) for a in d.actions)
+        lines.append("%s\t%s\n" % (" ".join(actions), " ".join(map(str, d.attached))))
+    text = "".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DERIVATION_SHA256
 
 
 def test_golden_reports(tmp_path):

@@ -1,7 +1,11 @@
 import math
 import random
 
+import pytest
+
 from udscheme.ngram import BOS, EOS, WittenBellTrigram
+
+from synth import synth_corpus
 
 
 # --- independent reference implementation (kept deliberately plain) ---------
@@ -141,3 +145,30 @@ def test_repetition_beats_random_permutations():
 def test_unseen_words_get_positive_mass():
     model = WittenBellTrigram(TOY)
     assert model.prob("zebra", "the", "dog") > 0.0
+
+
+def test_perplexity_bits_recorded_before_the_unigram_level_was_precomputed():
+    # float.hex of perplexities computed while prob() still derived the
+    # unigram level's lam and uniform share on every call: every bit stays
+    recorded = {
+        1: "0x1.0da3b78f69d4ep+1",
+        2: "0x1.11a88f2ebeea4p+1",
+        3: "0x1.0bda2fb42c9a9p+1",
+    }
+    for seed, bits in recorded.items():
+        forms = [[t.form for t in s.tokens] for s in synth_corpus(20, seed=seed)]
+        assert float.hex(WittenBellTrigram(forms).perplexity(forms)) == bits, seed
+    upos = [[t.upos for t in s.tokens] for s in synth_corpus(20, seed=1)]
+    assert float.hex(WittenBellTrigram(upos).perplexity(upos)) == "0x1.db0a05d223ca9p+0"
+    rng = random.Random(5)
+    words = [[rng.choice("abcdefghij") for _ in range(rng.randint(0, 12))] for _ in range(40)]
+    heldout = [[rng.choice("abcdefghijklm") for _ in range(rng.randint(0, 12))] for _ in range(10)]
+    model = WittenBellTrigram(words)
+    assert float.hex(model.perplexity(words)) == "0x1.0d73449db5f21p+2"
+    assert float.hex(model.perplexity(heldout)) == "0x1.78c2ae1bac9bdp+4"
+
+
+def test_a_model_of_no_sentences_builds_but_has_no_perplexity():
+    model = WittenBellTrigram([])
+    with pytest.raises(ValueError, match="no predicted positions"):
+        model.perplexity([])

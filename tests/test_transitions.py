@@ -28,6 +28,7 @@ from helpers import (
     all_trees,
     copy_config,
     make_sentence,
+    random_conllu_sentence,
     random_projective_tree,
     random_tree,
     ref_apply,
@@ -35,6 +36,7 @@ from helpers import (
     ref_extract_features,
     ref_initial,
     ref_reachable_gold_count,
+    ref_static_oracle_derivation,
     ref_valid_actions,
     replay_arcs,
     state_key,
@@ -273,20 +275,73 @@ def test_incremental_state_matches_references_on_oracle_and_random_paths():
 
 
 def test_check_lost_catches_wrong_costs(monkeypatch):
-    # a cost expression that disagrees with the reachable count is caught at
-    # the end of the sentence, in the static oracle and in training
+    # a cost term that disagrees with the reachable count is caught at the
+    # end of the sentence, in the static oracle and in training, which share
+    # each term: one fault in one place, for either term
     s = make_sentence([2, 0, 2], ["nsubj", "root", "obj"])
-    real = transitions.kind_costs
+    for helper in ("stranded_count", "orphaned_count"):
+        real = getattr(transitions, helper)
+        with monkeypatch.context() as m:
+            m.setattr(transitions, helper, lambda c, gold, real=real: real(c, gold) + 1)
+            with pytest.raises(RuntimeError, match="oracle costs sum to"):
+                static_oracle_derivation(s)
+            with pytest.raises(RuntimeError, match="oracle costs sum to"):
+                train([s], None, Hyperparameters(epochs=1), seed=1)
+        assert static_oracle_derivation(s) == ref_static_oracle_derivation(s)
 
-    def off_by_one(c, gold):
-        costs = real(c, gold)
-        return {k: v + (k == SHIFT) for k, v in costs.items()}
 
-    monkeypatch.setattr(transitions, "kind_costs", off_by_one)
-    with pytest.raises(RuntimeError, match="oracle costs sum to"):
-        static_oracle_derivation(s)
-    with pytest.raises(RuntimeError, match="oracle costs sum to"):
-        train([s], None, Hyperparameters(epochs=1), seed=1)
+# hand-built crossing trees, each with a step where no action is free and
+# the kinds that tie there at a nonzero minimum (none for the first)
+HARD_TREES = [
+    ([2, 0, 1], None),
+    ([3, 0, 2], {SHIFT, LEFT_ARC, RIGHT_ARC}),
+    ([3, 0, 2], {LEFT_ARC, RIGHT_ARC}),
+    ([0, 1, 1, 2], {SHIFT, REDUCE, RIGHT_ARC}),
+    ([2, 3, 0, 1], {SHIFT, LEFT_ARC}),
+    ([3, 0, 2, 1], {SHIFT, RIGHT_ARC}),
+    ([4, 0, 2, 3], {REDUCE, RIGHT_ARC}),
+    ([3, 1, 4, 0, 2], {SHIFT, REDUCE}),
+]
+
+
+def _costly_steps(s, d):
+    """(cost of the step, kinds at that cost) at each step of `d` where no
+    action is free, by replaying it with the dynamic oracle's costs."""
+    gold, c = Gold(s), initial_config(s)
+    out = []
+    for a in d.actions:
+        costs = kind_costs(c, gold)
+        best = min(costs.values())
+        if best:
+            out.append((best, {k for k in costs if costs[k] == best}))
+        apply_action(c, a)
+    return out
+
+
+def test_static_oracle_matches_the_oracle_step_reference():
+    # the direct cost comparisons against the derivation that took the first
+    # of the dynamic oracle step's min-cost actions: the same actions (the
+    # very same shared objects) and attachment order, on synth corpora,
+    # random trees up to 60 tokens, every tree up to 5 tokens and the
+    # hand-built trees, which must show every kind of costly step
+    rng = random.Random(2727)
+    corpus = synth_corpus(60, seed=27) + [make_sentence(h) for h, _ in HARD_TREES]
+    corpus += [random_conllu_sentence(rng, rng.randint(1, 60), "tree") for _ in range(300)]
+    corpus += [make_sentence(h) for n in range(1, 6) for h in all_trees(n)]
+    costly = tied = 0
+    for s in corpus:
+        d, ref = static_oracle_derivation(s), ref_static_oracle_derivation(s)
+        assert d == ref, s
+        assert all(a is r for a, r in zip(d.actions, ref.actions))
+        steps = _costly_steps(s, d)
+        costly += len(steps)
+        tied += sum(len(kinds) > 1 for _, kinds in steps)
+    assert costly > 1000 and tied > 100, (costly, tied)
+    for heads, kinds in HARD_TREES:
+        steps = _costly_steps(make_sentence(heads), static_oracle_derivation(make_sentence(heads)))
+        assert steps, heads
+        if kinds is not None:
+            assert kinds in [k for _, k in steps], (heads, steps)
 
 
 def _snapshot(c):
