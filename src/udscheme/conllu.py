@@ -21,9 +21,9 @@ used, and it refuses the first violation:
   read): ConlluError `<path>:<line>: <violation>`, at the line of the token
   the violation names, found from the line `parse_conllu` keeps on each
   sentence (`Sentence.line_no`), so no file is read twice. `read_trees`
-  reads and checks gold input for every command; the harness checks a
-  treebank's read splits at its first cache miss (a cached rerun checks
-  none) and each transformed split with the same call, as `udscheme
+  reads and checks gold input for every command; the harness reads and
+  checks a treebank's splits at its first cache miss (a cached rerun
+  parses none) and each transformed split with the same call, as `udscheme
   transform` checks its output against its input. `udscheme parse`
   input and `evaluate --pred` are not gold: not checked.
 - without a path, as `write_conllu` runs it: ValueError `sentence N is not

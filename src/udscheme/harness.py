@@ -18,6 +18,14 @@ trains nothing and reproduces the reports byte for byte; a changed split,
 hyperparameter or seed list retrains every scheme of its treebank, UD
 included. Entries and reports are written atomically; an entry that does not
 decode, or has another shape than `_run_scheme` writes, is recomputed.
+
+A treebank runs in three steps. Plan hashes its splits and looks every
+scheme's entry up. Execute reads the splits and checks their trees at the
+first miss, and only then, and computes the missing entries. Assemble builds
+rows and metrics in config order from the entries. A fully cached treebank
+is hashed but never parsed. A split whose bytes, hashed again once read,
+differ from the planned ones was edited while the experiment ran: that is
+an error of the treebank, which then writes no entry and has no row.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .conllu import ConlluError, check_trees, read_conllu_file, read_text, write_atomic
+from .conllu import check_trees, read_conllu_file, read_text, write_atomic
 from .evaluate import ComparisonRow, compare_schemes, corpus_uas, metric_coherence, sum_in_order
 from .metrics import MEASURE_NAMES, compute_report, metric_dict
 from .parsing.perceptron import Hyperparameters, parse, train
@@ -246,40 +254,51 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cache = _Cache(cfg.output_dir)
     report = ExperimentReport()
     hp = dataclasses.asdict(cfg.hp)
+    transfos = [None, *cfg.transformations]
+    schemes = ["ud", *(t.value for t in cfg.transformations)]
 
     for tb in cfg.treebanks:
+        # plan: look every scheme's entry up by the hashes of the split bytes
+        paths = (tb.train, tb.dev, tb.test)
         try:
-            paths = (tb.train, tb.dev, tb.test)
-            corpora = [read_conllu_file(p) for p in paths]
             splits = [_file_sha256(p) for p in paths]
-        except Exception as e:  # record and move on to the next treebank
+        except OSError as e:  # record and move on to the next treebank
             report.errors.append((tb.language, "*", str(e)))
             continue
-        checked = False  # whether the splits' trees have been checked
+        keys = [
+            _entry_name("%s.%s" % (tb.language, scheme), splits=splits, hp=hp, seeds=cfg.seeds)
+            for scheme in schemes
+        ]
+        entries = [
+            cache.get(key, lambda value, transfo=transfo: _is_entry(value, transfo, cfg.seeds))
+            for key, transfo in zip(keys, transfos)
+        ]
 
-        for transfo in [None, *cfg.transformations]:
-            scheme = "ud" if transfo is None else transfo.value
-            key = _entry_name(
-                "%s.%s" % (tb.language, scheme), splits=splits, hp=hp, seeds=cfg.seeds
-            )
-            entry = cache.get(key, lambda value: _is_entry(value, transfo, cfg.seeds))
-            if entry is None:
-                if not checked:
-                    try:
-                        for p, c in zip(paths, corpora):
-                            check_trees(c, p)
-                    except ConlluError as e:
-                        report.errors.append((tb.language, "*", str(e)))
-                        break
-                    checked = True
+        # execute: the misses, on the splits read and checked at the first one
+        if None in entries:
+            try:
+                corpora = _read_splits(paths, splits)
+            except (OSError, ValueError) as e:  # ConlluError is a ValueError
+                report.errors.append((tb.language, "*", str(e)))
+                continue
+            for i, transfo in enumerate(transfos):
+                if entries[i] is not None:
+                    continue
                 try:
-                    entry = _run_scheme(tb, transfo, corpora, cfg, report)
+                    entries[i] = _run_scheme(tb, transfo, corpora, cfg, report)
                 except Exception as e:
-                    report.errors.append((tb.language, scheme, str(e)))
+                    report.errors.append((tb.language, schemes[i], str(e)))
                     if transfo is None:
                         break  # the cells are compared against the UD scheme
-                    continue
-                cache.put(key, entry)
+                else:
+                    cache.put(keys[i], entries[i])
+            if entries[0] is None:
+                continue
+
+        # assemble: rows and metrics in config order; a failed scheme has none
+        for transfo, scheme, entry in zip(transfos, schemes, entries):
+            if entry is None:
+                continue
             excluded = entry["excluded"]
             scores = [] if excluded else [entry["uas"][str(s)] for s in cfg.seeds]
             if not excluded:
@@ -294,6 +313,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     _compute_coherence(report)
     _compute_summary(report)
     return report
+
+
+def _read_splits(paths, splits) -> list:
+    """The trees of each split, read and checked. A split that no longer
+    has the bytes its sha256 in `splits` was taken from raises, so entries
+    named by the old bytes are never computed from the new ones."""
+    corpora = []
+    for path, sha in zip(paths, splits):
+        corpora.append(read_conllu_file(path))
+        if _file_sha256(path) != sha:
+            raise ValueError("%s: changed while the experiment ran" % path)
+    for path, corpus in zip(paths, corpora):
+        check_trees(corpus, path)
+    return corpora
 
 
 def _run_scheme(tb, transfo, corpora, cfg, report) -> dict:

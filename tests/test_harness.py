@@ -199,24 +199,51 @@ def test_noop_transformation_is_excluded(tmp_path):
     assert report.trainings_executed == 1
 
 
-def test_broken_treebank_recorded_not_fatal(tmp_path):
-    good = write_treebank(tmp_path)
-    bad = str(tmp_path / "bad.conllu")
-    with open(bad, "w") as f:
-        f.write("1\tonly\ttwo\tcolumns\n\n")
-    cfg = ExperimentConfig(
-        treebanks=[
-            TreebankSpec("bad", bad, bad, bad),
-            TreebankSpec("xx", good["train"], good["dev"], good["test"]),
-        ],
-        transformations=[Transformation.DET],
-        seeds=[1],
-        hp=Hyperparameters(epochs=1),
-        output_dir=str(tmp_path / "out"),
-    )
+# a bad split's bytes, the line its error names and the error
+BAD_SPLITS = {
+    "not-utf8": (b"# sent_id = 1\n1\tcaf\xe9\t_\tX\t_\t_\t0\troot\t_\t_\n\n", 2,
+                 "byte 0xe9 is not UTF-8"),
+    "columns": (b"1\tonly\ttwo\tcolumns\n\n", 1, "expected 10 columns, got 4"),
+    "cycle": (b"1\ta\t_\tX\t_\t_\t2\tdep\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+              b"3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n\n", 1, "token 1 is caught in a head cycle"),
+    "deleted": (None, None, None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_SPLITS))
+def test_broken_treebank_recorded_not_fatal(tmp_path, fault):
+    """A treebank whose dev split cannot be read, or holds an invalid tree,
+    is one error naming the split, and the treebank after it runs as if it
+    were alone (these errors were pinned before lookups came first)."""
+    bad = write_treebank(tmp_path, lang="bad", n_train=5, n_dev=2, n_test=2)
+    data, line, message = BAD_SPLITS[fault]
+    if data is not None:
+        with open(bad["dev"], "wb") as f:
+            f.write(data)
+    good = write_treebank(tmp_path, n_train=8, n_dev=3, n_test=4)
+    out_dir = str(tmp_path / "out")
+    ini = write_config(tmp_path, good, out_dir, seeds="1", transformations="det", epochs=1)
+    with open(ini, encoding="utf-8") as f:
+        text = f.read()
+    section = "[treebank:bad]\ntrain = %(train)s\ndev = %(dev)s\ntest = %(test)s\n" % bad
+    with open(ini, "w", encoding="utf-8") as f:
+        f.write(text.replace("[treebank:xx]", section + "[treebank:xx]"))
+    cfg = load_config(ini)
+    if data is None:
+        os.remove(bad["dev"])
+        error = "[Errno 2] No such file or directory: %r" % bad["dev"]
+    else:
+        error = "%s:%d: %s" % (bad["dev"], line, message)
     report = run_experiment(cfg)
-    assert any(lang == "bad" for lang, _, _ in report.errors)
-    assert any(r.language == "xx" for r in report.rows)
+    assert report.errors == [("bad", "*", error)]
+    assert [tb.language for tb in cfg.treebanks] == ["bad", "xx"]
+    assert not glob.glob(os.path.join(out_dir, "cache", "bad.*"))
+
+    cfg.treebanks = cfg.treebanks[1:]
+    cfg.output_dir = str(tmp_path / "alone")
+    alone = run_experiment(cfg)
+    assert alone.trainings_executed == report.trainings_executed == 2
+    assert report.rows == alone.rows and report.metrics == alone.metrics
 
 
 def test_empty_rows_emit_without_failure(tmp_path):
@@ -230,7 +257,7 @@ def test_empty_rows_emit_without_failure(tmp_path):
     assert any(p.endswith("hist.svg") for p in written)
 
 
-def test_truncated_cache_entry_is_recomputed(tmp_path):
+def test_truncated_cache_entry_is_recomputed(tmp_path, monkeypatch):
     paths = write_treebank(tmp_path, n_train=12, n_dev=4, n_test=6)
     out_dir = str(tmp_path / "out")
     cfg = load_config(
@@ -238,6 +265,18 @@ def test_truncated_cache_entry_is_recomputed(tmp_path):
     )
     emit_reports(run_experiment(cfg), out_dir)
     before = read_all(out_dir)
+
+    # a fully cached rerun hashes the splits and parses none of them
+    def refuse(*args):
+        raise AssertionError("a fully cached rerun parsed a split")
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "read_conllu_file", refuse)
+        m.setattr(conllu, "parse_conllu", refuse)
+        report = run_experiment(cfg)
+    assert report.trainings_executed == 0 and not report.errors
+    emit_reports(report, out_dir)
+    assert read_all(out_dir) == before
 
     (entry,) = glob.glob(os.path.join(out_dir, "cache", "xx.det.*.json"))
     with open(entry, "r+b") as f:
@@ -369,6 +408,17 @@ def test_one_cache_entry_per_scheme(tmp_path, monkeypatch):
     assert run_experiment(cfg).trainings_executed == 0
     assert len(lookups) == len(schemes)
 
+    # one missing entry: the splits are read once, and only its scheme trains
+    (entry,) = glob.glob(os.path.join(out_dir, "cache", "xx.ud.*.json"))
+    os.remove(entry)
+    reads = []
+    real_read = harness.read_conllu_file
+    monkeypatch.setattr(harness, "read_conllu_file", lambda p: reads.append(p) or real_read(p))
+    report = run_experiment(cfg)
+    assert report.trainings_executed == 1 and not report.errors
+    assert reads == [paths["train"], paths["dev"], paths["test"]]
+    assert sorted(os.listdir(os.path.join(out_dir, "cache"))) == entries
+
     # every entry is named by the seed list, so a new one retrains every scheme
     cfg = load_config(write_config(tmp_path, paths, out_dir, seeds="1 2", transformations=names))
     assert run_experiment(cfg).trainings_executed == 2 * trained
@@ -406,6 +456,36 @@ def test_wrong_shape_cache_entry_is_recomputed(tmp_path, entry, content, retrain
     assert not report.errors
     emit_reports(report, out_dir)
     assert read_all(out_dir) == before  # the entry is overwritten as well
+
+
+def test_split_edited_during_a_run_is_an_error_of_its_treebank(tmp_path, monkeypatch):
+    """Entries are named by the split bytes hashed before any is read: a
+    split whose bytes differ once read is refused, so no entry or row mixes
+    the old bytes with the new ones. The next run reads the new bytes."""
+    paths, out_dir, ini = _small_grid(tmp_path)
+    real_read = harness.read_conllu_file
+
+    def read_then_edit(path):
+        sentences = real_read(path)
+        if path == paths["train"]:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("# edited\n" + text)
+        return sentences
+
+    monkeypatch.setattr(harness, "read_conllu_file", read_then_edit)
+    report = run_experiment(load_config(ini))
+    error = "%s: changed while the experiment ran" % paths["train"]
+    assert report.errors == [("xx", "*", error)]
+    assert report.rows == [] and report.metrics == {} and report.trainings_executed == 0
+    assert os.listdir(os.path.join(out_dir, "cache")) == []
+
+    monkeypatch.setattr(harness, "read_conllu_file", real_read)
+    report = run_experiment(load_config(ini))
+    assert not report.errors and report.trainings_executed == 2
+    assert len(report.rows) == 1 and len(os.listdir(os.path.join(out_dir, "cache"))) == 2
+    assert run_experiment(load_config(ini)).trainings_executed == 0
 
 
 def test_ud_side_failure_skips_only_its_treebank(tmp_path, monkeypatch):
